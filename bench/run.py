@@ -8,7 +8,15 @@ in-process with stdout captured, as a closed loop with one caller; the
 only extra processes are the sweep's own pool at ``--jobs 2``.  One
 untimed warm-up pass comes first; then passes repeat while the next one is
 expected to end within ``--seconds`` of the start (at least three are
-timed), and timings are medians over passes.
+timed).
+
+Times are reported in reference seconds.  The host this was tuned on runs
+everything up to twice as slow for seconds to minutes at a time, in CPU
+time as much as in wall time.  So each call is timed on its own, between
+two samples of a fixed pure-Python loop (``reference``), and divided by
+their mean; a time is the median of these ratios over the run, times
+``REF_NOMINAL_S``.  A slow spell slows the call and the loop alike, so it
+cancels.  The raw times are in the information record.
 
 With ``--trace 0`` the result holds the end-to-end metrics; with
 ``--trace 1`` it holds the per-layer metrics of a separate traced run (see
@@ -45,7 +53,46 @@ import workloads  # noqa: E402
 from workloads import CHECKPOINT  # noqa: E402
 
 MIN_PASSES = 3
-SETUP_REPEATS = 21
+SETUP_REPEATS = 61
+# reference() on an idle Intel Xeon with CPython 3.11; it only sets the
+# scale of the reported times.
+REF_NOMINAL_S = 0.00175
+
+
+_REFERENCE_CODES = bytes(range(256)) * 2
+
+
+def reference() -> float:
+    """Seconds taken by a fixed pure-Python loop that slices and compares
+    bytes, the kind of work the census does.  Of the loops tried it tracked
+    the host's slow spells best."""
+    codes = _REFERENCE_CODES
+    s = [0] * 64
+    total = 0
+    t0 = time.perf_counter()
+    for _ in range(24):
+        for i in range(64):
+            p = 1
+            while p < 8:
+                if codes[i:i + p] == codes[i + p:i + 2 * p]:
+                    s[i] += 1
+                p += 1
+            total += s[i]
+    return time.perf_counter() - t0
+
+
+class Reference:
+    """Reference samples taken between the timed calls."""
+
+    def __init__(self) -> None:
+        self.samples = [reference()]
+
+    def scale(self) -> float:
+        """Call after a timed call: REF_NOMINAL_S over the mean of the
+        samples right before and right after it."""
+        before = self.samples[-1]
+        self.samples.append(reference())
+        return REF_NOMINAL_S * 2 / (before + self.samples[-1])
 
 
 @dataclass
@@ -70,10 +117,12 @@ class Runner:
         self.texts: list[str] = []
         self.errors: list[str] = []
 
-    def call(self, op: workloads.Op) -> tuple[float, int]:
+    def call(self, op: workloads.Op) -> tuple[float, float, int]:
+        """(wall, cpu self plus reaped children, output length) of one call."""
         checkpoint = self.tmp_dir / f"sweep-{len(self.calls)}.ck"
         argv = [str(checkpoint) if a == CHECKPOINT else a for a in op.argv]
         out, err = io.StringIO(), io.StringIO()
+        cpu_0 = _cpu(resource.RUSAGE_SELF) + _cpu(resource.RUSAGE_CHILDREN)
         t0 = time.perf_counter()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -84,6 +133,7 @@ class Runner:
             rc = "exception"
             err.write(traceback.format_exc())
         wall = time.perf_counter() - t0
+        cpu = _cpu(resource.RUSAGE_SELF) + _cpu(resource.RUSAGE_CHILDREN) - cpu_0
         for leftover in (checkpoint, Path(f"{checkpoint}.tmp")):
             leftover.unlink(missing_ok=True)
         text = out.getvalue()
@@ -95,7 +145,7 @@ class Runner:
         self.calls.append((op, rc, index))
         if rc != 0:
             self.errors.append(f"{op.kind} exited {rc!r}: {err.getvalue()[-2000:]}")
-        return wall, len(text)
+        return wall, cpu, len(text)
 
     def run_pass(self, ops: list[workloads.Op], tracer: spans.Tracer | None = None) -> Pass:
         p = Pass()
@@ -104,10 +154,10 @@ class Runner:
         t0 = time.perf_counter()
         for op in ops:
             if tracer is None:
-                wall, nbytes = self.call(op)
+                wall, _, nbytes = self.call(op)
             else:
                 with tracer.span("main"):
-                    wall, nbytes = self.call(op)
+                    wall, _, nbytes = self.call(op)
             p.family_s[op.family] = p.family_s.get(op.family, 0.0) + wall
             p.output_bytes += nbytes
         p.wall = time.perf_counter() - t0
@@ -163,7 +213,8 @@ def _fits(start: float, step_s: float, seconds: float) -> bool:
 
 def setup(name: str, seed: int, tiny: bool):
     """Import the package and build the inputs, SETUP_REPEATS times from a
-    clean module table; the median is setup_s."""
+    clean module table; setup_s is the median in reference seconds."""
+    ref = Reference()
     times = []
     for _ in range(SETUP_REPEATS):
         for mod in [m for m in sys.modules if m == "fsdsq" or m.startswith("fsdsq.")]:
@@ -172,7 +223,8 @@ def setup(name: str, seed: int, tiny: bool):
         t0 = time.perf_counter()
         cli = importlib.import_module("fsdsq.cli")
         wl = workloads.build_workload(name, seed, tiny)
-        times.append(time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
+        times.append(seconds * ref.scale())
     return cli, wl, median(times)
 
 
@@ -180,24 +232,38 @@ def setup(name: str, seed: int, tiny: bool):
 
 def timed_run(runner: Runner, wl: workloads.Workload, seconds: float,
               setup_s: float) -> tuple[dict, dict]:
+    """A pass's wall and CPU time: per call, the median in reference
+    seconds, summed over the calls of the pass."""
     start = time.perf_counter()
     # The first pass of a process runs measurably slower (the heap is still
     # growing), so it warms up and is not timed.
     runner.run_pass(wl.ops)
-    passes: list[Pass] = []
-    while (len(passes) < MIN_PASSES
-           or _fits(start, median(p.wall for p in passes), seconds)):
-        passes.append(runner.run_pass(wl.ops))
+    walls: list[list[float]] = [[] for _ in wl.ops]
+    cpus: list[list[float]] = [[] for _ in wl.ops]
+    pass_walls: list[float] = []
+    ref = Reference()
+    while (len(pass_walls) < MIN_PASSES
+           or _fits(start, median(pass_walls) + REF_NOMINAL_S * len(wl.ops), seconds)):
+        pass_wall = 0.0
+        for j, op in enumerate(wl.ops):
+            wall, cpu, _ = runner.call(op)
+            scale = ref.scale()
+            walls[j].append(wall * scale)
+            cpus[j].append(cpu * scale)
+            pass_wall += wall
+        pass_walls.append(pass_wall)
     peak_kb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    wall_s = sum(median(w) for w in walls)
     metrics = {
-        "wall_s": (median(p.wall for p in passes), "s"),
-        "cpu_s": (median(p.cpu_self + p.cpu_children for p in passes), "s"),
+        "wall_s": (wall_s, "s"),
+        "cpu_s": (sum(median(c) for c in cpus), "s"),
         "peak_rss_kb": (peak_kb, "KiB"),
-        "words_per_s": (median(wl.words / p.wall for p in passes), "1/s"),
+        "words_per_s": (wl.words / wall_s, "1/s"),
         "setup_s": (setup_s, "s"),
     }
-    return metrics, {"pass_wall_s": [p.wall for p in passes]}
+    return metrics, {"passes": len(pass_walls), "raw_pass_wall_median_s": median(pass_walls),
+                     "reference_median_s": median(ref.samples), "call_wall_ref_s": walls}
 
 
 def _enumerate_s(wl: workloads.Workload) -> float:

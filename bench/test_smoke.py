@@ -46,7 +46,7 @@ def test_tiny_run_is_correct_and_complete(name, trace):
     assert info["error_rate"] == 0
 
 
-@pytest.mark.parametrize("name", ["sweep-ter12-ckpt-j2", "analyze-long"])
+@pytest.mark.parametrize("name", ["sweep-ter10-ckpt-j2", "analyze-long"])
 def test_tampered_reference_counts_as_failed(name):
     wl = workloads.build_workload(name, 5, tiny=True)
     key = wl.ops[0].ref_key
@@ -58,7 +58,7 @@ def test_tampered_reference_counts_as_failed(name):
 
 
 def test_build_check_rejects_a_wrong_T():
-    op = workloads.build_workload("build-run8", 0, tiny=True).ops[0]
+    op = workloads.build_workload("build-run7", 0, tiny=True).ops[0]
     text = json.dumps({"word": "abaababaab", "n": 10, "T": 1, "steps": []})
     assert workloads.check_output(op, text, {}) is not None
 
@@ -95,7 +95,7 @@ def test_fails_without_the_sources(tmp_path):
         shutil.copytree(ROOT / path, tmp_path / path,
                         ignore=shutil.ignore_patterns("__pycache__"))
     proc = subprocess.run(
-        [*SPEC["command"], "--workload", "sweep-bin18", "--seed", "0",
+        [*SPEC["command"], "--workload", "sweep-bin14", "--seed", "0",
          "--seconds", "1", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=180)
     assert proc.returncode != 0

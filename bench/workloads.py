@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 POOL_SIZE = 16
 CHECKPOINT = "{checkpoint}"
 
-NAMES = ("sweep-bin18", "sweep-ter12-ckpt-j2", "analyze-long", "build-run8")
+NAMES = ("sweep-bin14", "sweep-ter10-ckpt-j2", "analyze-long", "build-run7")
 
 
 @dataclass(frozen=True)
@@ -106,20 +106,21 @@ def _analyze_op(word: str, family: str) -> Op:
               ref_key=analyze_key(word))
 
 
-# Full sizes and the tiny sizes of the smoke test.
+# Full sizes and the tiny sizes of the smoke test.  Each full-size call takes
+# well under a second, so a run times every call many times (see run.py).
 SIZES = {
-    False: {"bin": 18, "ter": 12, "fib": 6000, "random": 2000, "unary": 10_000, "target": 8},
+    False: {"bin": 14, "ter": 10, "fib": 2000, "random": 1500, "unary": 10_000, "target": 7},
     True: {"bin": 8, "ter": 5, "fib": 300, "random": 80, "unary": 200, "target": 3},
 }
 
 
 def build_workload(name: str, seed: int, tiny: bool = False) -> Workload:
     size = SIZES[tiny]
-    if name == "sweep-bin18":
+    if name == "sweep-bin14":
         op = _sweep_op(2, size["bin"], 1, False)
         return Workload(name, [op], [op], {"alphabet_size": 2, "max_len": size["bin"],
                                             "words": op.words}, sweep=(2, size["bin"]))
-    if name == "sweep-ter12-ckpt-j2":
+    if name == "sweep-ter10-ckpt-j2":
         op = _sweep_op(3, size["ter"], 2, True)
         return Workload(name, [op], [_sweep_op(3, size["ter"], 1, True)],
                         {"alphabet_size": 3, "max_len": size["ter"], "words": op.words},
@@ -135,7 +136,7 @@ def build_workload(name: str, seed: int, tiny: bool = False) -> Workload:
             "fibonacci": size["fib"], "random_binary": size["random"],
             "random_ternary": size["random"], "unary": size["unary"],
             "pool_index": index})
-    if name == "build-run8":
+    if name == "build-run7":
         op = Op(("generate", "--kind", "run", "--target", str(size["target"]),
                  "--format", "json"), "build", "build", 1, target=size["target"])
         return Workload(name, [op], [op], {"target": size["target"]})
