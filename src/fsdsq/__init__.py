@@ -1,10 +1,9 @@
 """Rightmost distinct squares, FS-double squares and runs of 2's in words."""
 
 from .census import (CensusReport, SquareOccurrence, enumerate_squares,
-                     longest_run_of_twos, render_census_tsv, rightmost_map,
-                     rightmost_square_roots, s_sequence)
+                     render_census_tsv, rightmost_map, s_sequence)
 from .construct import (BuildStep, RunReport, build_run, extend_equal_run,
-                        extend_unequal, ratio_report, run_report)
+                        extend_unequal, run_report)
 from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
                              MateLabel, canonical_factorization, classify_mate,
                              classify_mate_detail, find_fs_double_squares)
@@ -13,12 +12,11 @@ from .errors import (CostCeilingError, CounterexampleError, ExtensionBudgetError
                      NoExtensionError, SweepInterrupted, UnclassifiablePairError)
 from .pairs import (Check, PairClassification, PairKind, check_equal_pair,
                     check_unequal_pair, find_double_square_pairs,
-                    has_adjacent_pair, ordering_case)
+                    ordering_case)
 from .sweep import (ALL_PROPERTIES, Finding, LengthStats, RatioTable,
                     SweepConfig, SweepReport, cost_ceiling, exhaustive_verify,
                     extremal_ratio, iter_canonical_words, minimal_pair_length)
-from .words import (LceTable, Word, are_conjugate, build_lce, is_primitive,
-                    lcp, primitive_root)
+from .words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 __version__ = "0.1.0"
 
@@ -26,17 +24,16 @@ __all__ = [
     "ALL_PROPERTIES", "BuildStep", "CensusReport", "Check", "CostCeilingError",
     "CounterexampleError", "ExtensionBudgetError", "Factorization",
     "FactorizationError", "Finding", "FindingError", "ForbiddenPairError",
-    "FsDoubleSquare", "LceTable", "LengthStats", "MateClassification",
-    "MateLabel", "NoExtensionError", "PairClassification", "PairKind",
-    "RatioTable", "RunReport", "SquareOccurrence", "SweepConfig",
-    "SweepInterrupted", "SweepReport", "UnclassifiablePairError", "Word",
-    "are_conjugate", "build_lce", "build_run", "canonical_factorization",
-    "check_equal_pair", "check_unequal_pair", "classify_mate",
-    "classify_mate_detail", "cost_ceiling", "enumerate_squares",
-    "exhaustive_verify", "extend_equal_run", "extend_unequal",
-    "extremal_ratio", "find_double_square_pairs", "find_fs_double_squares",
-    "has_adjacent_pair", "is_primitive", "iter_canonical_words", "lcp",
-    "longest_run_of_twos", "minimal_pair_length", "ordering_case",
-    "primitive_root", "ratio_report", "render_census_tsv", "rightmost_map",
-    "rightmost_square_roots", "run_report", "s_sequence",
+    "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
+    "NoExtensionError", "PairClassification", "PairKind", "RatioTable",
+    "RunReport", "SquareOccurrence", "SweepConfig", "SweepInterrupted",
+    "SweepReport", "UnclassifiablePairError", "Word", "are_conjugate",
+    "build_run", "canonical_factorization", "check_equal_pair",
+    "check_unequal_pair", "classify_mate", "classify_mate_detail",
+    "cost_ceiling", "enumerate_squares", "exhaustive_verify",
+    "extend_equal_run", "extend_unequal", "extremal_ratio",
+    "find_double_square_pairs", "find_fs_double_squares", "is_primitive",
+    "iter_canonical_words", "lcp", "minimal_pair_length", "ordering_case",
+    "primitive_root", "render_census_tsv", "rightmost_map", "run_report",
+    "s_sequence",
 ]

@@ -1,20 +1,34 @@
 """Square occurrences and the rightmost distinct-square census.
 
 The census assigns every position i of a word the number s_i of distinct
-square factors whose *last* occurrence starts at i.  The key fact used by
-the fast scan: a square occurrence (i, p) is the last occurrence of its
-value exactly when no prefix of the suffix at i of length 2p reappears
-later, i.e. when 2p exceeds the longest later match length m_i.  The m_i
-values obey m_i <= m_{i+1} + 1, so a right-to-left scan with C-level
-substring search computes them in amortised linear probes; all equality
-decisions are exact byte comparisons, never hashes.
+square factors whose *last* occurrence starts at i.  A square occurrence
+(i, p) is the last occurrence of its value exactly when no prefix of the
+suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
+later match length m_i (the mirror image of the Longest Previous Factor
+array).  Two exact facts about m_i keep the scan cheap:
+
+* Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
+  again at i+p > i, so p <= m_i; the rightmost test gives 2p > m_i.  With
+  q = m_i//2 + 1, every candidate root p puts u = codes[i:i+q] at i+p, so a
+  C-level substring search for u in the window i+q .. i+pmax+q lists the
+  candidates in ascending order, and one slice compare of the remaining
+  p-q letters confirms each.
+* Witness step.  m_i <= m_{i+1} + 1, since a later match of the suffix at
+  i, minus its first letter, is a later match of the suffix at i+1.  If the
+  match of the suffix at i+1 starts again at some j > i+1 and
+  codes[j-1] == codes[i], the letter before it extends that occurrence to
+  one of length m_{i+1} + 1 at j-1 > i, so the bound is met and no search
+  is needed.  Otherwise lengths m_{i+1} + 1, m_{i+1}, ... are probed, and
+  the index the successful search returns becomes the next witness.
+
+All equality decisions are exact byte comparisons, never hashes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .words import LceTable, Word
+from .words import Word
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,13 +42,21 @@ class SquareOccurrence:
 
 @dataclass(frozen=True, slots=True)
 class CensusReport:
-    """Full rightmost-square census of one word."""
+    """Full rightmost-square census of one word.
+
+    ``roots`` maps each 1-based position with s_i > 0 to the ascending root
+    lengths of the squares whose last occurrence starts there; it lets
+    structure analysis reuse the census instead of rescanning the word.
+    """
 
     word: Word
     s: tuple[int, ...]
     distinct_square_count: int
     runs_of_two: tuple[tuple[int, int], ...]
     longest_run: tuple[int, int]
+    # Derived from ``word`` like ``s``; kept out of comparison so the report
+    # stays hashable.
+    roots: dict[int, list[int]] = field(compare=False, repr=False)
 
     @property
     def max_s(self) -> int:
@@ -53,46 +75,72 @@ class CensusReport:
 
 def _later_match_lengths(codes: bytes) -> list[int]:
     """m[i] = length of the longest prefix of codes[i:] also occurring at
-    some j > i.  Uses m[i] <= m[i+1] + 1 for amortised probing."""
+    some j > i; m[n] = 0.  Right to left, by the witness step of the module
+    docstring, falling back to probes of decreasing length."""
     n = len(codes)
     m = [0] * (n + 1)
     find = codes.find
+    j = n  # a start > i + 1 of a later match of the suffix at i + 1
     for i in range(n - 1, -1, -1):
         length = m[i + 1] + 1
-        limit = n - i - 1
-        if length > limit:
-            length = limit
-        while length > 0 and find(codes[i:i + length], i + 1) == -1:
+        if j - 1 > i and codes[i] == codes[j - 1]:
+            m[i] = length
+            j -= 1
+            continue
+        if length > n - i - 1:
+            length = n - i - 1
+        while length > 0:
+            k = find(codes[i:i + length], i + 1)
+            if k != -1:
+                j = k
+                break
             length -= 1
+        else:
+            j = i + 1  # the empty match
         m[i] = length
     return m
 
 
 def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     """Counts s_i plus, for positions with s_i > 0, the rightmost root
-    lengths (0-based keys, ascending root lengths)."""
+    lengths (1-based keys, ascending root lengths)."""
     n = len(codes)
     s = [0] * n
     roots: dict[int, list[int]] = {}
+    find = codes.find
     m = _later_match_lengths(codes)
     for i in range(n):
+        mi = m[i]
         pmax = (n - i) >> 1
-        p = (m[i] >> 1) + 1
-        while p <= pmax:
-            if codes[i:i + p] == codes[i + p:i + 2 * p]:
-                s[i] += 1
-                roots.setdefault(i, []).append(p)
-            p += 1
+        if mi < pmax:
+            pmax = mi
+        q = (mi >> 1) + 1
+        if q > pmax:
+            continue
+        # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
+        u = codes[i:i + q]
+        end = i + pmax + q
+        ps = None
+        j = find(u, i + q, end)
+        while j != -1:
+            if codes[i + q:j] == codes[j + q:2 * j - i]:
+                if ps is None:
+                    ps = roots[i + 1] = []
+                ps.append(j - i)
+            j = find(u, j + 1, end)
+        if ps:
+            s[i] = len(ps)
     return s, roots
 
 
 def s_sequence(w: Word) -> CensusReport:
-    """Census of ``w``: the s_i sequence, distinct-square total and runs."""
-    s, _ = _census_scan(w.codes)
-    return _report_from_counts(w, s)
+    """Census of ``w``: the s_i sequence, distinct-square total, runs and
+    the rightmost roots at each position."""
+    s, roots = _census_scan(w.codes)
+    return _report_from_counts(w, s, roots)
 
 
-def _report_from_counts(w: Word, s: list[int]) -> CensusReport:
+def _report_from_counts(w: Word, s: list[int], roots: dict[int, list[int]]) -> CensusReport:
     runs: list[tuple[int, int]] = []
     i, n = 0, len(s)
     while i < n:
@@ -114,19 +162,8 @@ def _report_from_counts(w: Word, s: list[int]) -> CensusReport:
         distinct_square_count=sum(s),
         runs_of_two=tuple(runs),
         longest_run=best,
+        roots=roots,
     )
-
-
-def longest_run_of_twos(report: CensusReport) -> tuple[int, int]:
-    """Leftmost longest maximal run of consecutive s_i = 2; (0, 0) if none."""
-    return report.longest_run
-
-
-def rightmost_square_roots(w: Word) -> dict[int, list[int]]:
-    """For each 1-based position with s_i > 0, the root lengths of the
-    distinct squares whose last occurrence starts there."""
-    _, roots = _census_scan(w.codes)
-    return {i + 1: ps for i, ps in roots.items()}
 
 
 def rightmost_map(w: Word) -> dict[str, int]:
@@ -134,23 +171,21 @@ def rightmost_map(w: Word) -> dict[str, int]:
     occurrence."""
     _, roots = _census_scan(w.codes)
     out: dict[str, int] = {}
-    for i, ps in roots.items():
+    for pos, ps in roots.items():
         for p in ps:
-            out[w[i:i + 2 * p].text] = i + 1
+            out[w[pos - 1:pos - 1 + 2 * p].text] = pos
     return out
 
 
 def enumerate_squares(w: Word) -> list[SquareOccurrence]:
     """All square occurrences, non-primitive roots included, sorted by
     (start, root_len)."""
-    n = len(w)
-    if n < 2:
-        return []
-    table = LceTable(w)
+    codes = w.codes
+    n = len(codes)
     out: list[SquareOccurrence] = []
     for i in range(n):
         for p in range(1, (n - i) // 2 + 1):
-            if table.lce0(i, i + p) >= p:
+            if codes[i:i + p] == codes[i + p:i + 2 * p]:
                 out.append(SquareOccurrence(i + 1, p))
     return out
 

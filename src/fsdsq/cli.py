@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .census import CensusReport, render_census_tsv, s_sequence
@@ -32,13 +31,15 @@ def _print_json(payload: dict) -> None:
 
 
 def _read_words_arg(arg: str) -> list[Word]:
-    """A word given literally, or a path to a file with one word per line."""
-    if os.path.exists(arg):
-        with open(arg, encoding="ascii") as fh:
+    """``@path``: the words of a file, one per line; anything else is a word
+    given literally, even when a file of that name exists."""
+    if arg.startswith("@"):
+        path = arg[1:]
+        with open(path, encoding="ascii") as fh:
             lines = [line.strip() for line in fh]
         words = [Word.from_text(line) for line in lines if line]
         if not words:
-            raise ValueError(f"no words found in {arg}")
+            raise ValueError(f"no words found in {path}")
         return words
     return [Word.from_text(arg)]
 
@@ -85,7 +86,7 @@ def _analysis_payload(word: Word) -> tuple[dict, bool]:
     report = s_sequence(word)
     if report.max_s > 2:
         findings.append({"property": "census_max_two", "detail": f"max s_i = {report.max_s}"})
-    squares = find_fs_double_squares(word)
+    squares = find_fs_double_squares(word, report.roots)
     pairs = find_double_square_pairs(word, squares)
     pair_dicts = []
     for pair in pairs:
@@ -250,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="suppress timing fields for byte-stable output")
 
     p = sub.add_parser("census", help="s_i sequence of a word (or file of words)")
-    p.add_argument("word", help="word text, or path to a file with one word per line")
+    p.add_argument("word", help="word text, or @path for a file with one word per line")
     add_format(p)
     p.set_defaults(func=cmd_census)
 

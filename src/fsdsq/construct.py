@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .census import s_sequence
+from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
 from .errors import ExtensionBudgetError, NoExtensionError
 from .pairs import PairKind, find_double_square_pairs
@@ -69,7 +69,12 @@ class RunReport:
 
 def run_report(word: Word, steps: list[BuildStep] | tuple[BuildStep, ...] = ()) -> RunReport:
     """Census-verified report; flags 7T >= n as a finding, not an error."""
-    report = s_sequence(word)
+    return _run_report(s_sequence(word), steps)
+
+
+def _run_report(report: CensusReport,
+                steps: list[BuildStep] | tuple[BuildStep, ...]) -> RunReport:
+    word = report.word
     t = report.longest_run[1]
     n = len(word)
     findings: tuple[str, ...] = ()
@@ -79,10 +84,6 @@ def run_report(word: Word, steps: list[BuildStep] | tuple[BuildStep, ...] = ()) 
     return RunReport(word=word, T=t, ratio=ratio, steps=tuple(steps), findings=findings)
 
 
-def ratio_report(word: Word) -> RunReport:
-    return run_report(word)
-
-
 def _leading_twos(s: tuple[int, ...] | list[int]) -> int:
     k = 0
     while k < len(s) and s[k] == 2:
@@ -90,19 +91,21 @@ def _leading_twos(s: tuple[int, ...] | list[int]) -> int:
     return k
 
 
-def _equal_phase(w0: Word, frontier: int) -> tuple[Word, int]:
+def _equal_phase(report0: CensusReport, frontier: int) -> tuple[CensusReport, int]:
     """Append prefix letters of the square frontier..end while the leading
-    run of 2's keeps growing.  Returns the longest achieved word."""
-    w = w0
-    current = _leading_twos(s_sequence(w0).s)
+    run of 2's keeps growing.  Returns the census of the longest achieved
+    word and the number of letters appended."""
+    w0 = report0.word
+    report = report0
+    current = _leading_twos(report0.s)
     k = 0
     while frontier - 1 + k < len(w0):
-        cand = w + w0[frontier - 1 + k:frontier + k]
-        run = _leading_twos(s_sequence(cand).s)
+        cand = s_sequence(report.word + w0[frontier - 1 + k:frontier + k])
+        run = _leading_twos(cand.s)
         if run <= current:
             break
-        w, current, k = cand, run, k + 1
-    return w, k
+        report, current, k = cand, run, k + 1
+    return report, k
 
 
 def extend_equal_run(seed: Word) -> RunReport:
@@ -112,7 +115,8 @@ def extend_equal_run(seed: Word) -> RunReport:
     Fails when the period x1 x2 and its rotation x2 x1 share no prefix: then
     no conjugate can follow and no equal extension exists.
     """
-    squares = find_fs_double_squares(seed)
+    seed_report = s_sequence(seed)
+    squares = find_fs_double_squares(seed, seed_report.roots)
     fs = next((q for q in squares if q.position == 1), None)
     if fs is None or 2 * fs.SQ_len != len(seed):
         raise ValueError("seed is not exactly the square of an FS-double-square root")
@@ -120,24 +124,28 @@ def extend_equal_run(seed: Word) -> RunReport:
     if lcp(f.period, f.x2 + f.x1) == 0:
         raise NoExtensionError(
             "no equal extension: period and its rotation share no common prefix")
-    word, appended = _equal_phase(seed, 1)
-    steps = [BuildStep("equal", word[len(seed):].text)] if appended else []
-    return run_report(word, steps)
+    report, appended = _equal_phase(seed_report, 1)
+    steps = [BuildStep("equal", report.word[len(seed):].text)] if appended else []
+    return _run_report(report, steps)
 
 
 def _breaking_letter(code: int) -> int:
     return 1 if code == 0 else 0
 
 
-def _accepts_unequal(candidate: Word, frontier: int) -> bool:
-    s = s_sequence(candidate).s
+def _accepts_unequal(candidate: Word, frontier: int) -> CensusReport | None:
+    """The census of ``candidate`` if it is accepted, else None."""
+    report = s_sequence(candidate)
+    s = report.s
     if frontier >= len(s) or s[frontier - 1] != 2 or s[frontier] != 2:
-        return False
-    for pair in find_double_square_pairs(candidate):
-        if pair.position == frontier:
-            return (pair.kind is PairKind.UNEQUAL
-                    and pair.second.SQ_len > 2 * pair.first.SQ_len)
-    return False
+        return None
+    squares = find_fs_double_squares(candidate, report.roots)
+    pairs = find_double_square_pairs(candidate, squares)
+    pair = next((p for p in pairs if p.position == frontier), None)
+    if (pair is not None and pair.kind is PairKind.UNEQUAL
+            and pair.second.SQ_len > 2 * pair.first.SQ_len):
+        return report
+    return None
 
 
 def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
@@ -161,10 +169,12 @@ def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
 
 
 def _unequal_extend_at(w: Word, fs: FsDoubleSquare, variant: str,
-                       budget: int) -> tuple[Word, str]:
+                       budget: int) -> tuple[CensusReport, str]:
+    """Census of the first accepted candidate and the letters it appends."""
     for candidate in _unequal_candidates(w, fs, variant):
-        if _accepts_unequal(candidate, fs.position):
-            return candidate, candidate[len(w):].text
+        report = _accepts_unequal(candidate, fs.position)
+        if report is not None:
+            return report, report.word[len(w):].text
     # Templates failed: bounded breadth-first search over appended suffixes,
     # shortest first, lexicographic within a length; first accepted wins.
     alphabet = max(max(w.codes), 1) + 1
@@ -176,9 +186,9 @@ def _unequal_extend_at(w: Word, fs: FsDoubleSquare, variant: str,
             if tried > budget:
                 raise ExtensionBudgetError(
                     f"no unequal extension found within budget ({budget} candidates)")
-            cand = w + Word(combo)
-            if _accepts_unequal(cand, fs.position):
-                return cand, cand[len(w):].text
+            report = _accepts_unequal(w + Word(combo), fs.position)
+            if report is not None:
+                return report, report.word[len(w):].text
         length += 1
 
 
@@ -194,8 +204,8 @@ def extend_unequal(w: Word, variant: str = "short", *, budget: int = 20000) -> R
     if not enders:
         raise ValueError("word does not end in an FS-double square")
     fs = max(enders, key=lambda q: q.position)
-    word, letters = _unequal_extend_at(w, fs, variant, budget)
-    return run_report(word, [BuildStep("unequal", letters)])
+    report, letters = _unequal_extend_at(w, fs, variant, budget)
+    return _run_report(report, [BuildStep("unequal", letters)])
 
 
 def build_run(target: int, alphabet_size: int = 2, *, variant: str = "short",
@@ -213,27 +223,29 @@ def build_run(target: int, alphabet_size: int = 2, *, variant: str = "short",
     if target == 1:
         return run_report(SMALLEST_DOUBLE_SQUARE)
 
-    w = SMALLEST_EQUAL_EXTENSIBLE
+    # Each accepted word's census is handed on, so every word is censused once.
+    report = s_sequence(SMALLEST_EQUAL_EXTENSIBLE)
     steps: list[BuildStep] = []
-    run = _leading_twos(s_sequence(w).s)
+    run = _leading_twos(report.s)
     while run < target:
-        grown, appended = _equal_phase(w, run)
+        grown, appended = _equal_phase(report, run)
         if appended:
-            steps.append(BuildStep("equal", grown[len(w):].text))
-            w = grown
-            run = _leading_twos(s_sequence(w).s)
+            steps.append(BuildStep("equal", grown.word[len(report.word):].text))
+            report = grown
+            run = _leading_twos(report.s)
             if run >= target:
                 break
-        squares = find_fs_double_squares(w)
+        w = report.word
+        squares = find_fs_double_squares(w, report.roots)
         fs = next((q for q in squares if q.position == run and q.end == len(w)), None)
         if fs is None:
             raise NoExtensionError(
                 f"run frontier {run} of {w.text!r} does not end in a double square")
-        w, letters = _unequal_extend_at(w, fs, variant, budget)
+        report, letters = _unequal_extend_at(w, fs, variant, budget)
         steps.append(BuildStep("unequal", letters))
-        new_run = _leading_twos(s_sequence(w).s)
+        new_run = _leading_twos(report.s)
         if new_run <= run:
             raise NoExtensionError(
                 f"unequal move failed to grow the run ({run} -> {new_run})")
         run = new_run
-    return run_report(w, steps)
+    return _run_report(report, steps)

@@ -120,29 +120,35 @@ class FsDoubleSquare:
         }
 
 
-def find_fs_double_squares(w: Word) -> list[FsDoubleSquare]:
+def find_fs_double_squares(
+    w: Word, roots: dict[int, list[int]] | None = None
+) -> list[FsDoubleSquare]:
     """All FS-double squares of ``w``, by position.
 
-    Any census-2 position that fails to factor, or carries more than two
-    rightmost squares, is surfaced as a counterexample, never swallowed.
+    ``roots`` is the rightmost-root map of ``w`` (``CensusReport.roots``);
+    when omitted, the census is computed here.  Any census-2 position that
+    fails to factor, or carries more than two rightmost squares, is
+    surfaced as a counterexample, never swallowed.
     """
-    _, roots = _census_scan(w.codes)
+    if roots is None:
+        _, roots = _census_scan(w.codes)
     out: list[FsDoubleSquare] = []
-    for i in sorted(roots):
-        ps = roots[i]
+    for pos in sorted(roots):
+        ps = roots[pos]
         if len(ps) < 2:
             continue
         if len(ps) > 2:
             raise CounterexampleError(
-                f"position {i + 1} of {w.text!r} starts {len(ps)} rightmost squares; "
+                f"position {pos} of {w.text!r} starts {len(ps)} rightmost squares; "
                 "at most two should be possible")
         sq_len, SQ_len = ps
+        i = pos - 1
         try:
             fact = canonical_factorization(w[i:i + sq_len], w[i:i + SQ_len])
-            out.append(FsDoubleSquare(i + 1, sq_len, SQ_len, fact))
+            out.append(FsDoubleSquare(pos, sq_len, SQ_len, fact))
         except FactorizationError as exc:
             raise CounterexampleError(
-                f"position {i + 1} of {w.text!r} has two rightmost squares "
+                f"position {pos} of {w.text!r} has two rightmost squares "
                 f"(roots {sq_len}, {SQ_len}) but no canonical factorization: {exc}") from exc
     return out
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .census import _census_scan
 from .double_squares import FsDoubleSquare, find_fs_double_squares
 from .errors import ForbiddenPairError
 from .words import Word, are_conjugate, lcp
@@ -170,8 +169,3 @@ def find_double_square_pairs(
         out.append(PairClassification(pos, kind, first, second, case, checks))
     return out
 
-
-def has_adjacent_pair(w: Word) -> bool:
-    """True iff some two consecutive positions both have census value 2."""
-    s, _ = _census_scan(w.codes)
-    return any(s[i] == 2 and s[i + 1] == 2 for i in range(len(s) - 1))

@@ -212,7 +212,7 @@ def _inspect_word(codes: bytes, props: frozenset, lengths: dict, findings: list)
     word = Word(codes)
     word_text = word.text
     try:
-        squares = find_fs_double_squares(word)
+        squares = find_fs_double_squares(word, roots)
     except CounterexampleError as exc:
         findings.append(("factorization_roundtrip", word_text, str(exc)))
         return

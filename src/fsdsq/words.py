@@ -125,47 +125,3 @@ def are_conjugate(u: Word, v: Word) -> bool:
         return True
     return v.codes in u.codes + u.codes
 
-
-class LceTable:
-    """Exact longest-common-extension queries for one word.
-
-    Stores the full quadratic extension table, built by the usual suffix
-    recurrence; queries are O(1).  Public queries are 1-based; ``lce0``
-    exposes the 0-based variant used internally.
-    """
-
-    __slots__ = ("word", "_rows")
-
-    def __init__(self, word: Word) -> None:
-        n = len(word)
-        if n == 0:
-            raise ValueError("cannot build an extension table for the empty word")
-        self.word = word
-        codes = word.codes
-        rows: list[list[int]] = [[0] * (n + 1) for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            ci = codes[i]
-            nxt = rows[i + 1]
-            row = rows[i]
-            for j in range(n - 1, -1, -1):
-                if codes[j] == ci:
-                    row[j] = nxt[j + 1] + 1
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def lce0(self, i: int, j: int) -> int:
-        """0-based: longest common prefix length of suffixes at i and j."""
-        return self._rows[i][j]
-
-    def lce(self, i: int, j: int) -> int:
-        """1-based: longest common prefix length of suffixes at i and j."""
-        n = len(self.word)
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"positions must be in 1..{n}")
-        return self._rows[i - 1][j - 1]
-
-
-def build_lce(w: Word) -> LceTable:
-    return LceTable(w)

@@ -54,6 +54,23 @@ def oracle_longest_run(text: str) -> tuple[int, int]:
     return best
 
 
+def oracle_later_match(text: str) -> list[int]:
+    """m[i] = longest common extension of the suffix at i with any later
+    suffix (0 if none), by the quadratic suffix-pair recurrence
+    lce(i, j) = lce(i+1, j+1) + 1 when text[i] == text[j]; m[n] = 0."""
+    n = len(text)
+    m = [0] * (n + 1)
+    below = [0] * (n + 1)  # lce(i + 1, j) for every j
+    for i in range(n - 1, -1, -1):
+        row = [0] * (n + 1)
+        for j in range(i + 1, n):
+            if text[i] == text[j]:
+                row[j] = below[j + 1] + 1
+        m[i] = max(row)
+        below = row
+    return m
+
+
 def oracle_lce(text: str, i: int, j: int) -> int:
     """1-based naive character scan."""
     a, b = text[i - 1:], text[j - 1:]

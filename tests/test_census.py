@@ -1,12 +1,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import (enumerate_squares, longest_run_of_twos,
+from fsdsq.census import (_later_match_lengths, enumerate_squares,
                           render_census_tsv, rightmost_map, s_sequence)
 from fsdsq.words import Word
 
-from oracles import (all_words, canonical_words, oracle_longest_run,
-                     oracle_rightmost, oracle_s, oracle_squares)
+from oracles import (all_words, canonical_words, oracle_later_match,
+                     oracle_longest_run, oracle_rightmost, oracle_s,
+                     oracle_squares)
 
 W = Word.from_text
 
@@ -82,8 +83,17 @@ class TestSSequence:
             assert report.longest_run[1] == (max(lengths) if lengths else 0)
 
     def test_longest_run_examples(self):
-        assert longest_run_of_twos(s_sequence(W(EQUAL_17))) == (1, 2)
-        assert longest_run_of_twos(s_sequence(W("ab"))) == (0, 0)
+        assert s_sequence(W(EQUAL_17)).longest_run == (1, 2)
+        assert s_sequence(W("ab")).longest_run == (0, 0)
+
+    def test_roots_match_rightmost_map(self):
+        for text in (EQUAL_17, "abaababaab", "aaaaaa", "ab", ""):
+            report = s_sequence(W(text))
+            assert {pos: len(ps) for pos, ps in report.roots.items()} == {
+                i + 1: v for i, v in enumerate(report.s) if v}
+            values = {text[pos - 1:pos - 1 + 2 * p]: pos
+                      for pos, ps in report.roots.items() for p in ps}
+            assert values == oracle_rightmost(text)
 
     def test_exhaustive_binary_oracle(self):
         for n in range(1, 11):
@@ -118,3 +128,66 @@ class TestTsvRendering:
         assert rows[0] == "index\tletter\ts_i"
         assert len(rows) == 18
         assert [int(r.split("\t")[2]) for r in rows[1:]] == EQUAL_17_S
+
+
+def _fibonacci(n: int) -> str:
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _thue_morse(n: int) -> str:
+    return "".join("ab"[bin(i).count("1") & 1] for i in range(n))
+
+
+@st.composite
+def periodic_with_mutations(draw):
+    """A short random base repeated to length n, then 0-4 point mutations:
+    long periodic stretches (the witness step) and search windows holding
+    several candidate roots."""
+    base = draw(st.text(alphabet="abc", min_size=1, max_size=6))
+    n = draw(st.integers(min_value=1, max_value=300))
+    letters = list((base * (n // len(base) + 1))[:n])
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        letters[draw(st.integers(min_value=0, max_value=n - 1))] = draw(
+            st.sampled_from("abc"))
+    return "".join(letters)
+
+
+structured_words = st.one_of(
+    periodic_with_mutations(),
+    st.integers(min_value=0, max_value=300).map(_fibonacci),
+    st.integers(min_value=0, max_value=300).map(_thue_morse),
+    st.integers(min_value=0, max_value=300).map(lambda n: "a" * n),
+)
+
+
+class TestLaterMatch:
+    def test_examples(self):
+        assert _later_match_lengths(W("aaaa").codes) == [3, 2, 1, 0, 0]
+        assert _later_match_lengths(W("abab").codes) == [2, 1, 0, 0, 0]
+        assert _later_match_lengths(W("abc").codes) == [0, 0, 0, 0]
+        assert _later_match_lengths(b"") == [0]
+
+    def test_exhaustive_binary_oracle(self):
+        for n in range(1, 13):
+            for text in all_words(2, n):
+                assert _later_match_lengths(W(text).codes) == oracle_later_match(text)
+
+    def test_exhaustive_ternary_oracle(self):
+        for n in range(1, 9):
+            for text in canonical_words(3, n):
+                assert _later_match_lengths(W(text).codes) == oracle_later_match(text)
+
+
+class TestStructuredWords:
+    """Long structured words against the oracles: m, s and the rightmost map."""
+
+    @given(structured_words)
+    @settings(max_examples=60, deadline=None)
+    def test_against_oracles(self, text):
+        w = W(text)
+        assert _later_match_lengths(w.codes) == oracle_later_match(text)
+        assert list(s_sequence(w).s) == oracle_s(text)
+        assert rightmost_map(w) == oracle_rightmost(text)

@@ -1,6 +1,7 @@
 import json
 
 from fsdsq.cli import main
+from fsdsq.words import Word
 
 V = "abaaabaabaaabb"
 W1 = "a" + (V + "ab" + V) * 2
@@ -40,9 +41,23 @@ class TestCensus:
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text(EQUAL_17 + "\nab\n")
-        code, out, _ = run(capsys, "census", str(path), "-f", "tsv")
+        code, out, _ = run(capsys, "census", "@" + str(path), "-f", "tsv")
         assert code == 0
         assert out.count("index\tletter\ts_i") == 2
+
+    def test_word_named_like_a_file_is_a_word(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "abab").write_text(EQUAL_17 + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "census", "abab", "-f", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["word"] == "abab"
+        assert payload["s"] == [1, 0, 0, 0]
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "census", "@" + str(tmp_path / "none.txt"))
+        assert code == 1
+        assert "error" in err
 
     def test_invalid_characters(self, capsys):
         code, _, err = run(capsys, "census", "abC")
@@ -51,6 +66,12 @@ class TestCensus:
 
 
 class TestAnalyze:
+    def test_one_census_per_word(self, capsys, census_calls):
+        for text in ("abaababaab", EQUAL_17, W1, "ab"):
+            census_calls.clear()
+            run(capsys, "analyze", text, "-f", "json")
+            assert census_calls == [Word.from_text(text).codes]
+
     def test_single_double_square(self, capsys):
         code, out, _ = run(capsys, "analyze", "abaababaab")
         assert code == 0

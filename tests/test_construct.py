@@ -4,7 +4,7 @@ import pytest
 
 from fsdsq.census import s_sequence
 from fsdsq.construct import (build_run, extend_equal_run, extend_unequal,
-                             ratio_report, run_report)
+                             run_report)
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.errors import NoExtensionError
 from fsdsq.pairs import PairKind, find_double_square_pairs
@@ -29,19 +29,19 @@ SEEDS = [
 
 class TestRatioReport:
     def test_equal_17(self):
-        rep = ratio_report(W(EQUAL_17))
+        rep = run_report(W(EQUAL_17))
         assert rep.T == 2
         assert rep.ratio == Fraction(2, 17)
         assert rep.bound_ok
         assert rep.findings == ()
 
     def test_trivial(self):
-        rep = ratio_report(W("ab"))
+        rep = run_report(W("ab"))
         assert rep.T == 0
         assert rep.ratio == 0
 
     def test_w2(self):
-        rep = ratio_report(W(W2))
+        rep = run_report(W(W2))
         assert rep.T == 2
         assert rep.ratio == Fraction(2, 89)
 
@@ -170,6 +170,12 @@ class TestBuildRun:
         for pair in find_double_square_pairs(rep.word):
             if pair.kind is PairKind.UNEQUAL:
                 assert pair.second.SQ_len > 2 * pair.first.SQ_len
+
+    def test_one_census_per_word(self, census_calls):
+        rep = build_run(4)
+        assert census_calls
+        assert len(census_calls) == len(set(census_calls))
+        assert rep.word.codes in census_calls
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import pytest
 
+from fsdsq.census import s_sequence
 from fsdsq.double_squares import Factorization, FsDoubleSquare
 from fsdsq.pairs import (PairClassification, PairKind, check_equal_pair,
                          check_unequal_pair, find_double_square_pairs,
-                         has_adjacent_pair, ordering_case)
+                         ordering_case)
 from fsdsq.words import Word
 
 W = Word.from_text
@@ -73,8 +74,9 @@ class TestFindPairs:
 
     def test_lone_double_square_yields_no_pair(self):
         assert find_double_square_pairs(W("abaababaab")) == []
-        assert not has_adjacent_pair(W("abaababaab"))
-        assert has_adjacent_pair(W(EQUAL_17))
+        # two adjacent census-2 positions form a run of 2's of length >= 2
+        assert s_sequence(W("abaababaab")).longest_run[1] < 2
+        assert s_sequence(W(EQUAL_17)).longest_run[1] >= 2
 
     def test_w1_lengths(self):
         pair = find_double_square_pairs(W(W1))[0]
