@@ -10,9 +10,8 @@ from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
 from .errors import (CostCeilingError, CounterexampleError, ExtensionBudgetError,
                      FactorizationError, FindingError, ForbiddenPairError,
                      NoExtensionError, SweepInterrupted, UnclassifiablePairError)
-from .pairs import (Check, PairClassification, PairKind, check_equal_pair,
-                    check_unequal_pair, find_double_square_pairs,
-                    ordering_case)
+from .pairs import (Check, PairClassification, PairKind,
+                    find_double_square_pairs, ordering_case)
 from .sweep import (ALL_PROPERTIES, Finding, LengthStats, RatioTable,
                     SweepConfig, SweepReport, cost_ceiling, exhaustive_verify,
                     extremal_ratio, iter_canonical_words, minimal_pair_length)
@@ -28,9 +27,8 @@ __all__ = [
     "NoExtensionError", "PairClassification", "PairKind", "RatioTable",
     "RunReport", "SquareOccurrence", "SweepConfig", "SweepInterrupted",
     "SweepReport", "UnclassifiablePairError", "Word", "are_conjugate",
-    "build_run", "canonical_factorization", "check_equal_pair",
-    "check_unequal_pair", "classify_mate", "classify_mate_detail",
-    "cost_ceiling", "enumerate_squares", "exhaustive_verify",
+    "build_run", "canonical_factorization", "classify_mate",
+    "classify_mate_detail", "cost_ceiling", "enumerate_squares", "exhaustive_verify",
     "extend_equal_run", "extend_unequal", "extremal_ratio",
     "find_double_square_pairs", "find_fs_double_squares", "is_primitive",
     "iter_canonical_words", "lcp", "minimal_pair_length", "ordering_case",

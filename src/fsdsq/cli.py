@@ -277,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
     p.add_argument("--properties", help="comma-separated property subset")
-    p.add_argument("--block-prefix-len", type=int, default=7)
+    p.add_argument("--block-prefix-len", type=int, default=7,
+                   help="length of the canonical suffix that keys each block")
     p.add_argument("--override-ceiling", action="store_true",
                    help="run even past the cost ceiling")
     add_format(p)

@@ -91,16 +91,10 @@ def _first_letter(square: FsDoubleSquare) -> Word:
     return square.factorization.short_root[:1]
 
 
-def check_equal_pair(c: "PairClassification") -> tuple[Check, ...]:
+def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
     """Relations an equal adjacent pair must satisfy: both squares conjugate
     (long and short), the one-letter shift identity, and a nonempty common
     prefix of x1 and x2."""
-    if c.kind is not PairKind.EQUAL:
-        raise ValueError("pair is not an equal pair")
-    return _equal_checks(c.first, c.second)
-
-
-def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
     u = first.factorization.long_root
     v = second.factorization.long_root
     su = first.factorization.short_root
@@ -116,14 +110,8 @@ def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check,
     )
 
 
-def check_unequal_pair(c: "PairClassification") -> tuple[Check, ...]:
-    """Length relations an unequal adjacent pair must satisfy."""
-    if c.kind is not PairKind.UNEQUAL:
-        raise ValueError("pair is not an unequal pair")
-    return _unequal_checks(c.first, c.second)
-
-
 def _unequal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
+    """Length relations an unequal adjacent pair must satisfy."""
     f, g = first.factorization, second.factorization
     floor = first.SQ_len + first.sq_len + (f.p2 - 1) * (len(f.x1) + len(f.x2))
     return (

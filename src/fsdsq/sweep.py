@@ -1,17 +1,32 @@
 """Exhaustive verification sweeps over canonically enumerated words.
 
-Words are enumerated up to alphabet renaming: the first letter is always
-'a' and each new letter is the smallest unused one (restricted growth).
-Every property checked here is invariant under renaming, so one canonical
-word stands for its whole isomorphism class.
+Words are enumerated up to alphabet renaming, in canonical form read from
+the right: the last letter is 'a' and, reading leftwards, each new letter
+is the smallest unused one.  Every property checked here is invariant
+under renaming, so one canonical word stands for its whole isomorphism
+class.  Findings and witnesses are reported in the left-to-right canonical
+form that ``iter_canonical_words`` lists (first letter 'a').
 
-Work is split into blocks: one block per canonical prefix of a fixed
+Each word is built from its parent by prepending one letter.  That leaves
+every old s_i and m_i exact: whether a square at i occurs again later, and
+how far the suffix at i recurs later, depend only on letters at i and to
+its right, and a new first letter adds no occurrence to the right of any
+old position.  So a word costs only the census of its new first position,
+with the two facts of ``census.py``: m_0 <= m_1 + 1 by the witness step
+(else probes of length at most m_1 + 1), and roots in (m_0/2, m_0] from one
+``find`` window.  The rest is carried down the depth-first search in O(1)
+per word: the distinct-square count, the run of 2's at the left end, the
+best run, the largest s_i, and the rightmost roots of every position with
+s_i >= 2, which structure analysis reads instead of rescanning.
+
+Work is split into blocks: one block per canonical suffix of a fixed
 length, plus one block for all shorter words.  Blocks share nothing, so
-they can run on worker processes; partial aggregates are merged in planned
-block order, which makes the final report independent of worker count,
-completion order and checkpoint resume points.  The checkpoint file is
-line-oriented text, rewritten atomically (temp file + rename) after each
-completed block.
+they can run on worker processes.  Partial aggregates merge by sums and
+maxima, and findings are sorted by (length, word), so the report does not
+depend on worker count, completion order or checkpoint resume points.
+The checkpoint file is line-oriented text: a header, then one ``block``
+line appended and flushed per completed block.  A resume drops a trailing
+line that a crash cut short and recomputes that block.
 """
 
 from __future__ import annotations
@@ -23,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .census import _census_scan
 from .double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from .errors import (CostCeilingError, CounterexampleError, ForbiddenPairError,
                      SweepInterrupted, UnclassifiablePairError)
@@ -33,7 +47,7 @@ from .words import Word
 DEFAULT_COST_CEILING = 36
 COST_CEILING_ENV = "FSDSQ_COST_CEILING"
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ALL_PROPERTIES = (
     "census_max_two",
@@ -55,6 +69,7 @@ class SweepConfig:
     properties: tuple[str, ...] = ALL_PROPERTIES
     checkpoint_path: str | None = None
     parallelism: int = 1
+    # Blocks are keyed by the canonical suffix of this length.
     block_prefix_len: int = 7
     allow_over_ceiling: bool = False
     # Stop after this many newly processed blocks and raise SweepInterrupted;
@@ -62,8 +77,11 @@ class SweepConfig:
     stop_after_blocks: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LengthStats:
+    """Aggregates over the words of one length.  The sweep updates it word
+    by word and ``merge`` folds in the record of another block."""
+
     words: int = 0
     max_distinct_squares: int = 0
     max_run: int = 0
@@ -71,6 +89,35 @@ class LengthStats:
     pairs_equal: int = 0
     pairs_unequal: int = 0
     double_square_positions: int = 0
+
+    def merge(self, other: "LengthStats") -> None:
+        self.words += other.words
+        self.max_distinct_squares = max(self.max_distinct_squares, other.max_distinct_squares)
+        self.max_run = max(self.max_run, other.max_run)
+        for t, c in other.run_hist.items():
+            self.run_hist[t] = self.run_hist.get(t, 0) + c
+        self.pairs_equal += other.pairs_equal
+        self.pairs_unequal += other.pairs_unequal
+        self.double_square_positions += other.double_square_positions
+
+    def to_json_dict(self) -> dict:
+        return {
+            "words": self.words,
+            "max_distinct_squares": self.max_distinct_squares,
+            "max_run": self.max_run,
+            "run_hist": {str(t): c for t, c in sorted(self.run_hist.items())},
+            "pairs_equal": self.pairs_equal,
+            "pairs_unequal": self.pairs_unequal,
+            "double_square_positions": self.double_square_positions,
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "LengthStats":
+        return cls(words=d["words"], max_distinct_squares=d["max_distinct_squares"],
+                   max_run=d["max_run"],
+                   run_hist={int(t): c for t, c in d["run_hist"].items()},
+                   pairs_equal=d["pairs_equal"], pairs_unequal=d["pairs_unequal"],
+                   double_square_positions=d["double_square_positions"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,18 +156,8 @@ class SweepReport:
             "max_len": self.max_len,
             "properties": list(self.properties),
             "total_words": self.total_words,
-            "per_length": {
-                str(n): {
-                    "words": st.words,
-                    "max_distinct_squares": st.max_distinct_squares,
-                    "max_run": st.max_run,
-                    "run_hist": {str(t): c for t, c in sorted(st.run_hist.items())},
-                    "pairs_equal": st.pairs_equal,
-                    "pairs_unequal": st.pairs_unequal,
-                    "double_square_positions": st.double_square_positions,
-                }
-                for n, st in sorted(self.per_length.items())
-            },
+            "per_length": {str(n): st.to_json_dict()
+                           for n, st in sorted(self.per_length.items())},
             "min_length_per_run": {str(t): n for t, n in sorted(self.min_length_per_run.items())},
             "findings": [
                 {"property": f.property, "word": f.word, "detail": f.detail}
@@ -169,48 +206,161 @@ def iter_canonical_words(alphabet_size: int, length: int):
     yield from rec(0, -1)
 
 
-# ---------------------------------------------------------------- inspection
+def _left_canonical(codes: bytes | bytearray) -> bytes:
+    """Rename letters in order of first occurrence from the left."""
+    names: dict[int, int] = {}
+    return bytes(names.setdefault(c, len(names)) for c in codes)
 
-def _inspect_word(codes: bytes, props: frozenset, lengths: dict, findings: list) -> None:
-    s, roots = _census_scan(codes)
-    n = len(codes)
-    run = best_run = 0
-    for v in s:
-        run = run + 1 if v == 2 else 0
-        if run > best_run:
-            best_run = run
-    distinct = sum(s)
-    st = lengths.get(n)
-    if st is None:
-        st = lengths[n] = [0, 0, 0, {}, 0, 0, 0]
-    st[0] += 1
-    if distinct > st[1]:
-        st[1] = distinct
-    if best_run > st[2]:
-        st[2] = best_run
-    st[3][best_run] = st[3].get(best_run, 0) + 1
 
-    word_text = None
-    if "census_max_two" in props and any(v > 2 for v in s):
-        word_text = Word(codes).text
-        findings.append(("census_max_two", word_text, f"max s_i = {max(s)}"))
+# -------------------------------------------------------------- enumeration
+
+def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
+    """Depth-first walk, by prepending letters, over the right-canonical
+    words of length at most ``max_len`` that end in the right-canonical
+    ``suffix``; the walk starts at ``suffix`` itself (at "a" when it is
+    empty).
+
+    The current word is ``buf[i:]`` of a buffer of length ``max_len``, so a
+    position keeps its index as letters are prepended.  Each word is handed
+    to ``visit(buf, i, distinct, max_s, run, doubles)``: its distinct-square
+    count, largest s_i and longest run of 2's, and ``doubles``, which maps
+    every start with at least two rightmost roots to those roots (ascending
+    lengths).  The walk descends below a word only if ``visit`` returns
+    true.
+    """
+    L = max_len
+    buf = bytearray(L)
+    find = buf.find
+    top = alphabet_size - 1
+    doubles: dict[int, list[int]] = {}
+
+    def extend(i, m, j, distinct, max_s, lead, run):
+        # From the state of buf[i+1:] (m_{i+1}, a start j > i+1 of a later
+        # match of that length, totals) to the state of buf[i:].
+        if j - 1 > i and buf[j - 1] == buf[i]:
+            m += 1
+            j -= 1
+        else:
+            m += 1
+            if m > L - i - 1:
+                m = L - i - 1
+            while m > 0:
+                k = find(buf[i:i + m], i + 1)
+                if k != -1:
+                    j = k
+                    break
+                m -= 1
+            else:
+                j = i + 1  # the empty match
+        # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
+        pmax = (L - i) >> 1
+        if m < pmax:
+            pmax = m
+        q = (m >> 1) + 1
+        s = 0
+        if q <= pmax:
+            u = buf[i:i + q]
+            end = i + pmax + q
+            ps = []
+            k = find(u, i + q, end)
+            while k != -1:
+                if buf[i + q:k] == buf[k + q:2 * k - i]:
+                    ps.append(k - i)
+                k = find(u, k + 1, end)
+            s = len(ps)
+            if s >= 2:
+                doubles[i] = ps
+        lead = lead + 1 if s == 2 else 0
+        if lead > run:
+            run = lead
+        if s > max_s:
+            max_s = s
+        return m, j, distinct + s, max_s, lead, run
+
+    def rec(i, used, state):
+        state = extend(i, *state)
+        if visit(buf, i, state[2], state[3], state[5], doubles) and i:
+            for c in range(min(used + 1, top) + 1):
+                buf[i - 1] = c
+                rec(i - 1, c if c > used else used, state)
+        doubles.pop(i, None)
+
+    state = (0, L, 0, 0, 0, 0)  # the empty word at L
+    i = L
+    for c in reversed(suffix[1:]):
+        i -= 1
+        buf[i] = c
+        state = extend(i, *state)
+    buf[i - 1] = suffix[0] if suffix else 0
+    rec(i - 1, max(suffix, default=0), state)
+
+
+# ------------------------------------------------------------------- blocks
+
+def _plan_blocks(alphabet_size: int, max_len: int, block_prefix_len: int) -> list[str]:
+    """The block of all words shorter than the key length, then one block
+    per right-canonical suffix of that length."""
+    b = min(block_prefix_len, max_len)
+    blocks = [""]
+    blocks.extend(Word(codes[::-1]).text for codes in iter_canonical_words(alphabet_size, b))
+    return blocks
+
+
+def _process_block(args: tuple) -> tuple[str, dict]:
+    alphabet_size, max_len, block_prefix_len, block_id, props_tuple = args
+    props = frozenset(props_tuple)
+    check_census = "census_max_two" in props
+    check_distinct = "distinct_below_twice_length" in props
+    check_run = "run_length_bound" in props
+    lengths: dict[int, LengthStats] = {}
+    findings: list[tuple[str, str, str]] = []
+
+    def visit(buf, i, distinct, max_s, run, doubles):
+        n = len(buf) - i
+        st = lengths.get(n)
+        if st is None:
+            st = lengths[n] = LengthStats()
+        st.words += 1
+        if distinct > st.max_distinct_squares:
+            st.max_distinct_squares = distinct
+        if run > st.max_run:
+            st.max_run = run
+        hist = st.run_hist
+        hist[run] = hist.get(run, 0) + 1
+        st.double_square_positions += len(doubles)
+        if (doubles or (check_census and max_s > 2) or (check_distinct and distinct >= 2 * n)
+                or (check_run and 7 * run >= n)):
+            word = Word(_left_canonical(buf[i:]))
+            roots = {k - i + 1: ps for k, ps in doubles.items()}
+            _check_word(word, distinct, max_s, run, roots, props, st, findings)
+        return True
+
+    b = min(block_prefix_len, max_len)
+    if block_id:
+        _walk(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
+    elif b > 1:
+        _walk(alphabet_size, b - 1, b"", visit)
+    return block_id, {"lengths": lengths, "findings": findings}
+
+
+def _check_word(word: Word, distinct: int, max_s: int, run: int, roots: dict,
+                props: frozenset, st: LengthStats, findings: list) -> None:
+    """Findings of one word and, if it has census-2 positions (``roots``),
+    its structure analysis: pairs are counted into ``st``."""
+    n = len(word)
+    word_text = word.text
+    if "census_max_two" in props and max_s > 2:
+        findings.append(("census_max_two", word_text, f"max s_i = {max_s}"))
     if "distinct_below_twice_length" in props and distinct >= 2 * n:
-        word_text = word_text or Word(codes).text
         findings.append(("distinct_below_twice_length", word_text,
                          f"{distinct} distinct squares at length {n}"))
-    if "run_length_bound" in props and 7 * best_run >= n:
-        word_text = word_text or Word(codes).text
-        findings.append(("run_length_bound", word_text, f"7*{best_run} >= {n}"))
-
-    doubles = sum(1 for ps in roots.values() if len(ps) >= 2)
-    st[6] += doubles
-    if not doubles:
+    if "run_length_bound" in props and 7 * run >= n:
+        findings.append(("run_length_bound", word_text, f"7*{run} >= {n}"))
+    if not roots:
         return
     # Structure work is rare (census-2 positions exist) and cheap, so it runs
     # whenever present; findings it raises are never suppressed even when the
     # matching property was not selected.
-    word = Word(codes)
-    word_text = word.text
     try:
         squares = find_fs_double_squares(word, roots)
     except CounterexampleError as exc:
@@ -223,13 +373,13 @@ def _inspect_word(codes: bytes, props: frozenset, lengths: dict, findings: list)
         return
     for pair in pairs:
         if pair.kind is PairKind.EQUAL:
-            st[4] += 1
+            st.pairs_equal += 1
             if "equal_pair_checks" in props and not pair.all_checks_pass:
                 failed = [c.name for c in pair.checks if not c.passed]
                 findings.append(("equal_pair_checks", word_text,
                                  f"position {pair.position}: failed {failed}"))
         else:
-            st[5] += 1
+            st.pairs_unequal += 1
             if "unequal_pair_checks" in props and not pair.all_checks_pass:
                 failed = [c.name for c in pair.checks if not c.passed]
                 findings.append(("unequal_pair_checks", word_text,
@@ -249,48 +399,6 @@ def _inspect_word(codes: bytes, props: frozenset, lengths: dict, findings: list)
                                      f"position {pair.position}: mate {label.value}"))
 
 
-# ------------------------------------------------------------------- blocks
-
-def _plan_blocks(alphabet_size: int, max_len: int, block_prefix_len: int) -> list[str]:
-    b = min(block_prefix_len, max_len)
-    blocks = [""]
-    blocks.extend(Word(codes).text for codes in iter_canonical_words(alphabet_size, b))
-    return blocks
-
-
-def _process_block(args: tuple) -> tuple[str, dict]:
-    alphabet_size, max_len, block_prefix_len, block_id, props_tuple = args
-    props = frozenset(props_tuple)
-    b = min(block_prefix_len, max_len)
-    lengths: dict[int, list] = {}
-    findings: list[tuple[str, str, str]] = []
-    top = alphabet_size - 1
-
-    if block_id == "":
-        for n in range(1, b):
-            for codes in iter_canonical_words(alphabet_size, n):
-                _inspect_word(codes, props, lengths, findings)
-    else:
-        prefix = Word.from_text(block_id).codes
-        buf = bytearray(max_len)
-        buf[:len(prefix)] = prefix
-
-        def rec(depth: int, used: int):
-            _inspect_word(bytes(buf[:depth]), props, lengths, findings)
-            if depth == max_len:
-                return
-            for c in range(min(used + 1, top) + 1):
-                buf[depth] = c
-                rec(depth + 1, used if c <= used else c)
-
-        rec(len(prefix), max(prefix))
-    partial = {
-        "lengths": {str(n): st for n, st in lengths.items()},
-        "findings": findings,
-    }
-    return block_id, partial
-
-
 # --------------------------------------------------------------- checkpoint
 
 def _checkpoint_header(config: SweepConfig) -> str:
@@ -304,33 +412,63 @@ def _checkpoint_header(config: SweepConfig) -> str:
     ])
 
 
-def _save_checkpoint(path: str, config: SweepConfig, done: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(_checkpoint_header(config) + "\n")
-        for block_id in sorted(done):
-            rendered = block_id if block_id else "-"
-            fh.write(f"block\t{rendered}\t{json.dumps(done[block_id], sort_keys=True)}\n")
-    os.replace(tmp, path)
+def _block_line(block_id: str, partial: dict) -> str:
+    payload = {
+        "lengths": {str(n): st.to_json_dict() for n, st in sorted(partial["lengths"].items())},
+        "findings": partial["findings"],
+    }
+    return f"block\t{block_id or '-'}\t{json.dumps(payload, sort_keys=True)}\n"
 
 
-def _load_checkpoint(path: str, config: SweepConfig) -> dict:
+def _open_checkpoint(path: str, config: SweepConfig):
+    """The blocks the checkpoint at ``path`` records, and the file opened
+    for appending.  A missing or empty file starts fresh with a header.  A
+    trailing line without its newline was cut short: it is cut off the file
+    and its block is recomputed."""
+    header = _checkpoint_header(config)
+    data = b""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+    cut = data.rfind(b"\n") + 1
+    if cut == 0:
+        if not header.encode("ascii").startswith(data):
+            raise ValueError(f"checkpoint {path} does not match this sweep configuration")
+        fh = open(path, "w", encoding="ascii")
+        fh.write(header + "\n")
+        fh.flush()
+        return {}, fh
+    lines = data[:cut].decode("ascii").splitlines()
+    fields = lines[0].split("\t")
+    if (fields[0] == CHECKPOINT_MAGIC and len(fields) > 1
+            and fields[1] != f"version={CHECKPOINT_VERSION}"):
+        version = fields[1].removeprefix("version=")
+        raise ValueError(
+            f"checkpoint {path} has format version {version}; this fsdsq reads only "
+            f"version {CHECKPOINT_VERSION}, whose blocks are keyed by suffix. "
+            "Delete it to start the sweep over")
+    if lines[0] != header:
+        raise ValueError(f"checkpoint {path} does not match this sweep configuration")
     done: dict[str, dict] = {}
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _checkpoint_header(config):
-            raise ValueError(
-                f"checkpoint {path} does not match this sweep configuration")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
             kind, rendered, payload = line.split("\t", 2)
             if kind != "block":
-                raise ValueError(f"unrecognised checkpoint line: {line!r}")
-            block_id = "" if rendered == "-" else rendered
-            done[block_id] = json.loads(payload)
-    return done
+                raise ValueError(kind)
+            record = json.loads(payload)
+            done["" if rendered == "-" else rendered] = {
+                "lengths": {int(n): LengthStats.from_json_dict(st)
+                            for n, st in record["lengths"].items()},
+                "findings": [tuple(f) for f in record["findings"]],
+            }
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"checkpoint {path} line {number} is not a block record") from exc
+    if cut < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(cut)
+    return done, open(path, "a", encoding="ascii")
 
 
 # -------------------------------------------------------------------- sweep
@@ -349,36 +487,42 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     start = time.monotonic()
     blocks = _plan_blocks(config.alphabet_size, config.max_len, config.block_prefix_len)
     done: dict[str, dict] = {}
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        done = _load_checkpoint(config.checkpoint_path, config)
+    checkpoint = None
+    if config.checkpoint_path:
+        done, checkpoint = _open_checkpoint(config.checkpoint_path, config)
+    try:
         unknown_blocks = set(done) - set(blocks)
         if unknown_blocks:
             raise ValueError(f"checkpoint contains unknown blocks: {sorted(unknown_blocks)[:3]}")
-    pending = [b for b in blocks if b not in done]
-    args = [(config.alphabet_size, config.max_len, config.block_prefix_len,
-             b, tuple(config.properties)) for b in pending]
+        pending = [b for b in blocks if b not in done]
+        args = [(config.alphabet_size, config.max_len, config.block_prefix_len,
+                 b, tuple(config.properties)) for b in pending]
 
-    processed = 0
+        processed = 0
 
-    def record(block_id: str, partial: dict) -> None:
-        nonlocal processed
-        done[block_id] = partial
-        processed += 1
-        if config.checkpoint_path:
-            _save_checkpoint(config.checkpoint_path, config, done)
+        def record(block_id: str, partial: dict) -> None:
+            nonlocal processed
+            done[block_id] = partial
+            processed += 1
+            if checkpoint is not None:
+                checkpoint.write(_block_line(block_id, partial))
+                checkpoint.flush()
 
-    budget = config.stop_after_blocks
-    if config.parallelism > 1 and len(args) > 1:
-        take = args if budget is None else args[:budget]
-        with Pool(config.parallelism) as pool:
-            for block_id, partial in pool.imap_unordered(_process_block, take):
+        budget = config.stop_after_blocks
+        if config.parallelism > 1 and len(args) > 1:
+            take = args if budget is None else args[:budget]
+            with Pool(config.parallelism) as pool:
+                for block_id, partial in pool.imap_unordered(_process_block, take):
+                    record(block_id, partial)
+        else:
+            for arg in args:
+                if budget is not None and processed >= budget:
+                    break
+                block_id, partial = _process_block(arg)
                 record(block_id, partial)
-    else:
-        for arg in args:
-            if budget is not None and processed >= budget:
-                break
-            block_id, partial = _process_block(arg)
-            record(block_id, partial)
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()
 
     if len(done) < len(blocks):
         raise SweepInterrupted(config.checkpoint_path or "<none>", processed)
@@ -388,37 +532,21 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
 
 def _fold(blocks: list[str], done: dict, config: SweepConfig,
           elapsed: float) -> SweepReport:
-    lengths: dict[int, list] = {}
+    per_length: dict[int, LengthStats] = {}
     findings: list[Finding] = []
     for block_id in blocks:
         partial = done[block_id]
-        for n_str, st in partial["lengths"].items():
-            n = int(n_str)
-            acc = lengths.get(n)
-            if acc is None:
-                acc = lengths[n] = [0, 0, 0, {}, 0, 0, 0]
-            acc[0] += st[0]
-            acc[1] = max(acc[1], st[1])
-            acc[2] = max(acc[2], st[2])
-            for t, c in st[3].items():
-                t = int(t)
-                acc[3][t] = acc[3].get(t, 0) + c
-            acc[4] += st[4]
-            acc[5] += st[5]
-            acc[6] += st[6]
-        for prop, word, detail in partial["findings"]:
-            findings.append(Finding(prop, word, detail))
-    per_length = {
-        n: LengthStats(words=a[0], max_distinct_squares=a[1], max_run=a[2],
-                       run_hist=dict(sorted(a[3].items())), pairs_equal=a[4],
-                       pairs_unequal=a[5], double_square_positions=a[6])
-        for n, a in sorted(lengths.items())
-    }
+        for n, st in partial["lengths"].items():
+            per_length.setdefault(n, LengthStats()).merge(st)
+        findings.extend(Finding(*f) for f in partial["findings"])
+    findings.sort(key=lambda f: (len(f.word), f.word))
+    for st in per_length.values():
+        st.run_hist = dict(sorted(st.run_hist.items()))
     return SweepReport(
         alphabet_size=config.alphabet_size,
         max_len=config.max_len,
         properties=tuple(config.properties),
-        per_length=per_length,
+        per_length=dict(sorted(per_length.items())),
         findings=tuple(findings),
         elapsed_seconds=elapsed,
     )
@@ -433,12 +561,24 @@ def minimal_pair_length(alphabet_size: int, cap: int, *,
     if alphabet_size < 1 or cap < 1:
         raise ValueError("alphabet_size and cap must be at least 1")
     _check_ceiling(alphabet_size, cap, allow_over_ceiling)
-    for n in range(1, cap + 1):
-        for codes in iter_canonical_words(alphabet_size, n):
-            s, _ = _census_scan(codes)
-            if any(s[i] == 2 and s[i + 1] == 2 for i in range(n - 1)):
-                return n, Word(codes)
-    return None, None
+    best: tuple[int, bytes] | None = None
+
+    # A pair, once present, stays in every left extension; so the walk stops
+    # below a hit and below the length of the shortest hit so far.
+    def visit(buf, i, distinct, max_s, run, doubles):
+        nonlocal best
+        n = len(buf) - i
+        if run >= 2:
+            hit = (n, _left_canonical(buf[i:]))
+            if best is None or hit < best:
+                best = hit
+            return False
+        return best is None or n < best[0]
+
+    _walk(alphabet_size, cap, b"", visit)
+    if best is None:
+        return None, None
+    return best[0], Word(best[1])
 
 
 @dataclass(frozen=True)

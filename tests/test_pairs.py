@@ -2,9 +2,8 @@ import pytest
 
 from fsdsq.census import s_sequence
 from fsdsq.double_squares import Factorization, FsDoubleSquare
-from fsdsq.pairs import (PairClassification, PairKind, check_equal_pair,
-                         check_unequal_pair, find_double_square_pairs,
-                         ordering_case)
+from fsdsq.pairs import (PairKind, _equal_checks, _unequal_checks,
+                         find_double_square_pairs, ordering_case)
 from fsdsq.words import Word
 
 W = Word.from_text
@@ -93,7 +92,7 @@ class TestFindPairs:
 class TestEqualChecks:
     def test_all_pass_on_known_word(self):
         pair = find_double_square_pairs(W(EQUAL_17))[0]
-        checks = check_equal_pair(pair)
+        checks = pair.checks
         assert [c.name for c in checks] == [
             "longer_squares_conjugate", "shorter_squares_conjugate",
             "single_letter_shift", "x1_x2_common_prefix",
@@ -107,24 +106,23 @@ class TestEqualChecks:
         fake_second = FsDoubleSquare(
             position=2, sq_len=5, SQ_len=8,
             factorization=Factorization(W("ab"), W("b"), 1, 1))
-        fake = PairClassification(
-            position=1, kind=PairKind.EQUAL, first=real.first,
-            second=fake_second, case=12, checks=())
-        results = {c.name: c.passed for c in check_equal_pair(fake)}
+        results = {c.name: c.passed for c in _equal_checks(real.first, fake_second)}
         assert results["longer_squares_conjugate"] is False
         assert results["shorter_squares_conjugate"] is False
 
     def test_kind_precondition(self):
+        # an unequal pair carries the unequal checks, never the equal ones
         pair = find_double_square_pairs(W(W1))[0]
-        with pytest.raises(ValueError):
-            check_equal_pair(pair)
+        assert pair.kind is PairKind.UNEQUAL
+        assert pair.checks == _unequal_checks(pair.first, pair.second)
+        assert "longer_squares_conjugate" not in {c.name for c in pair.checks}
 
 
 class TestUnequalChecks:
     def test_all_pass_on_w1_w2(self):
         for text in (W1, W2):
             pair = find_double_square_pairs(W(text))[0]
-            checks = {c.name: c.passed for c in check_unequal_pair(pair)}
+            checks = {c.name: c.passed for c in pair.checks}
             assert checks == {
                 "short_root_floor": True,
                 "period_strictly_grows": True,
@@ -141,6 +139,8 @@ class TestUnequalChecks:
         assert pair.second.sq_len > pair.first.SQ_len + pair.first.sq_len  # 16 > 11
 
     def test_kind_precondition(self):
+        # an equal pair carries the equal checks, never the unequal ones
         pair = find_double_square_pairs(W(EQUAL_17))[0]
-        with pytest.raises(ValueError):
-            check_unequal_pair(pair)
+        assert pair.kind is PairKind.EQUAL
+        assert pair.checks == _equal_checks(pair.first, pair.second)
+        assert "short_root_floor" not in {c.name for c in pair.checks}

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+import fsdsq.sweep
 from fsdsq.census import s_sequence
-from fsdsq.errors import CostCeilingError, SweepInterrupted
-from fsdsq.sweep import (SweepConfig, cost_ceiling,
+from fsdsq.cli import main
+from fsdsq.errors import CostCeilingError, CounterexampleError, SweepInterrupted
+from fsdsq.pairs import PairKind, find_double_square_pairs
+from fsdsq.sweep import (LengthStats, SweepConfig, cost_ceiling,
                          exhaustive_verify, extremal_ratio,
                          iter_canonical_words, minimal_pair_length)
 from fsdsq.words import Word
@@ -111,7 +114,7 @@ class TestDeterminism:
         ck = str(tmp_path / "sweep.ck")
         exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck, block_prefix_len=4))
         lines = (tmp_path / "sweep.ck").read_text().splitlines()
-        assert lines[0].startswith("fsdsq-sweep-checkpoint\tversion=1\t")
+        assert lines[0].startswith("fsdsq-sweep-checkpoint\tversion=2\t")
         assert "alphabet_size=2" in lines[0]
         assert "max_len=8" in lines[0]
         for line in lines[1:]:
@@ -125,6 +128,141 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="does not match"):
             exhaustive_verify(SweepConfig(2, 9, checkpoint_path=ck, block_prefix_len=4))
 
+    @pytest.mark.parametrize("cut", [1, 7, 40])
+    def test_line_cut_short_is_recomputed(self, tmp_path, cut):
+        ck = tmp_path / "sweep.ck"
+        with pytest.raises(SweepInterrupted):
+            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck),
+                                          block_prefix_len=5, stop_after_blocks=6))
+        data = ck.read_bytes()
+        ck.write_bytes(data[:-cut])  # a crash in the middle of the last line
+        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck),
+                                                block_prefix_len=5))
+        assert _json(resumed) == _json(exhaustive_verify(self.BASE))
+        lines = ck.read_text().split("\n")
+        assert lines[-1] == ""
+        block_ids = [line.split("\t")[1] for line in lines[1:-1]]
+        assert sorted(block_ids) == sorted(set(block_ids))
+        assert len(block_ids) == 1 + sum(1 for _ in iter_canonical_words(2, 5))
+        # the repaired file resumes again to the same report
+        again = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck),
+                                              block_prefix_len=5))
+        assert _json(again) == _json(resumed)
+
+    def test_version_one_is_refused_by_name(self, tmp_path, capsys):
+        ck = tmp_path / "sweep.ck"
+        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=str(ck), block_prefix_len=4))
+        text = ck.read_text().replace("\tversion=2\t", "\tversion=1\t", 1)
+        ck.write_text(text)
+        code = main(["verify", "--max-len", "8", "--block-prefix-len", "4",
+                     "--checkpoint", str(ck)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "version 1" in err and "does not match" not in err
+        assert ck.read_text() == text
+
+    def test_checkpoint_is_appended_not_rewritten(self, tmp_path):
+        ck = tmp_path / "sweep.ck"
+        with pytest.raises(SweepInterrupted):
+            exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck),
+                                          block_prefix_len=4, stop_after_blocks=3))
+        first = ck.read_text()
+        exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck), block_prefix_len=4))
+        assert ck.read_text().startswith(first)
+
+
+def _reference_per_length(alphabet_size, max_len):
+    """Per-length stats from a full census of every left-canonical word."""
+    out = {}
+    for n in range(1, max_len + 1):
+        st = out[n] = LengthStats()
+        for codes in iter_canonical_words(alphabet_size, n):
+            word = Word(codes)
+            report = s_sequence(word)
+            run = report.longest_run[1]
+            st.words += 1
+            st.max_distinct_squares = max(st.max_distinct_squares,
+                                          report.distinct_square_count)
+            st.max_run = max(st.max_run, run)
+            st.run_hist[run] = st.run_hist.get(run, 0) + 1
+            st.double_square_positions += sum(1 for v in report.s if v >= 2)
+            for pair in find_double_square_pairs(word):
+                if pair.kind is PairKind.EQUAL:
+                    st.pairs_equal += 1
+                else:
+                    st.pairs_unequal += 1
+    return out
+
+
+class TestLeftExtensionSweep:
+    """The incremental sweep against a full census of every word."""
+
+    @pytest.mark.parametrize("alphabet_size,max_len,suffix", [
+        (2, 12, ""), (3, 8, ""),
+        # abbababbabbababba has two census-2 positions that are not adjacent
+        (2, 20, "abbababbabbababba"[-12:]),
+    ])
+    def test_carried_state_matches_census_per_word(self, alphabet_size, max_len, suffix):
+        seen = []
+
+        def visit(buf, i, distinct, max_s, run, doubles):
+            word = Word(buf[i:])
+            text = word.text
+            report = s_sequence(word)
+            assert text.endswith(suffix)
+            assert text[-1] == "a"
+            assert distinct == report.distinct_square_count
+            assert max_s == report.max_s
+            assert run == report.longest_run[1]
+            assert {k - i + 1: ps for k, ps in doubles.items()} == {
+                pos: ps for pos, ps in report.roots.items() if len(ps) >= 2}
+            seen.append((text, len(doubles), run))
+            return True
+
+        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+        texts = [t for t, _, _ in seen]
+        assert len(texts) == len(set(texts))
+        if suffix:
+            assert len(texts) == 2 ** (max_len - len(suffix) + 1) - 1
+            assert any(d > r for _, d, r in seen)  # separated census-2 positions
+        else:
+            # reversed, the walk lists exactly the left-canonical words
+            assert sorted(t[::-1] for t in texts) == sorted(
+                Word(c).text for n in range(1, max_len + 1)
+                for c in iter_canonical_words(alphabet_size, n))
+
+    @pytest.fixture(scope="class", params=[(2, 12), (3, 8)], ids=["bin12", "ter8"])
+    def reference(self, request):
+        alphabet_size, max_len = request.param
+        return alphabet_size, max_len, _reference_per_length(alphabet_size, max_len)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("block_len", [1, 3, 7])
+    def test_stats_match_full_census(self, reference, block_len, jobs):
+        alphabet_size, max_len, expected = reference
+        report = exhaustive_verify(SweepConfig(alphabet_size, max_len,
+                                               block_prefix_len=block_len,
+                                               parallelism=jobs))
+        assert report.findings == ()
+        assert report.per_length == expected
+
+    def test_planted_findings_are_left_canonical_and_sorted(self, monkeypatch):
+        def planted(word, roots=None):
+            raise CounterexampleError("planted")
+
+        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
+        expected = [Word(codes).text
+                    for n in range(1, 13) for codes in iter_canonical_words(2, n)
+                    if s_sequence(Word(codes)).max_s >= 2]
+        assert len(expected) > 10
+        for block_len in (1, 3, 7):
+            for jobs in (1, 2):
+                report = exhaustive_verify(SweepConfig(2, 12, block_prefix_len=block_len,
+                                                       parallelism=jobs))
+                assert [f.word for f in report.findings] == expected
+                assert {(f.property, f.detail) for f in report.findings} == {
+                    ("factorization_roundtrip", "planted")}
+
 
 class TestMinimalPairLength:
     def test_none_below_seventeen(self):
@@ -132,6 +270,9 @@ class TestMinimalPairLength:
 
     def test_unary_never(self):
         assert minimal_pair_length(1, 20) == (None, None)
+
+    def test_binary_value_and_witness(self):
+        assert minimal_pair_length(2, 17) == (17, Word.from_text("abaababaabaababaa"))
 
     def test_witness_is_verified(self):
         n, witness = minimal_pair_length(2, 17)
