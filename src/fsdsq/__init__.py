@@ -1,11 +1,10 @@
 """Rightmost distinct squares, FS-double squares and runs of 2's in words."""
 
-from .census import (CensusReport, SquareOccurrence, enumerate_squares,
-                     render_census_tsv, rightmost_map, s_sequence)
+from .census import CensusReport, render_census_tsv, rightmost_map, s_sequence
 from .construct import (BuildStep, RunReport, build_run, extend_equal_run,
                         extend_unequal, run_report)
 from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
-                             MateLabel, canonical_factorization, classify_mate,
+                             MateLabel, canonical_factorization,
                              classify_mate_detail, find_fs_double_squares)
 from .errors import (CostCeilingError, CounterexampleError, ExtensionBudgetError,
                      FactorizationError, FindingError, ForbiddenPairError,
@@ -25,10 +24,10 @@ __all__ = [
     "FactorizationError", "Finding", "FindingError", "ForbiddenPairError",
     "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
     "NoExtensionError", "PairClassification", "PairKind", "RatioTable",
-    "RunReport", "SquareOccurrence", "SweepConfig", "SweepInterrupted",
+    "RunReport", "SweepConfig", "SweepInterrupted",
     "SweepReport", "UnclassifiablePairError", "Word", "are_conjugate",
-    "build_run", "canonical_factorization", "classify_mate",
-    "classify_mate_detail", "cost_ceiling", "enumerate_squares", "exhaustive_verify",
+    "build_run", "canonical_factorization", "classify_mate_detail",
+    "cost_ceiling", "exhaustive_verify",
     "extend_equal_run", "extend_unequal", "extremal_ratio",
     "find_double_square_pairs", "find_fs_double_squares", "is_primitive",
     "iter_canonical_words", "lcp", "minimal_pair_length", "ordering_case",

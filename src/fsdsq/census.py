@@ -1,11 +1,12 @@
-"""Square occurrences and the rightmost distinct-square census.
+"""The rightmost distinct-square census.
 
 The census assigns every position i of a word the number s_i of distinct
 square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array).  Two exact facts about m_i keep the scan cheap:
+array of Crochemore & Ilie, IPL 2008).  Two exact facts about m_i keep the
+scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
   again at i+p > i, so p <= m_i; the rightmost test gives 2p > m_i.  With
@@ -21,6 +22,10 @@ array).  Two exact facts about m_i keep the scan cheap:
   is needed.  Otherwise lengths m_{i+1} + 1, m_{i+1}, ... are probed, and
   the index the successful search returns becomes the next witness.
 
+``_census_step`` is the one implementation of both facts.  ``_census_scan``
+runs it right to left along a word; the sweep runs it along the left
+extensions of a word, one new first position per word.
+
 All equality decisions are exact byte comparisons, never hashes.
 """
 
@@ -29,15 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .words import Word
-
-
-@dataclass(frozen=True, slots=True)
-class SquareOccurrence:
-    """One square occurrence: starts at ``start`` (1-based), root length
-    ``root_len``, spanning start .. start + 2*root_len - 1."""
-
-    start: int
-    root_len: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +58,12 @@ class CensusReport:
     def max_s(self) -> int:
         return max(self.s) if self.s else 0
 
+    @property
+    def leading_run(self) -> int:
+        """Length of the run of 2's that starts at position 1."""
+        runs = self.runs_of_two
+        return runs[0][1] if runs and runs[0][0] == 1 else 0
+
     def to_json_dict(self) -> dict:
         return {
             "word": self.word.text,
@@ -73,64 +75,67 @@ class CensusReport:
         }
 
 
-def _later_match_lengths(codes: bytes) -> list[int]:
-    """m[i] = length of the longest prefix of codes[i:] also occurring at
-    some j > i; m[n] = 0.  Right to left, by the witness step of the module
-    docstring, falling back to probes of decreasing length."""
+def _census_step(codes: bytes | bytearray):
+    """The census step over ``codes``, right to left, as ``step(i, m, j)``.
+
+    From the state of position i + 1 (m = m_{i+1}, and j, a start > i + 1 of
+    a later match of that length; m = 0 and j = len(codes) past the end) it
+    returns m_i, such a start for position i, and the ascending rightmost
+    root lengths at i, by the two facts of the module docstring.  ``codes``
+    may be a buffer that the caller rewrites left of i between calls: the
+    step reads only positions i and right of it.
+    """
     n = len(codes)
-    m = [0] * (n + 1)
     find = codes.find
-    j = n  # a start > i + 1 of a later match of the suffix at i + 1
-    for i in range(n - 1, -1, -1):
-        length = m[i + 1] + 1
-        if j - 1 > i and codes[i] == codes[j - 1]:
-            m[i] = length
+
+    def step(i: int, m: int, j: int) -> tuple[int, int, list[int]]:
+        m += 1
+        if j - 1 > i and codes[j - 1] == codes[i]:
             j -= 1
-            continue
-        if length > n - i - 1:
-            length = n - i - 1
-        while length > 0:
-            k = find(codes[i:i + length], i + 1)
-            if k != -1:
-                j = k
-                break
-            length -= 1
         else:
-            j = i + 1  # the empty match
-        m[i] = length
-    return m
+            if m > n - i - 1:
+                m = n - i - 1
+            while m > 0:
+                k = find(codes[i:i + m], i + 1)
+                if k != -1:
+                    j = k
+                    break
+                m -= 1
+            else:
+                j = i + 1  # the empty match
+        ps: list[int] = []
+        pmax = (n - i) >> 1
+        if m < pmax:
+            pmax = m
+        q = (m >> 1) + 1
+        if q <= pmax:
+            # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
+            u = codes[i:i + q]
+            end = i + pmax + q
+            k = find(u, i + q, end)
+            while k != -1:
+                if codes[i + q:k] == codes[k + q:2 * k - i]:
+                    ps.append(k - i)
+                k = find(u, k + 1, end)
+        return m, j, ps
+
+    return step
 
 
 def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     """Counts s_i plus, for positions with s_i > 0, the rightmost root
-    lengths (1-based keys, ascending root lengths)."""
+    lengths (1-based keys in ascending order, ascending root lengths)."""
     n = len(codes)
     s = [0] * n
-    roots: dict[int, list[int]] = {}
-    find = codes.find
-    m = _later_match_lengths(codes)
-    for i in range(n):
-        mi = m[i]
-        pmax = (n - i) >> 1
-        if mi < pmax:
-            pmax = mi
-        q = (mi >> 1) + 1
-        if q > pmax:
-            continue
-        # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
-        u = codes[i:i + q]
-        end = i + pmax + q
-        ps = None
-        j = find(u, i + q, end)
-        while j != -1:
-            if codes[i + q:j] == codes[j + q:2 * j - i]:
-                if ps is None:
-                    ps = roots[i + 1] = []
-                ps.append(j - i)
-            j = find(u, j + 1, end)
+    found: list[tuple[int, list[int]]] = []
+    step = _census_step(codes)
+    m, j = 0, n
+    for i in range(n - 1, -1, -1):
+        m, j, ps = step(i, m, j)
         if ps:
             s[i] = len(ps)
-    return s, roots
+            found.append((i + 1, ps))
+    return s, dict(reversed(found))
 
 
 def s_sequence(w: Word) -> CensusReport:
@@ -174,19 +179,6 @@ def rightmost_map(w: Word) -> dict[str, int]:
     for pos, ps in roots.items():
         for p in ps:
             out[w[pos - 1:pos - 1 + 2 * p].text] = pos
-    return out
-
-
-def enumerate_squares(w: Word) -> list[SquareOccurrence]:
-    """All square occurrences, non-primitive roots included, sorted by
-    (start, root_len)."""
-    codes = w.codes
-    n = len(codes)
-    out: list[SquareOccurrence] = []
-    for i in range(n):
-        for p in range(1, (n - i) // 2 + 1):
-            if codes[i:i + p] == codes[i + p:i + 2 * p]:
-                out.append(SquareOccurrence(i + 1, p))
     return out
 
 

@@ -84,24 +84,17 @@ def _run_report(report: CensusReport,
     return RunReport(word=word, T=t, ratio=ratio, steps=tuple(steps), findings=findings)
 
 
-def _leading_twos(s: tuple[int, ...] | list[int]) -> int:
-    k = 0
-    while k < len(s) and s[k] == 2:
-        k += 1
-    return k
-
-
 def _equal_phase(report0: CensusReport, frontier: int) -> tuple[CensusReport, int]:
     """Append prefix letters of the square frontier..end while the leading
     run of 2's keeps growing.  Returns the census of the longest achieved
     word and the number of letters appended."""
     w0 = report0.word
     report = report0
-    current = _leading_twos(report0.s)
+    current = report0.leading_run
     k = 0
     while frontier - 1 + k < len(w0):
         cand = s_sequence(report.word + w0[frontier - 1 + k:frontier + k])
-        run = _leading_twos(cand.s)
+        run = cand.leading_run
         if run <= current:
             break
         report, current, k = cand, run, k + 1
@@ -226,13 +219,13 @@ def build_run(target: int, alphabet_size: int = 2, *, variant: str = "short",
     # Each accepted word's census is handed on, so every word is censused once.
     report = s_sequence(SMALLEST_EQUAL_EXTENSIBLE)
     steps: list[BuildStep] = []
-    run = _leading_twos(report.s)
+    run = report.leading_run
     while run < target:
         grown, appended = _equal_phase(report, run)
         if appended:
             steps.append(BuildStep("equal", grown.word[len(report.word):].text))
             report = grown
-            run = _leading_twos(report.s)
+            run = report.leading_run
             if run >= target:
                 break
         w = report.word
@@ -243,7 +236,7 @@ def build_run(target: int, alphabet_size: int = 2, *, variant: str = "short",
                 f"run frontier {run} of {w.text!r} does not end in a double square")
         report, letters = _unequal_extend_at(w, fs, variant, budget)
         steps.append(BuildStep("unequal", letters))
-        new_run = _leading_twos(report.s)
+        new_run = report.leading_run
         if new_run <= run:
             raise NoExtensionError(
                 f"unequal move failed to grow the run ({run} -> {new_run})")

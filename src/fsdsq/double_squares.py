@@ -231,7 +231,3 @@ def classify_mate_detail(first: FsDoubleSquare, second: FsDoubleSquare) -> MateC
         f"double squares at positions {first.position} and {second.position} "
         f"(roots {first.sq_len}/{first.SQ_len} and {second.sq_len}/{second.SQ_len}) "
         "fit no mate category")
-
-
-def classify_mate(first: FsDoubleSquare, second: FsDoubleSquare) -> MateLabel:
-    return classify_mate_detail(first, second).label

@@ -8,16 +8,13 @@ class.  Findings and witnesses are reported in the left-to-right canonical
 form that ``iter_canonical_words`` lists (first letter 'a').
 
 Each word is built from its parent by prepending one letter.  That leaves
-every old s_i and m_i exact: whether a square at i occurs again later, and
-how far the suffix at i recurs later, depend only on letters at i and to
-its right, and a new first letter adds no occurrence to the right of any
-old position.  So a word costs only the census of its new first position,
-with the two facts of ``census.py``: m_0 <= m_1 + 1 by the witness step
-(else probes of length at most m_1 + 1), and roots in (m_0/2, m_0] from one
-``find`` window.  The rest is carried down the depth-first search in O(1)
-per word: the distinct-square count, the run of 2's at the left end, the
-best run, the largest s_i, and the rightmost roots of every position with
-s_i >= 2, which structure analysis reads instead of rescanning.
+every old s_i and m_i exact: both depend only on letters at i and to its
+right.  So a word costs one call of the census step of ``census.py`` for
+its new first position.  The rest is carried down the depth-first search
+in O(1) per word: the distinct-square count, the run of 2's at the left
+end, the best run, the largest s_i, and the rightmost roots of every
+position with s_i >= 2, which structure analysis reads instead of
+rescanning.
 
 Work is split into blocks: one block per canonical suffix of a fixed
 length, plus one block for all shorter words.  Blocks share nothing, so
@@ -38,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
+from .census import _census_step
 from .double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from .errors import (CostCeilingError, CounterexampleError, ForbiddenPairError,
                      SweepInterrupted, UnclassifiablePairError)
@@ -230,69 +228,36 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     """
     L = max_len
     buf = bytearray(L)
-    find = buf.find
+    first = L - max(len(suffix), 1)  # where the first visited word starts
+    buf[first:] = suffix or b"\0"
+    step = _census_step(buf)
     top = alphabet_size - 1
     doubles: dict[int, list[int]] = {}
 
-    def extend(i, m, j, distinct, max_s, lead, run):
-        # From the state of buf[i+1:] (m_{i+1}, a start j > i+1 of a later
-        # match of that length, totals) to the state of buf[i:].
-        if j - 1 > i and buf[j - 1] == buf[i]:
-            m += 1
-            j -= 1
-        else:
-            m += 1
-            if m > L - i - 1:
-                m = L - i - 1
-            while m > 0:
-                k = find(buf[i:i + m], i + 1)
-                if k != -1:
-                    j = k
-                    break
-                m -= 1
-            else:
-                j = i + 1  # the empty match
-        # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
-        pmax = (L - i) >> 1
-        if m < pmax:
-            pmax = m
-        q = (m >> 1) + 1
-        s = 0
-        if q <= pmax:
-            u = buf[i:i + q]
-            end = i + pmax + q
-            ps = []
-            k = find(u, i + q, end)
-            while k != -1:
-                if buf[i + q:k] == buf[k + q:2 * k - i]:
-                    ps.append(k - i)
-                k = find(u, k + 1, end)
-            s = len(ps)
-            if s >= 2:
-                doubles[i] = ps
+    # From the state of buf[i+1:] (m_{i+1}, a later-match start, totals and
+    # the run of 2's at its left end) to that of buf[i:].  The letters of
+    # ``suffix`` are already in ``buf`` and are passed through unvisited.
+    def rec(i, used, m, j, distinct, max_s, lead, run):
+        m, j, ps = step(i, m, j)
+        s = len(ps)
+        if s >= 2:
+            doubles[i] = ps
         lead = lead + 1 if s == 2 else 0
         if lead > run:
             run = lead
         if s > max_s:
             max_s = s
-        return m, j, distinct + s, max_s, lead, run
-
-    def rec(i, used, state):
-        state = extend(i, *state)
-        if visit(buf, i, state[2], state[3], state[5], doubles) and i:
+        distinct += s
+        if i > first:
+            c = buf[i - 1]
+            rec(i - 1, c if c > used else used, m, j, distinct, max_s, lead, run)
+        elif visit(buf, i, distinct, max_s, run, doubles) and i:
             for c in range(min(used + 1, top) + 1):
                 buf[i - 1] = c
-                rec(i - 1, c if c > used else used, state)
+                rec(i - 1, c if c > used else used, m, j, distinct, max_s, lead, run)
         doubles.pop(i, None)
 
-    state = (0, L, 0, 0, 0, 0)  # the empty word at L
-    i = L
-    for c in reversed(suffix[1:]):
-        i -= 1
-        buf[i] = c
-        state = extend(i, *state)
-    buf[i - 1] = suffix[0] if suffix else 0
-    rec(i - 1, max(suffix, default=0), state)
+    rec(L - 1, buf[L - 1], 0, L, 0, 0, 0, 0)  # from the empty word at L
 
 
 # ------------------------------------------------------------------- blocks

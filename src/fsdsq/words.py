@@ -95,14 +95,7 @@ def lcp(u: Word, v: Word) -> int:
 
 def is_primitive(w: Word) -> bool:
     """True iff w is not a proper integer power of a shorter word."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("empty word has no primitivity")
-    codes = w.codes
-    for d in range(1, n // 2 + 1):
-        if n % d == 0 and codes == codes[:d] * (n // d):
-            return False
-    return True
+    return primitive_root(w)[1] == 1
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:

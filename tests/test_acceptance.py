@@ -9,7 +9,7 @@ import pytest
 
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run, extend_unequal
-from fsdsq.double_squares import MateLabel, classify_mate, find_fs_double_squares
+from fsdsq.double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from fsdsq.errors import SweepInterrupted
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.sweep import (SweepConfig, exhaustive_verify, extremal_ratio,
@@ -141,7 +141,7 @@ def test_criterion_06_adjacent_mates(sweep18):
         squares = find_fs_double_squares(W(text))
         for a, b in zip(squares, squares[1:]):
             if b.position == a.position + 1:
-                labels.add(classify_mate(a, b))
+                labels.add(classify_mate_detail(a, b).label)
     assert labels == {MateLabel.ALPHA, MateLabel.DELTA}
     print("ACCEPTANCE 6 PASS: adjacent double squares classify as alpha or "
           "delta only; no beta, gamma or unclassifiable")

@@ -1,8 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import (_later_match_lengths, enumerate_squares,
-                          render_census_tsv, rightmost_map, s_sequence)
+from fsdsq.census import _census_step, render_census_tsv, rightmost_map, s_sequence
 from fsdsq.words import Word
 
 from oracles import (all_words, canonical_words, oracle_later_match,
@@ -15,36 +14,32 @@ EQUAL_17 = "abaababaabaababaa"
 EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
 
 
-class TestEnumerateSquares:
+def later_match_lengths(codes: bytes) -> list[int]:
+    """m_0 .. m_n by driving the census step right to left."""
+    n = len(codes)
+    m = [0] * (n + 1)
+    step = _census_step(codes)
+    j = n
+    for i in range(n - 1, -1, -1):
+        m[i], j, _ = step(i, m[i + 1], j)
+    return m
+
+
+class TestOracleSquares:
+    """Pinned values of the square-occurrence oracle the census is checked
+    against."""
+
     def test_aaaa(self):
-        occs = {(o.start, o.root_len) for o in enumerate_squares(W("aaaa"))}
-        assert occs == {(1, 1), (2, 1), (3, 1), (1, 2)}
+        assert oracle_squares("aaaa") == [(1, 1), (1, 2), (2, 1), (3, 1)]
 
     def test_square_free(self):
-        assert enumerate_squares(W("abcab")) == []
-        assert enumerate_squares(W("a")) == []
-        assert enumerate_squares(W("")) == []
+        assert oracle_squares("abcab") == []
+        assert oracle_squares("a") == []
+        assert oracle_squares("") == []
 
     def test_smallest_double_square_word(self):
-        # oracle-derived: six occurrences, including roots 3 and 5 at the start
-        occs = [(o.start, o.root_len) for o in enumerate_squares(W("abaababaab"))]
-        assert occs == oracle_squares("abaababaab")
-        assert occs == [(1, 3), (1, 5), (3, 1), (4, 2), (5, 2), (8, 1)]
-
-    def test_sorted_and_valid(self):
-        for text in ("abaababaabaababaa", "aabaaabaabaaab", "aaaaaa"):
-            occs = enumerate_squares(W(text))
-            assert occs == sorted(occs, key=lambda o: (o.start, o.root_len))
-            for o in occs:
-                root = text[o.start - 1:o.start - 1 + o.root_len]
-                rest = text[o.start - 1 + o.root_len:o.start - 1 + 2 * o.root_len]
-                assert root == rest
-
-    @given(st.text(alphabet="ab", min_size=0, max_size=20))
-    @settings(max_examples=80)
-    def test_matches_oracle(self, text):
-        occs = [(o.start, o.root_len) for o in enumerate_squares(W(text))]
-        assert occs == oracle_squares(text)
+        # six occurrences, including roots 3 and 5 at the start
+        assert oracle_squares("abaababaab") == [(1, 3), (1, 5), (3, 1), (4, 2), (5, 2), (8, 1)]
 
 
 class TestRightmostMap:
@@ -85,10 +80,16 @@ class TestSSequence:
     def test_longest_run_examples(self):
         assert s_sequence(W(EQUAL_17)).longest_run == (1, 2)
         assert s_sequence(W("ab")).longest_run == (0, 0)
+        assert s_sequence(W(EQUAL_17)).leading_run == 2
+        assert s_sequence(W("ab")).leading_run == 0
+        # a run of 2's that does not start at position 1 is not leading
+        assert s_sequence(W("c" + EQUAL_17)).longest_run == (2, 2)
+        assert s_sequence(W("c" + EQUAL_17)).leading_run == 0
 
     def test_roots_match_rightmost_map(self):
         for text in (EQUAL_17, "abaababaab", "aaaaaa", "ab", ""):
             report = s_sequence(W(text))
+            assert list(report.roots) == sorted(report.roots)
             assert {pos: len(ps) for pos, ps in report.roots.items()} == {
                 i + 1: v for i, v in enumerate(report.s) if v}
             values = {text[pos - 1:pos - 1 + 2 * p]: pos
@@ -164,21 +165,23 @@ structured_words = st.one_of(
 
 
 class TestLaterMatch:
+    """m_i from the census step, driven right to left."""
+
     def test_examples(self):
-        assert _later_match_lengths(W("aaaa").codes) == [3, 2, 1, 0, 0]
-        assert _later_match_lengths(W("abab").codes) == [2, 1, 0, 0, 0]
-        assert _later_match_lengths(W("abc").codes) == [0, 0, 0, 0]
-        assert _later_match_lengths(b"") == [0]
+        assert later_match_lengths(W("aaaa").codes) == [3, 2, 1, 0, 0]
+        assert later_match_lengths(W("abab").codes) == [2, 1, 0, 0, 0]
+        assert later_match_lengths(W("abc").codes) == [0, 0, 0, 0]
+        assert later_match_lengths(b"") == [0]
 
     def test_exhaustive_binary_oracle(self):
         for n in range(1, 13):
             for text in all_words(2, n):
-                assert _later_match_lengths(W(text).codes) == oracle_later_match(text)
+                assert later_match_lengths(W(text).codes) == oracle_later_match(text)
 
     def test_exhaustive_ternary_oracle(self):
         for n in range(1, 9):
             for text in canonical_words(3, n):
-                assert _later_match_lengths(W(text).codes) == oracle_later_match(text)
+                assert later_match_lengths(W(text).codes) == oracle_later_match(text)
 
 
 class TestStructuredWords:
@@ -188,6 +191,6 @@ class TestStructuredWords:
     @settings(max_examples=60, deadline=None)
     def test_against_oracles(self, text):
         w = W(text)
-        assert _later_match_lengths(w.codes) == oracle_later_match(text)
+        assert later_match_lengths(w.codes) == oracle_later_match(text)
         assert list(s_sequence(w).s) == oracle_s(text)
         assert rightmost_map(w) == oracle_rightmost(text)

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsdsq.double_squares import (Factorization, FsDoubleSquare, MateLabel,
-                                  canonical_factorization, classify_mate,
-                                  classify_mate_detail, find_fs_double_squares)
+                                  canonical_factorization, classify_mate_detail,
+                                  find_fs_double_squares)
 from fsdsq.errors import FactorizationError
 from fsdsq.words import Word, is_primitive
 
@@ -136,7 +136,7 @@ def _fs(word_text: str, position: int) -> FsDoubleSquare:
 class TestMates:
     def test_equal_pair_is_alpha(self):
         first, second = find_fs_double_squares(W(EQUAL_17))
-        assert classify_mate(first, second) is MateLabel.ALPHA
+        assert classify_mate_detail(first, second).label is MateLabel.ALPHA
 
     def test_unequal_pair_is_delta(self):
         first, second = find_fs_double_squares(W(W1))
@@ -149,14 +149,14 @@ class TestMates:
         word = "abaababaab" + "ccdcccdccdcccd"
         squares = find_fs_double_squares(W(word))
         assert [q.position for q in squares] == [1, 11]
-        assert classify_mate(squares[0], squares[1]) is MateLabel.EPSILON
+        assert classify_mate_detail(squares[0], squares[1]).label is MateLabel.EPSILON
 
     def test_order_precondition(self):
         first, second = find_fs_double_squares(W(EQUAL_17))
         with pytest.raises(ValueError):
-            classify_mate(second, first)
+            classify_mate_detail(second, first)
         with pytest.raises(ValueError):
-            classify_mate(first, first)
+            classify_mate_detail(first, first)
 
     def test_adjacent_pairs_alpha_or_delta_small_sweep(self):
         seen = set()
@@ -167,5 +167,5 @@ class TestMates:
                 squares = find_fs_double_squares(W(text))
                 for a, b in zip(squares, squares[1:]):
                     if b.position == a.position + 1:
-                        seen.add(classify_mate(a, b))
+                        seen.add(classify_mate_detail(a, b).label)
         assert seen <= {MateLabel.ALPHA, MateLabel.DELTA}

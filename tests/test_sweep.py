@@ -13,7 +13,7 @@ from fsdsq.sweep import (LengthStats, SweepConfig, cost_ceiling,
                          iter_canonical_words, minimal_pair_length)
 from fsdsq.words import Word
 
-from oracles import all_words, canonical_words
+from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
 
 
 def _json(report, timing=False):
@@ -230,6 +230,36 @@ class TestLeftExtensionSweep:
             assert sorted(t[::-1] for t in texts) == sorted(
                 Word(c).text for n in range(1, max_len + 1)
                 for c in iter_canonical_words(alphabet_size, n))
+
+    @pytest.mark.parametrize("alphabet_size,max_len,suffix", [
+        (2, 10, ""), (3, 7, ""), (2, 18, "abbababbabbababba"[-12:]),
+    ])
+    def test_carried_state_matches_oracle(self, alphabet_size, max_len, suffix):
+        # The walk and s_sequence share the census step; this checks the
+        # carried state against the brute-force oracle instead.
+        seen = []
+
+        def visit(buf, i, distinct, max_s, run, doubles):
+            text = Word(buf[i:]).text
+            s = oracle_s(text)
+            assert distinct == sum(s)
+            assert max_s == max(s)
+            assert run == oracle_longest_run(text)[1]
+            roots: dict[int, list[int]] = {}
+            for value, start in oracle_rightmost(text).items():
+                roots.setdefault(start, []).append(len(value) // 2)
+            assert {k - i + 1: ps for k, ps in doubles.items()} == {
+                pos: sorted(ps) for pos, ps in roots.items() if len(ps) >= 2}
+            seen.append(len(doubles))
+            return True
+
+        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+        if suffix:
+            assert len(seen) == 2 ** (max_len - len(suffix) + 1) - 1
+            assert max(seen) >= 2
+        else:
+            assert len(seen) == sum(1 for n in range(1, max_len + 1)
+                                    for _ in canonical_words(alphabet_size, n))
 
     @pytest.fixture(scope="class", params=[(2, 12), (3, 8)], ids=["bin12", "ter8"])
     def reference(self, request):
