@@ -8,12 +8,12 @@ from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
                              classify_mate_detail, find_fs_double_squares)
 from .errors import (CostCeilingError, CounterexampleError, ExtensionBudgetError,
                      FactorizationError, FindingError, ForbiddenPairError,
-                     NoExtensionError, SweepInterrupted, UnclassifiablePairError)
+                     NoExtensionError, UnclassifiablePairError)
 from .pairs import (Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
 from .sweep import (ALL_PROPERTIES, Finding, LengthStats, RatioTable,
-                    SweepConfig, SweepReport, cost_ceiling, exhaustive_verify,
-                    extremal_ratio, iter_canonical_words, minimal_pair_length)
+                    SweepConfig, SweepReport, exhaustive_verify, extremal_ratio,
+                    minimal_pair_length)
 from .words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 __version__ = "0.1.0"
@@ -24,13 +24,12 @@ __all__ = [
     "FactorizationError", "Finding", "FindingError", "ForbiddenPairError",
     "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
     "NoExtensionError", "PairClassification", "PairKind", "RatioTable",
-    "RunReport", "SweepConfig", "SweepInterrupted",
-    "SweepReport", "UnclassifiablePairError", "Word", "are_conjugate",
-    "build_run", "canonical_factorization", "classify_mate_detail",
-    "cost_ceiling", "exhaustive_verify",
+    "RunReport", "SweepConfig", "SweepReport", "UnclassifiablePairError",
+    "Word", "are_conjugate", "build_run", "canonical_factorization",
+    "classify_mate_detail", "exhaustive_verify",
     "extend_equal_run", "extend_unequal", "extremal_ratio",
     "find_double_square_pairs", "find_fs_double_squares", "is_primitive",
-    "iter_canonical_words", "lcp", "minimal_pair_length", "ordering_case",
+    "lcp", "minimal_pair_length", "ordering_case",
     "primitive_root", "render_census_tsv", "rightmost_map", "run_report",
     "s_sequence",
 ]

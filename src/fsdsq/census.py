@@ -174,9 +174,8 @@ def _report_from_counts(w: Word, s: list[int], roots: dict[int, list[int]]) -> C
 def rightmost_map(w: Word) -> dict[str, int]:
     """Map each distinct square value to the 1-based start of its last
     occurrence."""
-    _, roots = _census_scan(w.codes)
     out: dict[str, int] = {}
-    for pos, ps in roots.items():
+    for pos, ps in s_sequence(w).roots.items():
         for p in ps:
             out[w[pos - 1:pos - 1 + 2 * p].text] = pos
     return out

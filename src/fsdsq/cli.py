@@ -15,7 +15,7 @@ import sys
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
 from .double_squares import classify_mate_detail, find_fs_double_squares
-from .errors import FindingError, SweepInterrupted
+from .errors import FindingError
 from .pairs import find_double_square_pairs
 from .sweep import ALL_PROPERTIES, SweepConfig, SweepReport, exhaustive_verify
 from .words import Word
@@ -229,7 +229,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         properties=properties,
         checkpoint_path=args.checkpoint,
         parallelism=args.jobs,
-        block_prefix_len=args.block_prefix_len,
         allow_over_ceiling=args.override_ceiling,
     )
     report = exhaustive_verify(config)
@@ -277,8 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
     p.add_argument("--properties", help="comma-separated property subset")
-    p.add_argument("--block-prefix-len", type=int, default=7,
-                   help="length of the canonical suffix that keys each block")
     p.add_argument("--override-ceiling", action="store_true",
                    help="run even past the cost ceiling")
     add_format(p)
@@ -296,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
                           "findings": [{"property": "structure", "detail": str(exc)}]},
                          sort_keys=True))
         return EXIT_FINDING
-    except SweepInterrupted as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

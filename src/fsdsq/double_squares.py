@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .census import _census_scan
+from .census import s_sequence
 from .errors import CounterexampleError, FactorizationError, UnclassifiablePairError
 from .words import Word, is_primitive, lcp, primitive_root
 
@@ -131,7 +131,7 @@ def find_fs_double_squares(
     surfaced as a counterexample, never swallowed.
     """
     if roots is None:
-        _, roots = _census_scan(w.codes)
+        roots = s_sequence(w).roots
     out: list[FsDoubleSquare] = []
     for pos in sorted(roots):
         ps = roots[pos]

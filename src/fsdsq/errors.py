@@ -46,14 +46,4 @@ class FactorizationError(ValueError):
 
 
 class CostCeilingError(ValueError):
-    """A sweep request exceeded the configured cost ceiling."""
-
-
-class SweepInterrupted(Exception):
-    """A sweep stopped early on request; progress is in the checkpoint."""
-
-    def __init__(self, checkpoint_path: str, completed_blocks: int) -> None:
-        super().__init__(f"sweep interrupted after {completed_blocks} blocks; "
-                         f"checkpoint at {checkpoint_path}")
-        self.checkpoint_path = checkpoint_path
-        self.completed_blocks = completed_blocks
+    """A sweep request exceeded the cost ceiling."""

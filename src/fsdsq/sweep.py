@@ -4,8 +4,8 @@ Words are enumerated up to alphabet renaming, in canonical form read from
 the right: the last letter is 'a' and, reading leftwards, each new letter
 is the smallest unused one.  Every property checked here is invariant
 under renaming, so one canonical word stands for its whole isomorphism
-class.  Findings and witnesses are reported in the left-to-right canonical
-form that ``iter_canonical_words`` lists (first letter 'a').
+class.  Findings and witnesses are reported in left-to-right canonical
+form (first letter 'a').
 
 Each word is built from its parent by prepending one letter.  That leaves
 every old s_i and m_i exact: both depend only on letters at i and to its
@@ -16,9 +16,9 @@ end, the best run, the largest s_i, and the rightmost roots of every
 position with s_i >= 2, which structure analysis reads instead of
 rescanning.
 
-Work is split into blocks: one block per canonical suffix of a fixed
-length, plus one block for all shorter words.  Blocks share nothing, so
-they can run on worker processes.  Partial aggregates merge by sums and
+Work is split into blocks: one block per canonical suffix of length
+``BLOCK_SUFFIX_LEN``, plus one block for all shorter words.  Blocks share
+nothing, so they can run on worker processes.  Partial aggregates merge by sums and
 maxima, and findings are sorted by (length, word), so the report does not
 depend on worker count, completion order or checkpoint resume points.
 The checkpoint file is line-oriented text: a header, then one ``block``
@@ -38,12 +38,13 @@ from multiprocessing import Pool
 from .census import _census_step
 from .double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from .errors import (CostCeilingError, CounterexampleError, ForbiddenPairError,
-                     SweepInterrupted, UnclassifiablePairError)
+                     UnclassifiablePairError)
 from .pairs import PairKind, find_double_square_pairs
 from .words import Word
 
-DEFAULT_COST_CEILING = 36
-COST_CEILING_ENV = "FSDSQ_COST_CEILING"
+COST_CEILING = 36
+# The checkpoint header records it as ``block_prefix_len``.
+BLOCK_SUFFIX_LEN = 7
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
 
@@ -67,12 +68,7 @@ class SweepConfig:
     properties: tuple[str, ...] = ALL_PROPERTIES
     checkpoint_path: str | None = None
     parallelism: int = 1
-    # Blocks are keyed by the canonical suffix of this length.
-    block_prefix_len: int = 7
     allow_over_ceiling: bool = False
-    # Stop after this many newly processed blocks and raise SweepInterrupted;
-    # used to drill checkpoint/resume behaviour.
-    stop_after_blocks: int | None = None
 
 
 @dataclass(slots=True)
@@ -167,41 +163,11 @@ class SweepReport:
         return out
 
 
-def cost_ceiling() -> int:
-    raw = os.environ.get(COST_CEILING_ENV)
-    if raw is None:
-        return DEFAULT_COST_CEILING
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{COST_CEILING_ENV} must be an integer, got {raw!r}") from exc
-
-
 def _check_ceiling(alphabet_size: int, max_len: int, allow_over: bool) -> None:
-    ceiling = cost_ceiling()
-    if alphabet_size * max_len > ceiling and not allow_over:
+    if alphabet_size * max_len > COST_CEILING and not allow_over:
         raise CostCeilingError(
             f"alphabet_size*max_len = {alphabet_size * max_len} exceeds the cost "
-            f"ceiling {ceiling}; pass the override flag (or raise {COST_CEILING_ENV}) "
-            "to run anyway")
-
-
-def iter_canonical_words(alphabet_size: int, length: int):
-    """All canonical words of exactly ``length``, lexicographic order."""
-    if length < 1:
-        return
-    buf = bytearray(length)
-    top = alphabet_size - 1
-
-    def rec(depth: int, used: int):
-        if depth == length:
-            yield bytes(buf)
-            return
-        for c in range(min(used + 1, top) + 1):
-            buf[depth] = c
-            yield from rec(depth + 1, used if c <= used else c)
-
-    yield from rec(0, -1)
+            f"ceiling {COST_CEILING}; pass the override flag to run anyway")
 
 
 def _left_canonical(codes: bytes | bytearray) -> bytes:
@@ -262,17 +228,22 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
 
 # ------------------------------------------------------------------- blocks
 
-def _plan_blocks(alphabet_size: int, max_len: int, block_prefix_len: int) -> list[str]:
-    """The block of all words shorter than the key length, then one block
-    per right-canonical suffix of that length."""
-    b = min(block_prefix_len, max_len)
+def _plan_blocks(alphabet_size: int, b: int) -> list[str]:
+    """The block of all words shorter than ``b``, then one block per
+    right-canonical suffix of length ``b``."""
     blocks = [""]
-    blocks.extend(Word(codes[::-1]).text for codes in iter_canonical_words(alphabet_size, b))
+
+    def visit(buf, i, distinct, max_s, run, doubles):
+        if not i:
+            blocks.append(Word(buf).text)
+        return True
+
+    _walk(alphabet_size, b, b"", visit)
     return blocks
 
 
 def _process_block(args: tuple) -> tuple[str, dict]:
-    alphabet_size, max_len, block_prefix_len, block_id, props_tuple = args
+    alphabet_size, max_len, b, block_id, props_tuple = args
     props = frozenset(props_tuple)
     check_census = "census_max_two" in props
     check_distinct = "distinct_below_twice_length" in props
@@ -300,7 +271,6 @@ def _process_block(args: tuple) -> tuple[str, dict]:
             _check_word(word, distinct, max_s, run, roots, props, st, findings)
         return True
 
-    b = min(block_prefix_len, max_len)
     if block_id:
         _walk(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
     elif b > 1:
@@ -372,7 +342,7 @@ def _checkpoint_header(config: SweepConfig) -> str:
         f"version={CHECKPOINT_VERSION}",
         f"alphabet_size={config.alphabet_size}",
         f"max_len={config.max_len}",
-        f"block_prefix_len={config.block_prefix_len}",
+        f"block_prefix_len={BLOCK_SUFFIX_LEN}",
         "properties=" + ",".join(config.properties),
     ])
 
@@ -442,15 +412,16 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     """Census and property-check every canonical word up to ``max_len``."""
     if config.alphabet_size < 1 or config.max_len < 1:
         raise ValueError("alphabet_size and max_len must be at least 1")
-    if config.block_prefix_len < 1:
-        raise ValueError("block_prefix_len must be at least 1")
+    if config.parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
     unknown = set(config.properties) - set(ALL_PROPERTIES)
     if unknown:
         raise ValueError(f"unknown properties: {sorted(unknown)}")
     _check_ceiling(config.alphabet_size, config.max_len, config.allow_over_ceiling)
 
     start = time.monotonic()
-    blocks = _plan_blocks(config.alphabet_size, config.max_len, config.block_prefix_len)
+    b = min(BLOCK_SUFFIX_LEN, config.max_len)
+    blocks = _plan_blocks(config.alphabet_size, b)
     done: dict[str, dict] = {}
     checkpoint = None
     if config.checkpoint_path:
@@ -459,38 +430,25 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         unknown_blocks = set(done) - set(blocks)
         if unknown_blocks:
             raise ValueError(f"checkpoint contains unknown blocks: {sorted(unknown_blocks)[:3]}")
-        pending = [b for b in blocks if b not in done]
-        args = [(config.alphabet_size, config.max_len, config.block_prefix_len,
-                 b, tuple(config.properties)) for b in pending]
-
-        processed = 0
+        args = [(config.alphabet_size, config.max_len, b, block_id, tuple(config.properties))
+                for block_id in blocks if block_id not in done]
 
         def record(block_id: str, partial: dict) -> None:
-            nonlocal processed
             done[block_id] = partial
-            processed += 1
             if checkpoint is not None:
                 checkpoint.write(_block_line(block_id, partial))
                 checkpoint.flush()
 
-        budget = config.stop_after_blocks
         if config.parallelism > 1 and len(args) > 1:
-            take = args if budget is None else args[:budget]
-            with Pool(config.parallelism) as pool:
-                for block_id, partial in pool.imap_unordered(_process_block, take):
+            with Pool(min(config.parallelism, len(args))) as pool:
+                for block_id, partial in pool.imap_unordered(_process_block, args):
                     record(block_id, partial)
         else:
             for arg in args:
-                if budget is not None and processed >= budget:
-                    break
-                block_id, partial = _process_block(arg)
-                record(block_id, partial)
+                record(*_process_block(arg))
     finally:
         if checkpoint is not None:
             checkpoint.close()
-
-    if len(done) < len(blocks):
-        raise SweepInterrupted(config.checkpoint_path or "<none>", processed)
 
     return _fold(blocks, done, config, time.monotonic() - start)
 

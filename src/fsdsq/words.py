@@ -73,13 +73,6 @@ class Word:
         except ValueError:
             return f"Word({list(self.codes)!r})"
 
-    def rotate(self, k: int) -> "Word":
-        """Cyclic left rotation by k positions."""
-        if not self.codes:
-            return self
-        k %= len(self.codes)
-        return Word(self.codes[k:] + self.codes[:k])
-
 
 def lcp(u: Word, v: Word) -> int:
     """Length of the longest common prefix of two words."""

@@ -10,13 +10,11 @@ import pytest
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run, extend_unequal
 from fsdsq.double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
-from fsdsq.errors import SweepInterrupted
 from fsdsq.pairs import PairKind, find_double_square_pairs
-from fsdsq.sweep import (SweepConfig, exhaustive_verify, extremal_ratio,
-                         iter_canonical_words, minimal_pair_length)
+from fsdsq.sweep import SweepConfig, exhaustive_verify, extremal_ratio, minimal_pair_length
 from fsdsq.words import Word
 
-from oracles import all_words, oracle_s
+from oracles import all_words, canonical_words, oracle_s
 
 W = Word.from_text
 
@@ -82,9 +80,8 @@ def test_criterion_03_oracle_equivalence():
             if list(s_sequence(W(text)).s) != oracle_s(text):
                 mismatches += 1
     for n in range(1, 11):
-        for codes in iter_canonical_words(3, n):
+        for text in canonical_words(3, n):
             checked += 1
-            text = Word(codes).text
             if list(s_sequence(W(text)).s) != oracle_s(text):
                 mismatches += 1
     elapsed = time.perf_counter() - start
@@ -206,7 +203,7 @@ def test_criterion_10_minimal_pair_length():
           f"witness {witness.text} (derived constant)")
 
 
-def test_criterion_11_determinism(sweep18, tmp_path):
+def test_criterion_11_determinism(sweep18, tmp_path, crash_after):
     baseline = json.dumps(sweep18[0].to_json_dict(include_timing=False), sort_keys=True)
 
     other_jobs = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
@@ -215,9 +212,8 @@ def test_criterion_11_determinism(sweep18, tmp_path):
                       sort_keys=True) == baseline
 
     ck = str(tmp_path / "sweep18.ck")
-    with pytest.raises(SweepInterrupted):
-        exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
-                                      checkpoint_path=ck, stop_after_blocks=20))
+    with crash_after(20):
+        exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18, checkpoint_path=ck))
     resumed = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
                                             checkpoint_path=ck, parallelism=4))
     assert json.dumps(resumed.to_json_dict(include_timing=False),

@@ -166,11 +166,10 @@ class TestVerify:
         assert code == 1
         assert "ceiling" in err
 
-    def test_ceiling_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("FSDSQ_COST_CEILING", "5")
-        code, _, err = run(capsys, "verify", "--max-len", "6")
+    def test_ceiling_override(self, capsys):
+        code, _, err = run(capsys, "verify", "--alphabet-size", "1", "--max-len", "40")
         assert code == 1 and "ceiling" in err
-        monkeypatch.setenv("FSDSQ_COST_CEILING", "50")
-        code, _, _ = run(capsys, "verify", "--alphabet-size", "1",
-                         "--max-len", "40", "-f", "json", "--deterministic")
+        code, out, _ = run(capsys, "verify", "--alphabet-size", "1", "--max-len", "40",
+                           "--override-ceiling", "-f", "json", "--deterministic")
         assert code == 0
+        assert json.loads(out)["total_words"] == 40

@@ -1,16 +1,17 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
+import fsdsq
 import fsdsq.sweep
 from fsdsq.census import s_sequence
 from fsdsq.cli import main
-from fsdsq.errors import CostCeilingError, CounterexampleError, SweepInterrupted
+from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.pairs import PairKind, find_double_square_pairs
-from fsdsq.sweep import (LengthStats, SweepConfig, cost_ceiling,
-                         exhaustive_verify, extremal_ratio,
-                         iter_canonical_words, minimal_pair_length)
+from fsdsq.sweep import (LengthStats, SweepConfig, _plan_blocks, exhaustive_verify,
+                         extremal_ratio, minimal_pair_length)
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
@@ -23,29 +24,32 @@ def _json(report, timing=False):
 class TestCanonicalEnumeration:
     @pytest.mark.parametrize("alphabet_size,length", [(2, 1), (2, 6), (3, 5), (1, 4)])
     def test_matches_oracle(self, alphabet_size, length):
-        mine = [Word(c).text for c in iter_canonical_words(alphabet_size, length)]
-        assert mine == sorted(mine)
-        assert mine == list(canonical_words(alphabet_size, length))
+        # the block plan: the shorter words, then every right-canonical
+        # suffix of the key length, in the order of their reversals
+        blocks = _plan_blocks(alphabet_size, length)
+        assert blocks[0] == ""
+        assert [b[::-1] for b in blocks[1:]] == list(canonical_words(alphabet_size, length))
 
     def test_counts(self):
-        assert sum(1 for _ in iter_canonical_words(2, 10)) == 512
-        assert sum(1 for _ in iter_canonical_words(1, 9)) == 1
+        assert len(_plan_blocks(2, 10)) == 1 + 512
+        assert len(_plan_blocks(1, 9)) == 1 + 1
 
     def test_census_invariant_under_renaming(self):
         rng = random.Random(7)
-        for codes in iter_canonical_words(3, 9):
+        for text in canonical_words(3, 9):
             if rng.random() > 0.02:
                 continue
             perm = list(range(3))
             rng.shuffle(perm)
-            renamed = Word(bytes(perm[c] for c in codes))
-            assert s_sequence(renamed).s == s_sequence(Word(codes)).s
+            word = Word.from_text(text)
+            renamed = Word(bytes(perm[c] for c in word))
+            assert s_sequence(renamed).s == s_sequence(word).s
 
     def test_every_word_canonicalizes_into_enumeration(self):
         # first-occurrence renaming maps any word to exactly one enumerated
         # canonical word, with the same census
         for length in range(1, 7):
-            enumerated = set(iter_canonical_words(3, length))
+            enumerated = {Word.from_text(t).codes for t in canonical_words(3, length)}
             for text in all_words(3, length):
                 word = Word.from_text(text)
                 mapping: dict[int, int] = {}
@@ -77,14 +81,46 @@ class TestExhaustiveVerify:
         with pytest.raises(ValueError, match="unknown properties"):
             exhaustive_verify(SweepConfig(2, 6, properties=("no_such_check",)))
 
-    def test_cost_ceiling(self, monkeypatch):
-        with pytest.raises(CostCeilingError):
+    def test_cost_ceiling(self):
+        with pytest.raises(CostCeilingError, match="ceiling 36"):
             exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
-        monkeypatch.setenv("FSDSQ_COST_CEILING", "40")
-        assert cost_ceiling() == 40
-        monkeypatch.setenv("FSDSQ_COST_CEILING", "zap")
-        with pytest.raises(ValueError):
-            cost_ceiling()
+        with pytest.raises(CostCeilingError):
+            exhaustive_verify(SweepConfig(alphabet_size=1, max_len=37))
+        assert exhaustive_verify(SweepConfig(alphabet_size=1, max_len=36)).total_words == 36
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_parallelism_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            exhaustive_verify(SweepConfig(2, 6, parallelism=jobs))
+        assert main(["verify", "--max-len", "6", "--jobs", str(jobs)]) == 1
+        assert "parallelism must be at least 1" in capsys.readouterr().err
+
+    def test_pool_sized_to_pending_blocks(self, monkeypatch, tmp_path, crash_after):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, func, args):
+                return map(func, args)
+
+        monkeypatch.setattr(fsdsq.sweep, "Pool", FakePool)
+        serial = _json(exhaustive_verify(SweepConfig(2, 6)))
+        assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
+        assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=2))) == serial
+        ck = str(tmp_path / "sweep.ck")
+        with crash_after(30):
+            exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck))
+        resumed = exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck, parallelism=64))
+        assert _json(resumed) == serial
+        assert sizes == [1 + 32, 2, 3]
 
     def test_ceiling_override_flag(self):
         report = exhaustive_verify(
@@ -93,30 +129,33 @@ class TestExhaustiveVerify:
 
 
 class TestDeterminism:
-    BASE = SweepConfig(alphabet_size=2, max_len=12, block_prefix_len=5)
+    BASE = SweepConfig(alphabet_size=2, max_len=12)
 
-    def test_parallelism_does_not_change_report(self):
+    def test_parallelism_does_not_change_report(self, monkeypatch):
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
         seq = exhaustive_verify(self.BASE)
-        par = exhaustive_verify(SweepConfig(2, 12, block_prefix_len=5, parallelism=3))
+        par = exhaustive_verify(SweepConfig(2, 12, parallelism=3))
         assert _json(seq) == _json(par)
 
-    def test_resume_equivalence(self, tmp_path):
+    def test_resume_equivalence(self, tmp_path, monkeypatch, crash_after):
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
         ck = str(tmp_path / "sweep.ck")
-        with pytest.raises(SweepInterrupted):
-            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck,
-                                          block_prefix_len=5, stop_after_blocks=4))
-        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck,
-                                                block_prefix_len=5))
+        with crash_after(4):
+            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck))
+        assert len((tmp_path / "sweep.ck").read_text().splitlines()) == 1 + 4
+        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck, parallelism=2))
         fresh = exhaustive_verify(self.BASE)
         assert _json(resumed) == _json(fresh)
 
     def test_checkpoint_format(self, tmp_path):
         ck = str(tmp_path / "sweep.ck")
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck, block_prefix_len=4))
+        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck))
         lines = (tmp_path / "sweep.ck").read_text().splitlines()
-        assert lines[0].startswith("fsdsq-sweep-checkpoint\tversion=2\t")
-        assert "alphabet_size=2" in lines[0]
-        assert "max_len=8" in lines[0]
+        assert lines[0] == (
+            "fsdsq-sweep-checkpoint\tversion=2\talphabet_size=2\tmax_len=8"
+            "\tblock_prefix_len=7\tproperties=census_max_two,distinct_below_twice_length,"
+            "factorization_roundtrip,pair_shapes,equal_pair_checks,unequal_pair_checks,"
+            "adjacent_mates,pair_end_order,run_length_bound")
         for line in lines[1:]:
             kind, block_id, payload = line.split("\t", 2)
             assert kind == "block"
@@ -124,50 +163,47 @@ class TestDeterminism:
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         ck = str(tmp_path / "sweep.ck")
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck, block_prefix_len=4))
+        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck))
         with pytest.raises(ValueError, match="does not match"):
-            exhaustive_verify(SweepConfig(2, 9, checkpoint_path=ck, block_prefix_len=4))
+            exhaustive_verify(SweepConfig(2, 9, checkpoint_path=ck))
 
     @pytest.mark.parametrize("cut", [1, 7, 40])
-    def test_line_cut_short_is_recomputed(self, tmp_path, cut):
+    def test_line_cut_short_is_recomputed(self, tmp_path, cut, monkeypatch, crash_after):
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
         ck = tmp_path / "sweep.ck"
-        with pytest.raises(SweepInterrupted):
-            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck),
-                                          block_prefix_len=5, stop_after_blocks=6))
+        with crash_after(6):
+            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck)))
         data = ck.read_bytes()
         ck.write_bytes(data[:-cut])  # a crash in the middle of the last line
-        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck),
-                                                block_prefix_len=5))
+        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck)))
         assert _json(resumed) == _json(exhaustive_verify(self.BASE))
         lines = ck.read_text().split("\n")
         assert lines[-1] == ""
         block_ids = [line.split("\t")[1] for line in lines[1:-1]]
         assert sorted(block_ids) == sorted(set(block_ids))
-        assert len(block_ids) == 1 + sum(1 for _ in iter_canonical_words(2, 5))
+        assert len(block_ids) == 1 + len(list(canonical_words(2, 5)))
         # the repaired file resumes again to the same report
-        again = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck),
-                                              block_prefix_len=5))
+        again = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck)))
         assert _json(again) == _json(resumed)
 
     def test_version_one_is_refused_by_name(self, tmp_path, capsys):
         ck = tmp_path / "sweep.ck"
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=str(ck), block_prefix_len=4))
+        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=str(ck)))
         text = ck.read_text().replace("\tversion=2\t", "\tversion=1\t", 1)
         ck.write_text(text)
-        code = main(["verify", "--max-len", "8", "--block-prefix-len", "4",
-                     "--checkpoint", str(ck)])
+        code = main(["verify", "--max-len", "8", "--checkpoint", str(ck)])
         err = capsys.readouterr().err
         assert code == 1
         assert "version 1" in err and "does not match" not in err
         assert ck.read_text() == text
 
-    def test_checkpoint_is_appended_not_rewritten(self, tmp_path):
+    def test_checkpoint_is_appended_not_rewritten(self, tmp_path, monkeypatch, crash_after):
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 4)
         ck = tmp_path / "sweep.ck"
-        with pytest.raises(SweepInterrupted):
-            exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck),
-                                          block_prefix_len=4, stop_after_blocks=3))
+        with crash_after(3):
+            exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck)))
         first = ck.read_text()
-        exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck), block_prefix_len=4))
+        exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck)))
         assert ck.read_text().startswith(first)
 
 
@@ -176,8 +212,8 @@ def _reference_per_length(alphabet_size, max_len):
     out = {}
     for n in range(1, max_len + 1):
         st = out[n] = LengthStats()
-        for codes in iter_canonical_words(alphabet_size, n):
-            word = Word(codes)
+        for text in canonical_words(alphabet_size, n):
+            word = Word.from_text(text)
             report = s_sequence(word)
             run = report.longest_run[1]
             st.words += 1
@@ -228,8 +264,7 @@ class TestLeftExtensionSweep:
         else:
             # reversed, the walk lists exactly the left-canonical words
             assert sorted(t[::-1] for t in texts) == sorted(
-                Word(c).text for n in range(1, max_len + 1)
-                for c in iter_canonical_words(alphabet_size, n))
+                t for n in range(1, max_len + 1) for t in canonical_words(alphabet_size, n))
 
     @pytest.mark.parametrize("alphabet_size,max_len,suffix", [
         (2, 10, ""), (3, 7, ""), (2, 18, "abbababbabbababba"[-12:]),
@@ -268,11 +303,10 @@ class TestLeftExtensionSweep:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("block_len", [1, 3, 7])
-    def test_stats_match_full_census(self, reference, block_len, jobs):
+    def test_stats_match_full_census(self, reference, block_len, jobs, monkeypatch):
         alphabet_size, max_len, expected = reference
-        report = exhaustive_verify(SweepConfig(alphabet_size, max_len,
-                                               block_prefix_len=block_len,
-                                               parallelism=jobs))
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
+        report = exhaustive_verify(SweepConfig(alphabet_size, max_len, parallelism=jobs))
         assert report.findings == ()
         assert report.per_length == expected
 
@@ -281,17 +315,29 @@ class TestLeftExtensionSweep:
             raise CounterexampleError("planted")
 
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
-        expected = [Word(codes).text
-                    for n in range(1, 13) for codes in iter_canonical_words(2, n)
-                    if s_sequence(Word(codes)).max_s >= 2]
+        expected = [text for n in range(1, 13) for text in canonical_words(2, n)
+                    if s_sequence(Word.from_text(text)).max_s >= 2]
         assert len(expected) > 10
         for block_len in (1, 3, 7):
+            monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
             for jobs in (1, 2):
-                report = exhaustive_verify(SweepConfig(2, 12, block_prefix_len=block_len,
-                                                       parallelism=jobs))
+                report = exhaustive_verify(SweepConfig(2, 12, parallelism=jobs))
                 assert [f.word for f in report.findings] == expected
                 assert {(f.property, f.detail) for f in report.findings} == {
                     ("factorization_roundtrip", "planted")}
+
+
+def test_public_names():
+    for name in fsdsq.__all__:
+        assert getattr(fsdsq, name) is not None
+    for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words"):
+        assert gone not in fsdsq.__all__
+        assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
+    assert not hasattr(fsdsq.sweep, "COST_CEILING_ENV")
+    assert not hasattr(Word, "rotate")
+    assert [f.name for f in dataclasses.fields(SweepConfig)] == [
+        "alphabet_size", "max_len", "properties", "checkpoint_path", "parallelism",
+        "allow_over_ceiling"]
 
 
 class TestMinimalPairLength:
