@@ -11,9 +11,8 @@ from .errors import (CostCeilingError, CounterexampleError, ExtensionBudgetError
                      NoExtensionError, UnclassifiablePairError)
 from .pairs import (Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
-from .sweep import (ALL_PROPERTIES, Finding, LengthStats, RatioTable,
-                    SweepConfig, SweepReport, exhaustive_verify, extremal_ratio,
-                    minimal_pair_length)
+from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepConfig,
+                    SweepReport, exhaustive_verify, minimal_pair_length)
 from .words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 __version__ = "0.1.0"
@@ -23,13 +22,12 @@ __all__ = [
     "CounterexampleError", "ExtensionBudgetError", "Factorization",
     "FactorizationError", "Finding", "FindingError", "ForbiddenPairError",
     "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
-    "NoExtensionError", "PairClassification", "PairKind", "RatioTable",
-    "RunReport", "SweepConfig", "SweepReport", "UnclassifiablePairError",
-    "Word", "are_conjugate", "build_run", "canonical_factorization",
-    "classify_mate_detail", "exhaustive_verify",
-    "extend_equal_run", "extend_unequal", "extremal_ratio",
-    "find_double_square_pairs", "find_fs_double_squares", "is_primitive",
-    "lcp", "minimal_pair_length", "ordering_case",
+    "NoExtensionError", "PairClassification", "PairKind", "RunReport",
+    "SweepConfig", "SweepReport", "UnclassifiablePairError", "Word",
+    "are_conjugate", "build_run", "canonical_factorization",
+    "classify_mate_detail", "exhaustive_verify", "extend_equal_run",
+    "extend_unequal", "find_double_square_pairs", "find_fs_double_squares",
+    "is_primitive", "lcp", "minimal_pair_length", "ordering_case",
     "primitive_root", "render_census_tsv", "rightmost_map", "run_report",
     "s_sequence",
 ]

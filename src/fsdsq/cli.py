@@ -179,8 +179,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "run":
         if args.target is None:
             raise ValueError("--target is required for --kind run")
-        report = build_run(args.target, args.alphabet_size, variant=args.variant,
-                           budget=args.budget)
+        report = build_run(args.target)
     elif args.kind == "equal":
         if args.seed is None:
             raise ValueError("--seed is required for --kind equal")
@@ -237,8 +236,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means a finding."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fsdsq",
         description="Rightmost distinct squares, FS-double squares and runs of 2's")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("equal", "unequal", "run"), required=True)
     p.add_argument("--seed", help="seed word for equal/unequal extension")
     p.add_argument("--target", type=int, help="target run length for --kind run")
-    p.add_argument("--variant", choices=("short", "long"), default="short")
-    p.add_argument("--alphabet-size", type=int, default=2)
+    p.add_argument("--variant", choices=("short", "long"), default="short",
+                   help="middle of the new block for --kind unequal")
     p.add_argument("--budget", type=int, default=20000,
-                   help="candidate budget for the fallback search")
+                   help="candidate budget of the fallback search for --kind unequal")
     add_format(p)
     p.set_defaults(func=cmd_generate)
 

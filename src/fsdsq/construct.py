@@ -1,18 +1,25 @@
 """Constructions that realise long runs of census value 2.
 
-Two moves extend a word ending in an FS-double square:
+``build_run(T)`` returns a closed-form word.  With x1 = a^(T-1) b,
+u = x1 a and SQ = u x1 u, the word SQ SQ SQ[:T-1] has length 7T + 3 and a
+run of exactly T census-2 positions at its start.  The double squares of
+the run are conjugates of SQ^2, so every adjacent pair in it is equal, as
+the paper shows for a longest run.
 
-* equal move: append the next prefix letter of the frontier square.  Each
+Two extensions grow a given word that ends in an FS-double square
+(``generate --kind equal`` and ``--kind unequal``):
+
+* equal: append the next prefix letter of the frontier square.  Each
   accepted letter shifts a conjugate of the frontier square one position
   right, so the run grows by one per letter until the conjugate supply is
   exhausted.
-* unequal move: rebuild the tail as a (V m V)^2 block derived from the
+* unequal: rebuild the tail as a (V m V)^2 block derived from the
   frontier square (drop its first letter a, close with a breaking letter
   b != a).  The middle m is a short prefix of V, or V followed by such a
   prefix for the long variant.  This plants a much longer double square one
   position right of the frontier, roughly quadrupling the word.
 
-Every accepted candidate is re-verified by a full census; construction
+Every returned word is re-verified by a full census; construction
 metadata is advisory only.
 """
 
@@ -24,12 +31,9 @@ from itertools import product
 
 from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
-from .errors import ExtensionBudgetError, NoExtensionError
+from .errors import CounterexampleError, ExtensionBudgetError, NoExtensionError
 from .pairs import PairKind, find_double_square_pairs
 from .words import Word, lcp
-
-SMALLEST_DOUBLE_SQUARE = Word.from_text("abaababaab")
-SMALLEST_EQUAL_EXTENSIBLE = Word.from_text("aabaaabaabaaab")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +88,16 @@ def _run_report(report: CensusReport,
     return RunReport(word=word, T=t, ratio=ratio, steps=tuple(steps), findings=findings)
 
 
-def _equal_phase(report0: CensusReport, frontier: int) -> tuple[CensusReport, int]:
-    """Append prefix letters of the square frontier..end while the leading
-    run of 2's keeps growing.  Returns the census of the longest achieved
-    word and the number of letters appended."""
+def _equal_phase(report0: CensusReport) -> tuple[CensusReport, int]:
+    """Append the word's own prefix letters while the leading run of 2's
+    keeps growing.  Returns the census of the longest achieved word and the
+    number of letters appended."""
     w0 = report0.word
     report = report0
     current = report0.leading_run
     k = 0
-    while frontier - 1 + k < len(w0):
-        cand = s_sequence(report.word + w0[frontier - 1 + k:frontier + k])
+    while k < len(w0):
+        cand = s_sequence(report.word + w0[k:k + 1])
         run = cand.leading_run
         if run <= current:
             break
@@ -117,7 +121,7 @@ def extend_equal_run(seed: Word) -> RunReport:
     if lcp(f.period, f.x2 + f.x1) == 0:
         raise NoExtensionError(
             "no equal extension: period and its rotation share no common prefix")
-    report, appended = _equal_phase(seed_report, 1)
+    report, appended = _equal_phase(seed_report)
     steps = [BuildStep("equal", report.word[len(seed):].text)] if appended else []
     return _run_report(report, steps)
 
@@ -161,30 +165,6 @@ def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
         yield w[:i - 1] + a + (v + middle + v) * 2
 
 
-def _unequal_extend_at(w: Word, fs: FsDoubleSquare, variant: str,
-                       budget: int) -> tuple[CensusReport, str]:
-    """Census of the first accepted candidate and the letters it appends."""
-    for candidate in _unequal_candidates(w, fs, variant):
-        report = _accepts_unequal(candidate, fs.position)
-        if report is not None:
-            return report, report.word[len(w):].text
-    # Templates failed: bounded breadth-first search over appended suffixes,
-    # shortest first, lexicographic within a length; first accepted wins.
-    alphabet = max(max(w.codes), 1) + 1
-    tried = 0
-    length = 1
-    while True:
-        for combo in product(range(alphabet), repeat=length):
-            tried += 1
-            if tried > budget:
-                raise ExtensionBudgetError(
-                    f"no unequal extension found within budget ({budget} candidates)")
-            report = _accepts_unequal(w + Word(combo), fs.position)
-            if report is not None:
-                return report, report.word[len(w):].text
-        length += 1
-
-
 def extend_unequal(w: Word, variant: str = "short", *, budget: int = 20000) -> RunReport:
     """Extend a word ending in an FS-double square with a new, longer double
     square one position right of the frontier."""
@@ -197,48 +177,49 @@ def extend_unequal(w: Word, variant: str = "short", *, budget: int = 20000) -> R
     if not enders:
         raise ValueError("word does not end in an FS-double square")
     fs = max(enders, key=lambda q: q.position)
-    report, letters = _unequal_extend_at(w, fs, variant, budget)
-    return _run_report(report, [BuildStep("unequal", letters)])
+    for candidate in _unequal_candidates(w, fs, variant):
+        report = _accepts_unequal(candidate, fs.position)
+        if report is not None:
+            return _run_report(report, [BuildStep("unequal", report.word[len(w):].text)])
+    # Templates failed: bounded breadth-first search over appended suffixes,
+    # shortest first, lexicographic within a length; first accepted wins.
+    alphabet = max(w.codes) + 1
+    tried = 0
+    length = 1
+    while True:
+        for combo in product(range(alphabet), repeat=length):
+            tried += 1
+            if tried > budget:
+                raise ExtensionBudgetError(
+                    f"no unequal extension found within budget ({budget} candidates)")
+            report = _accepts_unequal(w + Word(combo), fs.position)
+            if report is not None:
+                return _run_report(report, [BuildStep("unequal", report.word[len(w):].text)])
+        length += 1
 
 
-def build_run(target: int, alphabet_size: int = 2, *, variant: str = "short",
-              budget: int = 20000) -> RunReport:
-    """Construct a word whose verified longest run of 2's reaches ``target``.
+def build_run(target: int) -> RunReport:
+    """The closed-form word whose census has a run of exactly ``target``
+    2's, starting at position 1.
 
-    Starts from the smallest double-square word (target 1) or the smallest
-    one admitting conjugate extensions, then alternates equal moves to their
-    ceiling with one unequal (doubling) move per missing run position.
+    With T = target, x1 = a^(T-1) b, u = x1 a and SQ = u x1 u, the word is
+    SQ SQ SQ[:T-1], of length 7T + 3.  Its double squares at positions
+    1..T are conjugates of SQ^2, so every adjacent pair in the run is equal.
+    The run is read from one census of the word, never from the formula; a
+    census that disagrees is a finding.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    if alphabet_size < 2:
-        raise ValueError("runs need an alphabet of at least two letters")
-    if target == 1:
-        return run_report(SMALLEST_DOUBLE_SQUARE)
-
-    # Each accepted word's census is handed on, so every word is censused once.
-    report = s_sequence(SMALLEST_EQUAL_EXTENSIBLE)
-    steps: list[BuildStep] = []
-    run = report.leading_run
-    while run < target:
-        grown, appended = _equal_phase(report, run)
-        if appended:
-            steps.append(BuildStep("equal", grown.word[len(report.word):].text))
-            report = grown
-            run = report.leading_run
-            if run >= target:
-                break
-        w = report.word
-        squares = find_fs_double_squares(w, report.roots)
-        fs = next((q for q in squares if q.position == run and q.end == len(w)), None)
-        if fs is None:
-            raise NoExtensionError(
-                f"run frontier {run} of {w.text!r} does not end in a double square")
-        report, letters = _unequal_extend_at(w, fs, variant, budget)
-        steps.append(BuildStep("unequal", letters))
-        new_run = report.leading_run
-        if new_run <= run:
-            raise NoExtensionError(
-                f"unequal move failed to grow the run ({run} -> {new_run})")
-        run = new_run
-    return _run_report(report, steps)
+    x1 = "a" * (target - 1) + "b"
+    u = x1 + "a"
+    root = u + x1 + u
+    text = root + root + root[:target - 1]
+    if target == 1:  # babbababba: rename so that the word starts with a
+        text = text.translate(str.maketrans("ab", "ba"))
+    report = s_sequence(Word.from_text(text))
+    if report.longest_run != (1, target):
+        start, length = report.longest_run
+        raise CounterexampleError(
+            f"closed-form word of length {len(text)} has its longest run of 2's "
+            f"({length}) at position {start}, not {target} at position 1")
+    return _run_report(report, ())

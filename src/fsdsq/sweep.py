@@ -32,7 +32,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from multiprocessing import Pool
 
 from .census import _census_step
@@ -502,25 +501,3 @@ def minimal_pair_length(alphabet_size: int, cap: int, *,
     if best is None:
         return None, None
     return best[0], Word(best[1])
-
-
-@dataclass(frozen=True)
-class RatioTable:
-    rows: tuple[tuple[int, int, Fraction], ...]
-    findings: tuple[Finding, ...]
-
-
-def extremal_ratio(alphabet_size: int, max_len: int, *, parallelism: int = 1,
-                   allow_over_ceiling: bool = False) -> RatioTable:
-    """Per length: the maximum run of 2's over all words of that length and
-    the exact best ratio; bound violations are listed as findings."""
-    config = SweepConfig(alphabet_size=alphabet_size, max_len=max_len,
-                         properties=("run_length_bound",),
-                         parallelism=parallelism,
-                         allow_over_ceiling=allow_over_ceiling)
-    report = exhaustive_verify(config)
-    rows = tuple(
-        (n, st.max_run, Fraction(st.max_run, n))
-        for n, st in sorted(report.per_length.items())
-    )
-    return RatioTable(rows=rows, findings=report.findings)

@@ -11,7 +11,7 @@ from fsdsq.census import s_sequence
 from fsdsq.construct import build_run, extend_unequal
 from fsdsq.double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
-from fsdsq.sweep import SweepConfig, exhaustive_verify, extremal_ratio, minimal_pair_length
+from fsdsq.sweep import SweepConfig, exhaustive_verify, minimal_pair_length
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_s
@@ -170,10 +170,12 @@ def test_criterion_07_unequal_inequalities():
 
 def test_criterion_08_run_bound():
     start = time.perf_counter()
-    table = extremal_ratio(2, 18, parallelism=8)
-    assert table.findings == ()
-    for n, t, ratio in table.rows:
-        assert 7 * t < n
+    sweep = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
+                                          properties=("run_length_bound",),
+                                          parallelism=8))
+    assert sweep.findings == ()
+    for n, st in sweep.per_length.items():
+        assert 7 * st.max_run < n
     report = build_run(4)
     assert report.T >= 4
     assert 7 * report.T < report.n

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fsdsq.cli import main
 from fsdsq.words import Word
 
@@ -130,6 +132,34 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--kind", "equal")
         assert code == 1
         assert "seed" in err
+
+    def test_run_json_is_closed_form(self, capsys):
+        code, out, _ = run(capsys, "generate", "--kind", "run", "--target", "40",
+                           "-f", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["n"], payload["T"], payload["steps"]) == (283, 40, [])
+
+
+class TestUsageErrors:
+    # exit 2 means a finding, so argparse's own exit 2 must not leak out
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["generate", "--kind", "nope"],
+        ["generate", "--kind", "run", "--target", "3", "--alphabet-size", "2"],
+    ])
+    def test_parser_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--help"])
+        assert exc.value.code == 0
+        assert "--kind unequal" in capsys.readouterr().out
 
 
 class TestVerify:

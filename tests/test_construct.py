@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import fsdsq.construct
 from fsdsq.census import s_sequence
 from fsdsq.construct import (build_run, extend_equal_run, extend_unequal,
                              run_report)
 from fsdsq.double_squares import find_fs_double_squares
-from fsdsq.errors import NoExtensionError
+from fsdsq.errors import CounterexampleError, NoExtensionError
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.words import Word, lcp
 
@@ -151,34 +152,68 @@ class TestBuildRun:
         assert rep.ratio == Fraction(1, 10)
 
     def test_target_two(self):
+        # the shortest word with two adjacent census-2 positions
         rep = build_run(2)
-        assert rep.T >= 2
-        assert rep.n >= 15
-        assert rep.bound_ok
+        assert rep.word.text == EQUAL_17
+        assert rep.T == 2
+        assert rep.ratio == Fraction(2, 17)
 
     def test_target_four(self):
         rep = build_run(4)
-        assert rep.T >= 4
+        assert (rep.n, rep.T) == (31, 4)
         assert 7 * rep.T < rep.n
         # the run is re-verified by the census, not trusted from construction
         assert rep.T == s_sequence(rep.word).longest_run[1]
 
+    def test_closed_form_to_forty(self):
+        for t in range(1, 41):
+            rep = build_run(t)
+            assert rep.n == 7 * t + 3
+            assert rep.word.text[0] == "a"
+            assert rep.steps == ()
+            assert s_sequence(rep.word).longest_run == (1, t)
+            # the squares of the run are conjugates: every adjacent pair is
+            # equal and passes the conjugacy and shift checks
+            pairs = find_double_square_pairs(rep.word)
+            assert [p.position for p in pairs] == list(range(1, t))
+            for pair in pairs:
+                assert pair.kind is PairKind.EQUAL
+                assert pair.all_checks_pass
+
+    def test_target_three_hundred(self):
+        rep = build_run(300)
+        assert (rep.n, rep.T) == (2103, 300)
+        assert s_sequence(rep.word).longest_run == (1, 300)
+
     def test_doubling_steps(self):
-        # along the chain, each unequal move more than doubles the frontier
-        # square; verify on the word by reading the adjacent pairs
-        rep = build_run(3)
-        for pair in find_double_square_pairs(rep.word):
-            if pair.kind is PairKind.UNEQUAL:
-                assert pair.second.SQ_len > 2 * pair.first.SQ_len
+        # along a chain of unequal moves, each new frontier square is more
+        # than twice as long as the previous one; read off the word's pairs
+        w = W("aabaaabaabaaab")
+        sizes = []
+        for _ in range(3):
+            w = extend_unequal(w).word
+            sizes.append(len(w))
+        assert sizes == [61, 244, 973]
+        unequal = [p for p in find_double_square_pairs(w) if p.kind is PairKind.UNEQUAL]
+        assert [p.position for p in unequal] == [1, 2, 3]
+        for pair in unequal:
+            assert pair.second.SQ_len > 2 * pair.first.SQ_len
+            assert pair.all_checks_pass
+        for a, b in zip(unequal, unequal[1:]):
+            assert b.first == a.second
 
     def test_one_census_per_word(self, census_calls):
         rep = build_run(4)
-        assert census_calls
-        assert len(census_calls) == len(set(census_calls))
-        assert rep.word.codes in census_calls
+        assert census_calls == [rep.word.codes]
+
+    def test_census_mismatch_is_a_finding(self, monkeypatch):
+        other = s_sequence(W(EQUAL_17))
+        monkeypatch.setattr(fsdsq.construct, "s_sequence", lambda word: other)
+        with pytest.raises(CounterexampleError):
+            build_run(3)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             build_run(0)
         with pytest.raises(ValueError):
-            build_run(2, alphabet_size=1)
+            build_run(-1)

@@ -11,7 +11,7 @@ from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.sweep import (LengthStats, SweepConfig, _plan_blocks, exhaustive_verify,
-                         extremal_ratio, minimal_pair_length)
+                         minimal_pair_length)
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
@@ -330,7 +330,8 @@ class TestLeftExtensionSweep:
 def test_public_names():
     for name in fsdsq.__all__:
         assert getattr(fsdsq, name) is not None
-    for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words"):
+    for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words",
+                 "extremal_ratio", "RatioTable"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
     assert not hasattr(fsdsq.sweep, "COST_CEILING_ENV")
@@ -359,11 +360,12 @@ class TestMinimalPairLength:
 
 class TestExtremalRatio:
     def test_binary_to_twelve(self):
-        table = extremal_ratio(2, 12)
-        assert table.findings == ()
-        by_n = {n: t for n, t, _ in table.rows}
+        report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=12,
+                                               properties=("run_length_bound",)))
+        assert report.findings == ()
+        by_n = {n: st.max_run for n, st in report.per_length.items()}
+        assert sorted(by_n) == list(range(1, 13))
         assert all(by_n[n] == 0 for n in range(1, 10))
         assert all(by_n[n] == 1 for n in range(10, 13))
-        for n, t, ratio in table.rows:
+        for n, t in by_n.items():
             assert 7 * t < n
-            assert ratio == (t and ratio)  # exact Fraction, no floats
