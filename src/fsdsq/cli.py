@@ -280,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive property sweep")
     p.add_argument("--alphabet-size", type=int, default=2)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; at most one per usable CPU")
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
     p.add_argument("--properties", help="comma-separated property subset")
     p.add_argument("--override-ceiling", action="store_true",

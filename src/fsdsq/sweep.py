@@ -16,14 +16,19 @@ end, the best run, the largest s_i, and the rightmost roots of every
 position with s_i >= 2, which structure analysis reads instead of
 rescanning.
 
-Work is split into blocks: one block per canonical suffix of length
-``BLOCK_SUFFIX_LEN``, plus one block for all shorter words.  Blocks share
-nothing, so they can run on worker processes.  Partial aggregates merge by sums and
-maxima, and findings are sorted by (length, word), so the report does not
-depend on worker count, completion order or checkpoint resume points.
-The checkpoint file is line-oriented text: a header, then one ``block``
-line appended and flushed per completed block.  A resume drops a trailing
-line that a crash cut short and recomputes that block.
+Work is split into blocks: one block per canonical suffix of length b,
+plus one block for all shorter words.  b is the longest length up to
+``BLOCK_SUFFIX_LEN`` (and ``max_len``) with at most 64 canonical suffixes,
+the binary count at ``BLOCK_SUFFIX_LEN``; so binary keeps suffixes of 7 and
+ternary and 4-ary get suffixes of 5, and no alphabet gets more than 65
+blocks.  Blocks share nothing, so they can run on worker processes, at most
+one per usable CPU, which take them in chunks to save per-task round trips.
+Partial aggregates merge by sums and maxima, and findings are sorted by
+(length, word), so the report does not depend on worker count, completion
+order or checkpoint resume points.  The checkpoint file is line-oriented
+text: a header that records b, then one ``block`` line appended and flushed
+per completed block.  A resume drops a trailing line that a crash cut short
+and recomputes that block; a checkpoint of another block plan is refused.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .pairs import PairKind, find_double_square_pairs
 from .words import Word
 
 COST_CEILING = 36
-# The checkpoint header records it as ``block_prefix_len``.
+# The longest block suffix; ``_plan_blocks`` picks the one used, which the
+# checkpoint header records as ``block_prefix_len``.
 BLOCK_SUFFIX_LEN = 7
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -227,18 +233,31 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
 
 # ------------------------------------------------------------------- blocks
 
-def _plan_blocks(alphabet_size: int, b: int) -> list[str]:
-    """The block of all words shorter than ``b``, then one block per
-    right-canonical suffix of length ``b``."""
-    blocks = [""]
+def _plan_blocks(alphabet_size: int, max_len: int) -> tuple[int, list[str]]:
+    """The suffix length ``b`` of the sweep's blocks, and the blocks: the
+    words shorter than ``b``, then one block per right-canonical suffix of
+    length ``b``.  ``b`` is the longest length up to ``BLOCK_SUFFIX_LEN`` and
+    ``max_len`` with at most ``2**(BLOCK_SUFFIX_LEN - 1)`` suffixes, which
+    is the binary count at ``BLOCK_SUFFIX_LEN``.  One walk lists the
+    suffixes of every candidate length."""
+    top = min(BLOCK_SUFFIX_LEN, max_len)
+    by_len: list[list[str]] = [[] for _ in range(top + 1)]
 
     def visit(buf, i, distinct, max_s, run, doubles):
-        if not i:
-            blocks.append(Word(buf).text)
+        by_len[top - i].append(Word(buf[i:]).text)
         return True
 
-    _walk(alphabet_size, b, b"", visit)
-    return blocks
+    _walk(alphabet_size, top, b"", visit)
+    limit = 2 ** (BLOCK_SUFFIX_LEN - 1)
+    b = max(n for n in range(1, top + 1) if len(by_len[n]) <= limit)
+    return b, [""] + by_len[b]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _process_block(args: tuple) -> tuple[str, dict]:
@@ -335,13 +354,13 @@ def _check_word(word: Word, distinct: int, max_s: int, run: int, roots: dict,
 
 # --------------------------------------------------------------- checkpoint
 
-def _checkpoint_header(config: SweepConfig) -> str:
+def _checkpoint_header(config: SweepConfig, b: int) -> str:
     return "\t".join([
         CHECKPOINT_MAGIC,
         f"version={CHECKPOINT_VERSION}",
         f"alphabet_size={config.alphabet_size}",
         f"max_len={config.max_len}",
-        f"block_prefix_len={BLOCK_SUFFIX_LEN}",
+        f"block_prefix_len={b}",
         "properties=" + ",".join(config.properties),
     ])
 
@@ -354,12 +373,12 @@ def _block_line(block_id: str, partial: dict) -> str:
     return f"block\t{block_id or '-'}\t{json.dumps(payload, sort_keys=True)}\n"
 
 
-def _open_checkpoint(path: str, config: SweepConfig):
+def _open_checkpoint(path: str, config: SweepConfig, b: int):
     """The blocks the checkpoint at ``path`` records, and the file opened
     for appending.  A missing or empty file starts fresh with a header.  A
     trailing line without its newline was cut short: it is cut off the file
     and its block is recomputed."""
-    header = _checkpoint_header(config)
+    header = _checkpoint_header(config, b)
     data = b""
     if os.path.exists(path):
         with open(path, "rb") as fh:
@@ -382,7 +401,9 @@ def _open_checkpoint(path: str, config: SweepConfig):
             f"version {CHECKPOINT_VERSION}, whose blocks are keyed by suffix. "
             "Delete it to start the sweep over")
     if lines[0] != header:
-        raise ValueError(f"checkpoint {path} does not match this sweep configuration")
+        differ = [f for f in fields if f not in header.split("\t")]
+        raise ValueError(f"checkpoint {path} does not match this sweep configuration"
+                         + (f": it has {', '.join(differ)}" if differ else ""))
     done: dict[str, dict] = {}
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -419,12 +440,11 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     _check_ceiling(config.alphabet_size, config.max_len, config.allow_over_ceiling)
 
     start = time.monotonic()
-    b = min(BLOCK_SUFFIX_LEN, config.max_len)
-    blocks = _plan_blocks(config.alphabet_size, b)
+    b, blocks = _plan_blocks(config.alphabet_size, config.max_len)
     done: dict[str, dict] = {}
     checkpoint = None
     if config.checkpoint_path:
-        done, checkpoint = _open_checkpoint(config.checkpoint_path, config)
+        done, checkpoint = _open_checkpoint(config.checkpoint_path, config, b)
     try:
         unknown_blocks = set(done) - set(blocks)
         if unknown_blocks:
@@ -438,9 +458,12 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
                 checkpoint.write(_block_line(block_id, partial))
                 checkpoint.flush()
 
-        if config.parallelism > 1 and len(args) > 1:
-            with Pool(min(config.parallelism, len(args))) as pool:
-                for block_id, partial in pool.imap_unordered(_process_block, args):
+        workers = min(config.parallelism, len(args), _usable_cpus())
+        if workers > 1:
+            # About four chunks per worker, as ``Pool.map`` sizes them.
+            chunksize = max(1, len(args) // (4 * workers))
+            with Pool(workers) as pool:
+                for block_id, partial in pool.imap_unordered(_process_block, args, chunksize):
                     record(block_id, partial)
         else:
             for arg in args:

@@ -184,6 +184,21 @@ class TestVerify:
                          "--deterministic", "--jobs", "2")
         assert out1 == out2
 
+    def test_ternary_report_independent_of_jobs_and_resume(self, capsys, tmp_path,
+                                                            crash_after):
+        argv = ("verify", "--alphabet-size", "3", "--max-len", "10", "-f", "json",
+                "--deterministic")
+        code, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and json.loads(serial)["total_words"] == 14767
+        assert run(capsys, *argv, "--jobs", "2")[1] == serial
+        ck = tmp_path / "sweep.ck"
+        with crash_after(5):
+            main([*argv, "--checkpoint", str(ck)])
+        assert len(ck.read_text().splitlines()) == 1 + 5
+        capsys.readouterr()
+        assert run(capsys, *argv, "--jobs", "2", "--checkpoint", str(ck)) == (0, serial, "")
+        assert len(ck.read_text().splitlines()) == 1 + 42
+
     def test_tsv_table(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-len", "8", "-f", "tsv")
         assert code == 0

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,11 @@ from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
 
+# Checkpoints written before the block plan was sized to the alphabet, when
+# every alphabet was keyed by suffixes of length 7: a binary sweep to 9 and
+# a ternary sweep to 10, each stopped after a few blocks.
+DATA = Path(__file__).parent / "data"
+
 
 def _json(report, timing=False):
     return json.dumps(report.to_json_dict(include_timing=timing), sort_keys=True)
@@ -26,13 +33,35 @@ class TestCanonicalEnumeration:
     def test_matches_oracle(self, alphabet_size, length):
         # the block plan: the shorter words, then every right-canonical
         # suffix of the key length, in the order of their reversals
-        blocks = _plan_blocks(alphabet_size, length)
+        key_len, blocks = _plan_blocks(alphabet_size, length)
+        assert key_len == length
         assert blocks[0] == ""
         assert [b[::-1] for b in blocks[1:]] == list(canonical_words(alphabet_size, length))
 
     def test_counts(self):
-        assert len(_plan_blocks(2, 10)) == 1 + 512
-        assert len(_plan_blocks(1, 9)) == 1 + 1
+        # the longest suffix length with at most 64 suffixes, capped at 7
+        plans = {a: _plan_blocks(a, 10) for a in (1, 2, 3, 4)}
+        assert {a: (b, len(blocks)) for a, (b, blocks) in plans.items()} == {
+            1: (7, 1 + 1), 2: (7, 1 + 64), 3: (5, 1 + 41), 4: (5, 1 + 51)}
+        assert _plan_blocks(3, 4)[0] == 4
+
+    def test_one_walk_per_plan(self, monkeypatch):
+        walks, visits = [], []
+        walk = fsdsq.sweep._walk
+
+        def counted(alphabet_size, max_len, suffix, visit):
+            walks.append(max_len)
+
+            def counted_visit(*state):
+                visits.append(1)
+                return visit(*state)
+
+            walk(alphabet_size, max_len, suffix, counted_visit)
+
+        monkeypatch.setattr(fsdsq.sweep, "_walk", counted)
+        assert _plan_blocks(4, 12)[0] == 5
+        assert walks == [7]
+        assert len(visits) == sum(1 for n in range(1, 8) for _ in canonical_words(4, n))
 
     def test_census_invariant_under_renaming(self):
         rng = random.Random(7)
@@ -96,11 +125,13 @@ class TestExhaustiveVerify:
         assert "parallelism must be at least 1" in capsys.readouterr().err
 
     def test_pool_sized_to_pending_blocks(self, monkeypatch, tmp_path, crash_after):
-        sizes = []
+        # workers: at most --jobs, pending blocks and usable CPUs; about four
+        # chunks per worker
+        pools = []
 
         class FakePool:
             def __init__(self, processes):
-                sizes.append(processes)
+                pools.append([processes])
 
             def __enter__(self):
                 return self
@@ -108,10 +139,12 @@ class TestExhaustiveVerify:
             def __exit__(self, *exc):
                 return False
 
-            def imap_unordered(self, func, args):
+            def imap_unordered(self, func, args, chunksize=1):
+                pools[-1].append(chunksize)
                 return map(func, args)
 
         monkeypatch.setattr(fsdsq.sweep, "Pool", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         serial = _json(exhaustive_verify(SweepConfig(2, 6)))
         assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
         assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=2))) == serial
@@ -120,7 +153,12 @@ class TestExhaustiveVerify:
             exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck))
         resumed = exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck, parallelism=64))
         assert _json(resumed) == serial
-        assert sizes == [1 + 32, 2, 3]
+        assert pools == [[4, 2], [2, 4], [3, 1]]
+        # without an affinity mask, the CPU count; one CPU runs in-process
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
+        assert len(pools) == 3
 
     def test_ceiling_override_flag(self):
         report = exhaustive_verify(
@@ -160,6 +198,39 @@ class TestDeterminism:
             kind, block_id, payload = line.split("\t", 2)
             assert kind == "block"
             json.loads(payload)
+
+    @pytest.mark.parametrize("alphabet_size,max_len,b", [
+        (2, 7, 7), (2, 12, 7), (3, 10, 5), (4, 6, 5), (2, 4, 4), (3, 4, 4), (4, 2, 2)])
+    def test_header_records_block_plan(self, tmp_path, alphabet_size, max_len, b):
+        ck = tmp_path / "sweep.ck"
+        config = SweepConfig(alphabet_size, max_len, properties=("census_max_two",),
+                             checkpoint_path=str(ck))
+        exhaustive_verify(config)
+        lines = ck.read_text().splitlines()
+        assert f"\tblock_prefix_len={b}\t" in lines[0]
+        assert len(lines) == 1 + len(_plan_blocks(alphabet_size, max_len)[1])
+
+    def test_checkpoint_of_unchanged_plan_resumes(self, tmp_path):
+        # binary keeps suffixes of 7, so an older checkpoint still resumes
+        ck = tmp_path / "sweep.ck"
+        old = (DATA / "checkpoint-bin9-suffix7.txt").read_bytes()
+        ck.write_bytes(old)
+        resumed = exhaustive_verify(SweepConfig(2, 9, checkpoint_path=str(ck)))
+        assert _json(resumed) == _json(exhaustive_verify(SweepConfig(2, 9)))
+        data = ck.read_bytes()
+        assert data.startswith(old)
+        assert len(data.splitlines()) == 1 + 65
+
+    def test_checkpoint_of_older_plan_refused(self, tmp_path, capsys):
+        ck = tmp_path / "sweep.ck"
+        old = (DATA / "checkpoint-ter10-suffix7.txt").read_bytes()
+        ck.write_bytes(old)
+        code = main(["verify", "--alphabet-size", "3", "--max-len", "10",
+                     "--checkpoint", str(ck)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "does not match" in err and "block_prefix_len=7" in err
+        assert ck.read_bytes() == old
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path):
         ck = str(tmp_path / "sweep.ck")
