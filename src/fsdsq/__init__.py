@@ -6,9 +6,9 @@ from .construct import (BuildStep, RunReport, build_run, extend_equal_run,
 from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
                              MateLabel, canonical_factorization,
                              classify_mate_detail, find_fs_double_squares)
-from .errors import (CostCeilingError, CounterexampleError, ExtensionBudgetError,
-                     FactorizationError, FindingError, ForbiddenPairError,
-                     NoExtensionError, UnclassifiablePairError)
+from .errors import (CostCeilingError, CounterexampleError, FactorizationError,
+                     FindingError, ForbiddenPairError, NoExtensionError,
+                     UnclassifiablePairError)
 from .pairs import (Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
 from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepConfig,
@@ -19,11 +19,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_PROPERTIES", "BuildStep", "CensusReport", "Check", "CostCeilingError",
-    "CounterexampleError", "ExtensionBudgetError", "Factorization",
-    "FactorizationError", "Finding", "FindingError", "ForbiddenPairError",
-    "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
-    "NoExtensionError", "PairClassification", "PairKind", "RunReport",
-    "SweepConfig", "SweepReport", "UnclassifiablePairError", "Word",
+    "CounterexampleError", "Factorization", "FactorizationError", "Finding",
+    "FindingError", "ForbiddenPairError", "FsDoubleSquare", "LengthStats",
+    "MateClassification", "MateLabel", "NoExtensionError", "PairClassification",
+    "PairKind", "RunReport", "SweepConfig", "SweepReport",
+    "UnclassifiablePairError", "Word",
     "are_conjugate", "build_run", "canonical_factorization",
     "classify_mate_detail", "exhaustive_verify", "extend_equal_run",
     "extend_unequal", "find_double_square_pairs", "find_fs_double_squares",

@@ -2,8 +2,11 @@
 
 Structured results (including findings) go to stdout; diagnostics go to
 stderr.  Exit codes: 0 clean, 1 usage or I/O error, 2 mathematical finding.
-JSON output carries a top-level ``schema_version`` and is byte-stable for
-identical invocations; ``--deterministic`` suppresses the one timing field.
+``analyze`` and ``verify`` decide findings by the same check,
+``sweep.check_word``, so a word gets the same property names and details
+from both.  JSON output carries a top-level ``schema_version`` and is
+byte-stable for identical invocations; only ``verify`` reports a timing
+field, which its ``--deterministic`` flag omits.
 """
 
 from __future__ import annotations
@@ -14,10 +17,8 @@ import sys
 
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
-from .double_squares import classify_mate_detail, find_fs_double_squares
 from .errors import FindingError
-from .pairs import find_double_square_pairs
-from .sweep import ALL_PROPERTIES, SweepConfig, SweepReport, exhaustive_verify
+from .sweep import SweepConfig, SweepReport, check_word, exhaustive_verify
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -81,48 +82,31 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ analyze
 
-def _analysis_payload(word: Word) -> tuple[dict, bool]:
-    findings: list[dict] = []
+def _analysis_payload(word: Word) -> dict:
     report = s_sequence(word)
-    if report.max_s > 2:
-        findings.append({"property": "census_max_two", "detail": f"max s_i = {report.max_s}"})
-    squares = find_fs_double_squares(word, report.roots)
-    pairs = find_double_square_pairs(word, squares)
+    checked = check_word(word, report.roots, report.max_s, report.distinct_square_count,
+                         report.longest_run[1])
     pair_dicts = []
-    for pair in pairs:
+    for pair, mate in zip(checked.pairs, checked.mates):
         d = pair.to_json_dict()
-        mate = classify_mate_detail(pair.first, pair.second)
-        d["mate"] = mate.label.value
-        if mate.delta_rule is not None:
+        d["mate"] = mate.label.value if mate else None
+        if mate and mate.delta_rule:
             d["mate_rule"] = mate.delta_rule
         pair_dicts.append(d)
-        for check in pair.checks:
-            if not check.passed:
-                findings.append({
-                    "property": f"{pair.kind.value}_pair_checks",
-                    "detail": f"position {pair.position}: failed {check.name}",
-                })
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "word": word.text,
         "n": len(word),
         "s": list(report.s),
-        "double_squares": [sq.to_json_dict() for sq in squares],
+        "double_squares": [sq.to_json_dict() for sq in checked.squares],
         "pairs": pair_dicts,
-        "findings": findings,
+        "findings": [{"property": prop, "detail": detail}
+                     for prop, detail in checked.findings],
     }
-    return payload, bool(findings)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    word = Word.from_text(args.word)
-    try:
-        payload, dirty = _analysis_payload(word)
-    except FindingError as exc:
-        record = {"schema_version": SCHEMA_VERSION, "word": args.word,
-                  "findings": [{"property": "structure", "detail": str(exc)}]}
-        _print_json(record)
-        return EXIT_FINDING
+    payload = _analysis_payload(Word.from_text(args.word))
     if args.format == "json":
         _print_json(payload)
     elif args.format == "tsv":
@@ -149,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                   f"(case {pair['case']}), mate {pair['mate']}{rule}; {checks}")
         for finding in payload["findings"]:
             print(f"FINDING {finding['property']}: {finding['detail']}")
-    return EXIT_FINDING if dirty else EXIT_OK
+    return EXIT_FINDING if payload["findings"] else EXIT_OK
 
 
 # ----------------------------------------------------------------- generate
@@ -187,8 +171,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         if args.seed is None:
             raise ValueError("--seed is required for --kind unequal")
-        report = extend_unequal(Word.from_text(args.seed), args.variant,
-                                budget=args.budget)
+        report = extend_unequal(Word.from_text(args.seed), args.variant)
     return _run_report_out(report, args.format)
 
 
@@ -221,11 +204,9 @@ def _verify_out(report: SweepReport, fmt: str, deterministic: bool) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    properties = tuple(args.properties.split(",")) if args.properties else ALL_PROPERTIES
     config = SweepConfig(
         alphabet_size=args.alphabet_size,
         max_len=args.max_len,
-        properties=properties,
         checkpoint_path=args.checkpoint,
         parallelism=args.jobs,
         allow_over_ceiling=args.override_ceiling,
@@ -253,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("-f", "--format", choices=("plain", "tsv", "json"),
                        default="plain")
-        p.add_argument("--deterministic", action="store_true",
-                       help="suppress timing fields for byte-stable output")
 
     p = sub.add_parser("census", help="s_i sequence of a word (or file of words)")
     p.add_argument("word", help="word text, or @path for a file with one word per line")
@@ -272,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, help="target run length for --kind run")
     p.add_argument("--variant", choices=("short", "long"), default="short",
                    help="middle of the new block for --kind unequal")
-    p.add_argument("--budget", type=int, default=20000,
-                   help="candidate budget of the fallback search for --kind unequal")
     add_format(p)
     p.set_defaults(func=cmd_generate)
 
@@ -283,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; at most one per usable CPU")
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
-    p.add_argument("--properties", help="comma-separated property subset")
     p.add_argument("--override-ceiling", action="store_true",
                    help="run even past the cost ceiling")
+    p.add_argument("--deterministic", action="store_true",
+                   help="omit the elapsed time for byte-stable output")
     add_format(p)
     p.set_defaults(func=cmd_verify)
     return parser

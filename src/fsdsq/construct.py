@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
-from .errors import CounterexampleError, ExtensionBudgetError, NoExtensionError
+from .errors import CounterexampleError, NoExtensionError
 from .pairs import PairKind, find_double_square_pairs
 from .words import Word, lcp
 
@@ -165,9 +164,10 @@ def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
         yield w[:i - 1] + a + (v + middle + v) * 2
 
 
-def extend_unequal(w: Word, variant: str = "short", *, budget: int = 20000) -> RunReport:
+def extend_unequal(w: Word, variant: str = "short") -> RunReport:
     """Extend a word ending in an FS-double square with a new, longer double
-    square one position right of the frontier."""
+    square one position right of the frontier.  Raises NoExtensionError when
+    no template candidate is accepted."""
     if variant not in ("short", "long"):
         raise ValueError(f"unknown variant {variant!r}")
     if max(w.codes, default=0) == 0:
@@ -181,21 +181,9 @@ def extend_unequal(w: Word, variant: str = "short", *, budget: int = 20000) -> R
         report = _accepts_unequal(candidate, fs.position)
         if report is not None:
             return _run_report(report, [BuildStep("unequal", report.word[len(w):].text)])
-    # Templates failed: bounded breadth-first search over appended suffixes,
-    # shortest first, lexicographic within a length; first accepted wins.
-    alphabet = max(w.codes) + 1
-    tried = 0
-    length = 1
-    while True:
-        for combo in product(range(alphabet), repeat=length):
-            tried += 1
-            if tried > budget:
-                raise ExtensionBudgetError(
-                    f"no unequal extension found within budget ({budget} candidates)")
-            report = _accepts_unequal(w + Word(combo), fs.position)
-            if report is not None:
-                return _run_report(report, [BuildStep("unequal", report.word[len(w):].text)])
-        length += 1
+    raise NoExtensionError(
+        f"no {variant} unequal extension: no template candidate at position "
+        f"{fs.position} plants a longer double square one position right of it")
 
 
 def build_run(target: int) -> RunReport:

@@ -33,10 +33,6 @@ class UnclassifiablePairError(FindingError):
     """A pair of double squares fits no mate category."""
 
 
-class ExtensionBudgetError(FindingError):
-    """The fallback search for an unequal extension ran out of budget."""
-
-
 class NoExtensionError(ValueError):
     """The requested extension does not exist for this seed."""
 

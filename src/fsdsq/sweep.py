@@ -16,6 +16,11 @@ end, the best run, the largest s_i, and the rightmost roots of every
 position with s_i >= 2, which structure analysis reads instead of
 rescanning.
 
+``check_word`` is the one definition of a word's findings: it checks every
+property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze``.  The
+sweep calls it only on words that have a census-2 position or already break
+a census claim, since no other word can raise a finding.
+
 Work is split into blocks: one block per canonical suffix of length b,
 plus one block for all shorter words.  b is the longest length up to
 ``BLOCK_SUFFIX_LEN`` (and ``max_len``) with at most 64 canonical suffixes,
@@ -40,10 +45,11 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .census import _census_step
-from .double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
+from .double_squares import (FsDoubleSquare, MateClassification, MateLabel,
+                             classify_mate_detail, find_fs_double_squares)
 from .errors import (CostCeilingError, CounterexampleError, ForbiddenPairError,
                      UnclassifiablePairError)
-from .pairs import PairKind, find_double_square_pairs
+from .pairs import PairClassification, PairKind, find_double_square_pairs
 from .words import Word
 
 COST_CEILING = 36
@@ -70,7 +76,6 @@ ALL_PROPERTIES = (
 class SweepConfig:
     alphabet_size: int
     max_len: int
-    properties: tuple[str, ...] = ALL_PROPERTIES
     checkpoint_path: str | None = None
     parallelism: int = 1
     allow_over_ceiling: bool = False
@@ -130,7 +135,6 @@ class Finding:
 class SweepReport:
     alphabet_size: int
     max_len: int
-    properties: tuple[str, ...]
     per_length: dict
     findings: tuple[Finding, ...]
     elapsed_seconds: float
@@ -153,7 +157,7 @@ class SweepReport:
             "schema_version": 1,
             "alphabet_size": self.alphabet_size,
             "max_len": self.max_len,
-            "properties": list(self.properties),
+            "properties": list(ALL_PROPERTIES),
             "total_words": self.total_words,
             "per_length": {str(n): st.to_json_dict()
                            for n, st in sorted(self.per_length.items())},
@@ -261,11 +265,7 @@ def _usable_cpus() -> int:
 
 
 def _process_block(args: tuple) -> tuple[str, dict]:
-    alphabet_size, max_len, b, block_id, props_tuple = args
-    props = frozenset(props_tuple)
-    check_census = "census_max_two" in props
-    check_distinct = "distinct_below_twice_length" in props
-    check_run = "run_length_bound" in props
+    alphabet_size, max_len, b, block_id = args
     lengths: dict[int, LengthStats] = {}
     findings: list[tuple[str, str, str]] = []
 
@@ -282,11 +282,16 @@ def _process_block(args: tuple) -> tuple[str, dict]:
         hist = st.run_hist
         hist[run] = hist.get(run, 0) + 1
         st.double_square_positions += len(doubles)
-        if (doubles or (check_census and max_s > 2) or (check_distinct and distinct >= 2 * n)
-                or (check_run and 7 * run >= n)):
+        if doubles or max_s > 2 or distinct >= 2 * n or 7 * run >= n:
             word = Word(_left_canonical(buf[i:]))
             roots = {k - i + 1: ps for k, ps in doubles.items()}
-            _check_word(word, distinct, max_s, run, roots, props, st, findings)
+            checked = check_word(word, roots, max_s, distinct, run)
+            for pair in checked.pairs:
+                if pair.kind is PairKind.EQUAL:
+                    st.pairs_equal += 1
+                else:
+                    st.pairs_unequal += 1
+            findings.extend((prop, word.text, detail) for prop, detail in checked.findings)
         return True
 
     if block_id:
@@ -296,60 +301,64 @@ def _process_block(args: tuple) -> tuple[str, dict]:
     return block_id, {"lengths": lengths, "findings": findings}
 
 
-def _check_word(word: Word, distinct: int, max_s: int, run: int, roots: dict,
-                props: frozenset, st: LengthStats, findings: list) -> None:
-    """Findings of one word and, if it has census-2 positions (``roots``),
-    its structure analysis: pairs are counted into ``st``."""
+# ----------------------------------------------------------------- findings
+
+@dataclass(frozen=True, slots=True)
+class WordCheck:
+    """What ``check_word`` found: the FS-double squares, the adjacent pairs,
+    each pair's mate (None when it fits no category) and the findings as
+    (property, detail) pairs."""
+
+    squares: tuple[FsDoubleSquare, ...]
+    pairs: tuple[PairClassification, ...]
+    mates: tuple[MateClassification | None, ...]
+    findings: tuple[tuple[str, str], ...]
+
+
+def check_word(word: Word, roots: dict, max_s: int, distinct: int, run: int) -> WordCheck:
+    """Check every property of ``ALL_PROPERTIES`` on ``word``, given its
+    rightmost-root map (1-based positions), largest s_i, distinct-square
+    count and longest run of 2's.  A structure finding (a position that does
+    not factor, or an infeasible pair) stops the analysis there; what was
+    found before it is returned with the finding."""
     n = len(word)
-    word_text = word.text
-    if "census_max_two" in props and max_s > 2:
-        findings.append(("census_max_two", word_text, f"max s_i = {max_s}"))
-    if "distinct_below_twice_length" in props and distinct >= 2 * n:
-        findings.append(("distinct_below_twice_length", word_text,
+    findings: list[tuple[str, str]] = []
+    if max_s > 2:
+        findings.append(("census_max_two", f"max s_i = {max_s}"))
+    if n and distinct >= 2 * n:
+        findings.append(("distinct_below_twice_length",
                          f"{distinct} distinct squares at length {n}"))
-    if "run_length_bound" in props and 7 * run >= n:
-        findings.append(("run_length_bound", word_text, f"7*{run} >= {n}"))
-    if not roots:
-        return
-    # Structure work is rare (census-2 positions exist) and cheap, so it runs
-    # whenever present; findings it raises are never suppressed even when the
-    # matching property was not selected.
+    if n and 7 * run >= n:
+        findings.append(("run_length_bound", f"7*{run} >= {n}"))
+    squares: list[FsDoubleSquare] = []
+    pairs: list[PairClassification] = []
+    mates: list[MateClassification | None] = []
     try:
         squares = find_fs_double_squares(word, roots)
-    except CounterexampleError as exc:
-        findings.append(("factorization_roundtrip", word_text, str(exc)))
-        return
-    try:
         pairs = find_double_square_pairs(word, squares)
+    except CounterexampleError as exc:
+        findings.append(("factorization_roundtrip", str(exc)))
     except ForbiddenPairError as exc:
-        findings.append(("pair_shapes", word_text, str(exc)))
-        return
+        findings.append(("pair_shapes", str(exc)))
     for pair in pairs:
-        if pair.kind is PairKind.EQUAL:
-            st.pairs_equal += 1
-            if "equal_pair_checks" in props and not pair.all_checks_pass:
-                failed = [c.name for c in pair.checks if not c.passed]
-                findings.append(("equal_pair_checks", word_text,
-                                 f"position {pair.position}: failed {failed}"))
+        if not pair.all_checks_pass:
+            failed = [c.name for c in pair.checks if not c.passed]
+            findings.append((f"{pair.kind.value}_pair_checks",
+                             f"position {pair.position}: failed {failed}"))
+        if not any(c.name == "second_ends_after_first" and c.passed for c in pair.checks):
+            findings.append(("pair_end_order",
+                             f"position {pair.position}: second square does not end after first"))
+        try:
+            mate = classify_mate_detail(pair.first, pair.second)
+        except UnclassifiablePairError as exc:
+            mate = None
+            findings.append(("adjacent_mates", str(exc)))
         else:
-            st.pairs_unequal += 1
-            if "unequal_pair_checks" in props and not pair.all_checks_pass:
-                failed = [c.name for c in pair.checks if not c.passed]
-                findings.append(("unequal_pair_checks", word_text,
-                                 f"position {pair.position}: failed {failed}"))
-        if "pair_end_order" in props:
-            if not any(c.name == "second_ends_after_first" and c.passed for c in pair.checks):
-                findings.append(("pair_end_order", word_text,
-                                 f"position {pair.position}: second square does not end after first"))
-        if "adjacent_mates" in props:
-            try:
-                label = classify_mate_detail(pair.first, pair.second).label
-            except UnclassifiablePairError as exc:
-                findings.append(("adjacent_mates", word_text, str(exc)))
-            else:
-                if label not in (MateLabel.ALPHA, MateLabel.DELTA):
-                    findings.append(("adjacent_mates", word_text,
-                                     f"position {pair.position}: mate {label.value}"))
+            if mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
+                findings.append(("adjacent_mates",
+                                 f"position {pair.position}: mate {mate.label.value}"))
+        mates.append(mate)
+    return WordCheck(tuple(squares), tuple(pairs), tuple(mates), tuple(findings))
 
 
 # --------------------------------------------------------------- checkpoint
@@ -361,7 +370,7 @@ def _checkpoint_header(config: SweepConfig, b: int) -> str:
         f"alphabet_size={config.alphabet_size}",
         f"max_len={config.max_len}",
         f"block_prefix_len={b}",
-        "properties=" + ",".join(config.properties),
+        "properties=" + ",".join(ALL_PROPERTIES),
     ])
 
 
@@ -434,9 +443,6 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         raise ValueError("alphabet_size and max_len must be at least 1")
     if config.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    unknown = set(config.properties) - set(ALL_PROPERTIES)
-    if unknown:
-        raise ValueError(f"unknown properties: {sorted(unknown)}")
     _check_ceiling(config.alphabet_size, config.max_len, config.allow_over_ceiling)
 
     start = time.monotonic()
@@ -449,7 +455,7 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         unknown_blocks = set(done) - set(blocks)
         if unknown_blocks:
             raise ValueError(f"checkpoint contains unknown blocks: {sorted(unknown_blocks)[:3]}")
-        args = [(config.alphabet_size, config.max_len, b, block_id, tuple(config.properties))
+        args = [(config.alphabet_size, config.max_len, b, block_id)
                 for block_id in blocks if block_id not in done]
 
         def record(block_id: str, partial: dict) -> None:
@@ -490,7 +496,6 @@ def _fold(blocks: list[str], done: dict, config: SweepConfig,
     return SweepReport(
         alphabet_size=config.alphabet_size,
         max_len=config.max_len,
-        properties=tuple(config.properties),
         per_length=dict(sorted(per_length.items())),
         findings=tuple(findings),
         elapsed_seconds=elapsed,

@@ -170,9 +170,7 @@ def test_criterion_07_unequal_inequalities():
 
 def test_criterion_08_run_bound():
     start = time.perf_counter()
-    sweep = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
-                                          properties=("run_length_bound",),
-                                          parallelism=8))
+    sweep = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18, parallelism=8))
     assert sweep.findings == ()
     for n, st in sweep.per_length.items():
         assert 7 * st.max_run < n

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import fsdsq.sweep
 from fsdsq.cli import main
+from fsdsq.double_squares import MateClassification, MateLabel
+from fsdsq.errors import CounterexampleError, UnclassifiablePairError
 from fsdsq.words import Word
 
 V = "abaaabaabaaabb"
@@ -106,6 +109,50 @@ class TestAnalyze:
         _, out2, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert out1 == out2
 
+    def test_mate_finding_matches_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail",
+                            lambda first, second: MateClassification(MateLabel.BETA))
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["pairs"][0]["mate"] == "beta"
+        expected = {"property": "adjacent_mates", "detail": "position 1: mate beta"}
+        assert payload["findings"] == [expected]
+        code, out, _ = run(capsys, "verify", "--max-len", "17", "-f", "json",
+                           "--deterministic")
+        assert code == 2
+        assert [{"property": f["property"], "detail": f["detail"]}
+                for f in json.loads(out)["findings"] if f["word"] == EQUAL_17] == [expected]
+
+    def test_unclassifiable_mate_is_null(self, capsys, monkeypatch):
+        def unclassifiable(first, second):
+            raise UnclassifiablePairError("planted: fits no mate category")
+
+        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail", unclassifiable)
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["pairs"][0]["mate"] is None
+        assert "mate_rule" not in payload["pairs"][0]
+        assert payload["findings"] == [{"property": "adjacent_mates",
+                                        "detail": "planted: fits no mate category"}]
+
+    def test_structure_finding_keeps_payload(self, capsys, monkeypatch):
+        def planted(word, roots=None):
+            raise CounterexampleError("planted")
+
+        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["s"] == EQUAL_17_S
+        assert (payload["double_squares"], payload["pairs"]) == ([], [])
+        assert payload["findings"] == [{"property": "factorization_roundtrip",
+                                        "detail": "planted"}]
+        code, out, _ = run(capsys, "analyze", EQUAL_17)
+        assert code == 2
+        assert "FINDING factorization_roundtrip: planted" in out
+
 
 class TestGenerate:
     def test_run_target_one(self, capsys):
@@ -147,6 +194,11 @@ class TestUsageErrors:
         ["verify"],
         ["generate", "--kind", "nope"],
         ["generate", "--kind", "run", "--target", "3", "--alphabet-size", "2"],
+        ["generate", "--kind", "unequal", "--seed", "aabaaabaabaaab", "--budget", "5"],
+        ["verify", "--max-len", "6", "--properties", "run_length_bound"],
+        ["census", "ab", "--deterministic"],
+        ["analyze", "ab", "--deterministic"],
+        ["generate", "--kind", "run", "--target", "1", "--deterministic"],
     ])
     def test_parser_error_exits_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

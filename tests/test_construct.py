@@ -131,6 +131,19 @@ class TestExtendUnequal:
         with pytest.raises(ValueError):
             extend_unequal(W("aabaaabaabaaab"), "medium")
 
+    @pytest.mark.parametrize("variant", ["short", "long"])
+    def test_no_accepted_template_is_no_extension(self, monkeypatch, variant):
+        tried = []
+
+        def reject(candidate, frontier):
+            tried.append(len(candidate))
+            return None
+
+        monkeypatch.setattr(fsdsq.construct, "_accepts_unequal", reject)
+        with pytest.raises(NoExtensionError, match=f"no {variant} unequal extension"):
+            extend_unequal(W("aabaaabaabaaab"), variant)
+        assert len(tried) == 14  # one candidate per prefix of v, then no more
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("variant", ["short", "long"])
     def test_all_seeds_extend(self, seed, variant):

@@ -106,10 +106,6 @@ class TestExhaustiveVerify:
         assert all(st.max_run == 0 for st in report.per_length.values())
         assert all(st.words == 1 for st in report.per_length.values())
 
-    def test_property_subset_validation(self):
-        with pytest.raises(ValueError, match="unknown properties"):
-            exhaustive_verify(SweepConfig(2, 6, properties=("no_such_check",)))
-
     def test_cost_ceiling(self):
         with pytest.raises(CostCeilingError, match="ceiling 36"):
             exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
@@ -203,8 +199,7 @@ class TestDeterminism:
         (2, 7, 7), (2, 12, 7), (3, 10, 5), (4, 6, 5), (2, 4, 4), (3, 4, 4), (4, 2, 2)])
     def test_header_records_block_plan(self, tmp_path, alphabet_size, max_len, b):
         ck = tmp_path / "sweep.ck"
-        config = SweepConfig(alphabet_size, max_len, properties=("census_max_two",),
-                             checkpoint_path=str(ck))
+        config = SweepConfig(alphabet_size, max_len, checkpoint_path=str(ck))
         exhaustive_verify(config)
         lines = ck.read_text().splitlines()
         assert f"\tblock_prefix_len={b}\t" in lines[0]
@@ -402,13 +397,14 @@ def test_public_names():
     for name in fsdsq.__all__:
         assert getattr(fsdsq, name) is not None
     for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words",
-                 "extremal_ratio", "RatioTable"):
+                 "extremal_ratio", "RatioTable", "ExtensionBudgetError"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
+    assert not hasattr(fsdsq.errors, "ExtensionBudgetError")
     assert not hasattr(fsdsq.sweep, "COST_CEILING_ENV")
     assert not hasattr(Word, "rotate")
     assert [f.name for f in dataclasses.fields(SweepConfig)] == [
-        "alphabet_size", "max_len", "properties", "checkpoint_path", "parallelism",
+        "alphabet_size", "max_len", "checkpoint_path", "parallelism",
         "allow_over_ceiling"]
 
 
@@ -431,8 +427,7 @@ class TestMinimalPairLength:
 
 class TestExtremalRatio:
     def test_binary_to_twelve(self):
-        report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=12,
-                                               properties=("run_length_bound",)))
+        report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=12))
         assert report.findings == ()
         by_n = {n: st.max_run for n, st in report.per_length.items()}
         assert sorted(by_n) == list(range(1, 13))
