@@ -1,8 +1,8 @@
 """Rightmost distinct squares, FS-double squares and runs of 2's in words."""
 
-from .census import CensusReport, render_census_tsv, rightmost_map, s_sequence
+from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import (BuildStep, RunReport, build_run, extend_equal_run,
-                        extend_unequal, run_report)
+                        extend_unequal)
 from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
                              MateLabel, canonical_factorization,
                              classify_mate_detail, find_fs_double_squares)
@@ -28,6 +28,5 @@ __all__ = [
     "classify_mate_detail", "exhaustive_verify", "extend_equal_run",
     "extend_unequal", "find_double_square_pairs", "find_fs_double_squares",
     "is_primitive", "lcp", "minimal_pair_length", "ordering_case",
-    "primitive_root", "render_census_tsv", "rightmost_map", "run_report",
-    "s_sequence",
+    "primitive_root", "render_census_tsv", "s_sequence",
 ]

@@ -171,16 +171,6 @@ def _report_from_counts(w: Word, s: list[int], roots: dict[int, list[int]]) -> C
     )
 
 
-def rightmost_map(w: Word) -> dict[str, int]:
-    """Map each distinct square value to the 1-based start of its last
-    occurrence."""
-    out: dict[str, int] = {}
-    for pos, ps in s_sequence(w).roots.items():
-        for p in ps:
-            out[w[pos - 1:pos - 1 + 2 * p].text] = pos
-    return out
-
-
 def render_census_tsv(report: CensusReport) -> str:
     """Tab-separated census: header ``index letter s_i`` then one row per
     position."""

@@ -6,7 +6,8 @@ stderr.  Exit codes: 0 clean, 1 usage or I/O error, 2 mathematical finding.
 ``sweep.check_word``, so a word gets the same property names and details
 from both.  JSON output carries a top-level ``schema_version`` and is
 byte-stable for identical invocations; only ``verify`` reports a timing
-field, which its ``--deterministic`` flag omits.
+field, the time it measures around the sweep, which its ``--deterministic``
+flag omits.  ``tsv`` is a format of ``census`` and ``verify`` only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
@@ -109,14 +111,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = _analysis_payload(Word.from_text(args.word))
     if args.format == "json":
         _print_json(payload)
-    elif args.format == "tsv":
-        print("kind\tposition\tsq_len\tSQ_len\tx1\tx2\tp1\tp2")
-        for sq in payload["double_squares"]:
-            print(f"double_square\t{sq['position']}\t{sq['sq_len']}\t{sq['SQ_len']}"
-                  f"\t{sq['x1']}\t{sq['x2']}\t{sq['p1']}\t{sq['p2']}")
-        for pair in payload["pairs"]:
-            print(f"pair_{pair['kind']}\t{pair['position']}\t{pair['first']['sq_len']}"
-                  f"\t{pair['second']['SQ_len']}\t{pair['mate']}\tcase={pair['case']}\t\t")
     else:
         print(f"word: {payload['word']}")
         if not payload["double_squares"]:
@@ -143,10 +137,6 @@ def _run_report_out(report: RunReport, fmt: str) -> int:
         payload = report.to_json_dict()
         payload["schema_version"] = SCHEMA_VERSION
         _print_json(payload)
-    elif fmt == "tsv":
-        print("word\tn\tT\tratio_num\tratio_den")
-        print(f"{report.word.text}\t{report.n}\t{report.T}"
-              f"\t{report.ratio.numerator}\t{report.ratio.denominator}")
     else:
         print(report.word.text)
         print(f"n: {report.n}")
@@ -177,9 +167,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- verify
 
-def _verify_out(report: SweepReport, fmt: str, deterministic: bool) -> int:
+def _verify_out(report: SweepReport, fmt: str, elapsed: float | None) -> int:
+    """``elapsed`` is None under ``--deterministic``."""
     if fmt == "json":
-        _print_json(report.to_json_dict(include_timing=not deterministic))
+        payload = report.to_json_dict()
+        if elapsed is not None:
+            payload["elapsed_seconds"] = elapsed
+        _print_json(payload)
     elif fmt == "tsv":
         print("n\twords\tmax_distinct_squares\tmax_run\tpairs_equal"
               "\tpairs_unequal\tdouble_square_positions")
@@ -192,8 +186,8 @@ def _verify_out(report: SweepReport, fmt: str, deterministic: bool) -> int:
         print(f"alphabet size: {report.alphabet_size}")
         print(f"max length: {report.max_len}")
         print(f"words checked: {report.total_words}")
-        if not deterministic:
-            print(f"elapsed: {report.elapsed_seconds:.2f}s")
+        if elapsed is not None:
+            print(f"elapsed: {elapsed:.2f}s")
         for n, st in sorted(report.per_length.items()):
             print(f"  n={n}: words={st.words} max_distinct={st.max_distinct_squares} "
                   f"max_run={st.max_run} pairs={st.pairs_equal}+{st.pairs_unequal}")
@@ -211,8 +205,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         parallelism=args.jobs,
         allow_over_ceiling=args.override_ceiling,
     )
+    start = time.monotonic()
     report = exhaustive_verify(config)
-    return _verify_out(report, args.format, args.deterministic)
+    elapsed = None if args.deterministic else time.monotonic() - start
+    return _verify_out(report, args.format, elapsed)
 
 
 # --------------------------------------------------------------------- main
@@ -231,18 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rightmost distinct squares, FS-double squares and runs of 2's")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-f", "--format", choices=("plain", "tsv", "json"),
-                       default="plain")
-
     p = sub.add_parser("census", help="s_i sequence of a word (or file of words)")
     p.add_argument("word", help="word text, or @path for a file with one word per line")
-    add_format(p)
+    p.add_argument("-f", "--format", choices=("plain", "tsv", "json"), default="plain")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("analyze", help="FS-double squares, adjacent pairs, mates")
     p.add_argument("word")
-    add_format(p)
+    p.add_argument("-f", "--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="construct words with long runs of 2's")
@@ -251,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, help="target run length for --kind run")
     p.add_argument("--variant", choices=("short", "long"), default="short",
                    help="middle of the new block for --kind unequal")
-    add_format(p)
+    p.add_argument("-f", "--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="exhaustive property sweep")
@@ -264,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run even past the cost ceiling")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the elapsed time for byte-stable output")
-    add_format(p)
+    p.add_argument("-f", "--format", choices=("plain", "tsv", "json"), default="plain")
     p.set_defaults(func=cmd_verify)
     return parser
 

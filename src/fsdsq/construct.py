@@ -32,7 +32,7 @@ from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
 from .errors import CounterexampleError, NoExtensionError
 from .pairs import PairKind, find_double_square_pairs
-from .words import Word, lcp
+from .words import Word
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +43,7 @@ class BuildStep:
 
 @dataclass(frozen=True)
 class RunReport:
-    """A constructed (or analysed) word with its verified run statistics."""
+    """A constructed word with its census-verified run statistics."""
 
     word: Word
     T: int
@@ -54,10 +54,6 @@ class RunReport:
     @property
     def n(self) -> int:
         return len(self.word)
-
-    @property
-    def bound_ok(self) -> bool:
-        return 7 * self.T < self.n
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,21 +66,15 @@ class RunReport:
         }
 
 
-def run_report(word: Word, steps: list[BuildStep] | tuple[BuildStep, ...] = ()) -> RunReport:
-    """Census-verified report; flags 7T >= n as a finding, not an error."""
-    return _run_report(s_sequence(word), steps)
-
-
 def _run_report(report: CensusReport,
                 steps: list[BuildStep] | tuple[BuildStep, ...]) -> RunReport:
-    word = report.word
+    """The report of a census-verified word; flags 7T >= n as a finding,
+    not an error."""
     t = report.longest_run[1]
-    n = len(word)
-    findings: tuple[str, ...] = ()
-    if n and 7 * t >= n:
-        findings = (f"run bound violated: 7*{t} >= {n}",)
-    ratio = Fraction(t, n) if n else Fraction(0, 1)
-    return RunReport(word=word, T=t, ratio=ratio, steps=tuple(steps), findings=findings)
+    n = len(report.word)
+    findings = (f"run bound violated: 7*{t} >= {n}",) if 7 * t >= n else ()
+    return RunReport(word=report.word, T=t, ratio=Fraction(t, n), steps=tuple(steps),
+                     findings=findings)
 
 
 def _equal_phase(report0: CensusReport) -> tuple[CensusReport, int]:
@@ -108,21 +98,19 @@ def extend_equal_run(seed: Word) -> RunReport:
     """Grow the run of an FS-double square word by appending its own prefix.
 
     ``seed`` must be exactly SQ^2 for a double square detected at position 1.
-    Fails when the period x1 x2 and its rotation x2 x1 share no prefix: then
-    no conjugate can follow and no equal extension exists.
+    Raises NoExtensionError when no appended letter lengthens the run.
     """
     seed_report = s_sequence(seed)
     squares = find_fs_double_squares(seed, seed_report.roots)
     fs = next((q for q in squares if q.position == 1), None)
     if fs is None or 2 * fs.SQ_len != len(seed):
         raise ValueError("seed is not exactly the square of an FS-double-square root")
-    f = fs.factorization
-    if lcp(f.period, f.x2 + f.x1) == 0:
-        raise NoExtensionError(
-            "no equal extension: period and its rotation share no common prefix")
     report, appended = _equal_phase(seed_report)
-    steps = [BuildStep("equal", report.word[len(seed):].text)] if appended else []
-    return _run_report(report, steps)
+    if not appended:
+        raise NoExtensionError(
+            "no equal extension: appending the seed's first letter does not "
+            "lengthen the run of 2's at position 1")
+    return _run_report(report, [BuildStep("equal", report.word[len(seed):].text)])
 
 
 def _breaking_letter(code: int) -> int:

@@ -20,14 +20,6 @@ class CounterexampleError(FindingError):
 class ForbiddenPairError(FindingError):
     """Adjacent double squares matched an infeasible length ordering."""
 
-    def __init__(self, message: str, *, word: str, position: int, case: int,
-                 lengths: tuple[int, int, int, int]) -> None:
-        super().__init__(message)
-        self.word = word
-        self.position = position
-        self.case = case
-        self.lengths = lengths
-
 
 class UnclassifiablePairError(FindingError):
     """A pair of double squares fits no mate category."""

@@ -151,9 +151,7 @@ def find_double_square_pairs(
             raise ForbiddenPairError(
                 f"adjacent double squares at position {pos} of {w.text!r} realise "
                 f"infeasible length ordering case {case}: "
-                f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})",
-                word=w.text, position=pos, case=case,
-                lengths=(first.sq_len, first.SQ_len, second.sq_len, second.SQ_len))
+                f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})")
         out.append(PairClassification(pos, kind, first, second, case, checks))
     return out
 

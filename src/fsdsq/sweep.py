@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -137,7 +136,6 @@ class SweepReport:
     max_len: int
     per_length: dict
     findings: tuple[Finding, ...]
-    elapsed_seconds: float
 
     @property
     def min_length_per_run(self) -> dict:
@@ -152,8 +150,8 @@ class SweepReport:
     def total_words(self) -> int:
         return sum(st.words for st in self.per_length.values())
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema_version": 1,
             "alphabet_size": self.alphabet_size,
             "max_len": self.max_len,
@@ -167,9 +165,6 @@ class SweepReport:
                 for f in self.findings
             ],
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
 
 def _check_ceiling(alphabet_size: int, max_len: int, allow_over: bool) -> None:
@@ -445,7 +440,6 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         raise ValueError("parallelism must be at least 1")
     _check_ceiling(config.alphabet_size, config.max_len, config.allow_over_ceiling)
 
-    start = time.monotonic()
     b, blocks = _plan_blocks(config.alphabet_size, config.max_len)
     done: dict[str, dict] = {}
     checkpoint = None
@@ -478,11 +472,10 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         if checkpoint is not None:
             checkpoint.close()
 
-    return _fold(blocks, done, config, time.monotonic() - start)
+    return _fold(blocks, done, config)
 
 
-def _fold(blocks: list[str], done: dict, config: SweepConfig,
-          elapsed: float) -> SweepReport:
+def _fold(blocks: list[str], done: dict, config: SweepConfig) -> SweepReport:
     per_length: dict[int, LengthStats] = {}
     findings: list[Finding] = []
     for block_id in blocks:
@@ -498,7 +491,6 @@ def _fold(blocks: list[str], done: dict, config: SweepConfig,
         max_len=config.max_len,
         per_length=dict(sorted(per_length.items())),
         findings=tuple(findings),
-        elapsed_seconds=elapsed,
     )
 
 

@@ -204,19 +204,17 @@ def test_criterion_10_minimal_pair_length():
 
 
 def test_criterion_11_determinism(sweep18, tmp_path, crash_after):
-    baseline = json.dumps(sweep18[0].to_json_dict(include_timing=False), sort_keys=True)
+    baseline = json.dumps(sweep18[0].to_json_dict(), sort_keys=True)
 
     other_jobs = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
                                                parallelism=2))
-    assert json.dumps(other_jobs.to_json_dict(include_timing=False),
-                      sort_keys=True) == baseline
+    assert json.dumps(other_jobs.to_json_dict(), sort_keys=True) == baseline
 
     ck = str(tmp_path / "sweep18.ck")
     with crash_after(20):
         exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18, checkpoint_path=ck))
     resumed = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
                                             checkpoint_path=ck, parallelism=4))
-    assert json.dumps(resumed.to_json_dict(include_timing=False),
-                      sort_keys=True) == baseline
+    assert json.dumps(resumed.to_json_dict(), sort_keys=True) == baseline
     print("ACCEPTANCE 11 PASS: reports are byte-identical across worker counts "
           "and a mid-run checkpoint/resume")

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import _census_step, render_census_tsv, rightmost_map, s_sequence
+from fsdsq.census import _census_step, render_census_tsv, s_sequence
 from fsdsq.words import Word
 
 from oracles import (all_words, canonical_words, oracle_later_match,
@@ -12,6 +12,13 @@ W = Word.from_text
 
 EQUAL_17 = "abaababaabaababaa"
 EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
+
+
+def rightmost_map(w: Word) -> dict[str, int]:
+    """Each distinct square value mapped to the 1-based start of its last
+    occurrence, read from the census roots."""
+    return {w.text[pos - 1:pos - 1 + 2 * p]: pos
+            for pos, ps in s_sequence(w).roots.items() for p in ps}
 
 
 def later_match_lengths(codes: bytes) -> list[int]:
@@ -92,9 +99,7 @@ class TestSSequence:
             assert list(report.roots) == sorted(report.roots)
             assert {pos: len(ps) for pos, ps in report.roots.items()} == {
                 i + 1: v for i, v in enumerate(report.s) if v}
-            values = {text[pos - 1:pos - 1 + 2 * p]: pos
-                      for pos, ps in report.roots.items() for p in ps}
-            assert values == oracle_rightmost(text)
+            assert rightmost_map(W(text)) == oracle_rightmost(text)
 
     def test_exhaustive_binary_oracle(self):
         for n in range(1, 11):

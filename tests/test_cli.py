@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.cli import main
 from fsdsq.double_squares import MateClassification, MateLabel
@@ -124,6 +126,26 @@ class TestAnalyze:
         assert [{"property": f["property"], "detail": f["detail"]}
                 for f in json.loads(out)["findings"] if f["word"] == EQUAL_17] == [expected]
 
+    def test_pair_shapes_finding_matches_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(fsdsq.pairs, "ordering_case", lambda *lengths: 1)
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert set(payload) == {"schema_version", "word", "n", "s", "double_squares",
+                                "pairs", "findings"}
+        assert payload["s"] == EQUAL_17_S
+        assert [sq["position"] for sq in payload["double_squares"]] == [1, 2]
+        assert payload["pairs"] == []
+        expected = {"property": "pair_shapes",
+                    "detail": f"adjacent double squares at position 1 of {EQUAL_17!r} "
+                              "realise infeasible length ordering case 1: (5, 8, 5, 8)"}
+        assert payload["findings"] == [expected]
+        code, out, _ = run(capsys, "verify", "--max-len", "17", "--jobs", "1", "-f", "json",
+                           "--deterministic")
+        assert code == 2
+        assert [{"property": f["property"], "detail": f["detail"]}
+                for f in json.loads(out)["findings"] if f["word"] == EQUAL_17] == [expected]
+
     def test_unclassifiable_mate_is_null(self, capsys, monkeypatch):
         def unclassifiable(first, second):
             raise UnclassifiablePairError("planted: fits no mate category")
@@ -175,6 +197,13 @@ class TestGenerate:
         assert payload["T"] == 2
         assert payload["ratio"] == {"num": 2, "den": 17}
 
+    def test_equal_seed_without_growth_exits_one(self, capsys):
+        code, out, err = run(capsys, "generate", "--kind", "equal",
+                             "--seed", "aabaaabaabaaab", "-f", "json")
+        assert (code, out) == (1, "")
+        assert err == ("error: no equal extension: appending the seed's first letter "
+                       "does not lengthen the run of 2's at position 1\n")
+
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kind", "equal")
         assert code == 1
@@ -199,6 +228,8 @@ class TestUsageErrors:
         ["census", "ab", "--deterministic"],
         ["analyze", "ab", "--deterministic"],
         ["generate", "--kind", "run", "--target", "1", "--deterministic"],
+        ["analyze", "ab", "-f", "tsv"],
+        ["generate", "--kind", "run", "--target", "1", "-f", "tsv"],
     ])
     def test_parser_error_exits_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +259,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-len", "6", "-f", "json")
         assert code == 0
         assert "elapsed_seconds" in json.loads(out)
+        code, out, _ = run(capsys, "verify", "--max-len", "6")
+        assert code == 0
+        assert any(line.startswith("elapsed: ") for line in out.splitlines())
+        _, out, _ = run(capsys, "verify", "--max-len", "6", "--deterministic")
+        assert "elapsed" not in out
+
+    # sha256 of ``verify --deterministic --format json``: a change that
+    # alters any byte of the report changes these.
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("alphabet_size,max_len,digest", [
+        ("2", "14", "f94fba626c22c1d537c34471a74fe9f5e664d95ca93ae363e7b4a62885cbf285"),
+        ("3", "10", "5262bee081b656e38230e8a8387f474bd35158b6ed88566e9e710a1854c09613"),
+    ])
+    def test_deterministic_json_is_pinned(self, capsys, alphabet_size, max_len, digest,
+                                          jobs):
+        code, out, _ = run(capsys, "verify", "--alphabet-size", alphabet_size,
+                           "--max-len", max_len, "--jobs", jobs, "--deterministic",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_deterministic_output_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--max-len", "9", "-f", "json",

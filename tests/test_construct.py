@@ -4,8 +4,7 @@ import pytest
 
 import fsdsq.construct
 from fsdsq.census import s_sequence
-from fsdsq.construct import (build_run, extend_equal_run, extend_unequal,
-                             run_report)
+from fsdsq.construct import build_run, extend_equal_run, extend_unequal
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.errors import CounterexampleError, NoExtensionError
 from fsdsq.pairs import PairKind, find_double_square_pairs
@@ -28,30 +27,6 @@ SEEDS = [
 ]
 
 
-class TestRatioReport:
-    def test_equal_17(self):
-        rep = run_report(W(EQUAL_17))
-        assert rep.T == 2
-        assert rep.ratio == Fraction(2, 17)
-        assert rep.bound_ok
-        assert rep.findings == ()
-
-    def test_trivial(self):
-        rep = run_report(W("ab"))
-        assert rep.T == 0
-        assert rep.ratio == 0
-
-    def test_w2(self):
-        rep = run_report(W(W2))
-        assert rep.T == 2
-        assert rep.ratio == Fraction(2, 89)
-
-    def test_verified_against_census(self):
-        for text in (W1, W2, EQUAL_17, "abaababaab"):
-            rep = run_report(W(text))
-            assert rep.T == s_sequence(W(text)).longest_run[1]
-
-
 class TestExtendEqualRun:
     def test_equal_17_from_its_square(self):
         rep = extend_equal_run(W("abaababaabaababa"))
@@ -59,10 +34,14 @@ class TestExtendEqualRun:
         assert rep.T == 2
         assert [s.kind for s in rep.steps] == ["equal"]
         assert rep.steps[0].letters == "a"
+        assert rep.T == s_sequence(rep.word).longest_run[1]
 
     def test_smallest_has_no_extension(self):
-        with pytest.raises(NoExtensionError):
-            extend_equal_run(W("abaababaab"))
+        # in aabaaabaabaaab the period x1 x2 and its rotation x2 x1 share a
+        # prefix, yet no appended letter grows the run either
+        for text in ("abaababaab", "aabaaabaabaaab"):
+            with pytest.raises(NoExtensionError):
+                extend_equal_run(W(text))
 
     def test_rejects_non_square_seed(self):
         with pytest.raises(ValueError):
@@ -83,7 +62,9 @@ class TestExtendEqualRun:
             try:
                 rep = extend_equal_run(seed)
             except NoExtensionError:
-                assert ell == 0
+                # the first appended letter already fails to grow the run
+                lead = s_sequence(seed).leading_run
+                assert s_sequence(seed + seed[:1]).leading_run <= lead
                 continue
             leading = 0
             for v in s_sequence(rep.word).s:
@@ -111,13 +92,14 @@ class TestExtendUnequal:
     def test_short_variant_reproduces_w1(self):
         rep = extend_unequal(W("aabaaabaabaaab"), "short")
         assert rep.word.text == W1
-        assert rep.T == 2
+        assert rep.T == 2 == s_sequence(rep.word).longest_run[1]
         assert [s.kind for s in rep.steps] == ["unequal"]
 
     def test_long_variant_reproduces_w2(self):
         rep = extend_unequal(W("aabaaabaabaaab"), "long")
         assert rep.word.text == W2
-        assert rep.T == 2
+        assert rep.T == 2 == s_sequence(rep.word).longest_run[1]
+        assert rep.ratio == Fraction(2, 89)
 
     def test_unary_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +136,7 @@ class TestExtendUnequal:
         for pair in unequal:
             assert pair.second.SQ_len > 2 * pair.first.SQ_len
             assert pair.all_checks_pass
-        assert rep.bound_ok
+        assert 7 * rep.T < rep.n
 
 
 class TestBuildRun:
@@ -170,6 +152,8 @@ class TestBuildRun:
         assert rep.word.text == EQUAL_17
         assert rep.T == 2
         assert rep.ratio == Fraction(2, 17)
+        assert 7 * rep.T < rep.n
+        assert rep.findings == ()
 
     def test_target_four(self):
         rep = build_run(4)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import random
@@ -12,8 +13,8 @@ from fsdsq.census import s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.pairs import PairKind, find_double_square_pairs
-from fsdsq.sweep import (LengthStats, SweepConfig, _plan_blocks, exhaustive_verify,
-                         minimal_pair_length)
+from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _plan_blocks,
+                         exhaustive_verify, minimal_pair_length)
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
@@ -24,8 +25,8 @@ from oracles import all_words, canonical_words, oracle_longest_run, oracle_right
 DATA = Path(__file__).parent / "data"
 
 
-def _json(report, timing=False):
-    return json.dumps(report.to_json_dict(include_timing=timing), sort_keys=True)
+def _json(report):
+    return json.dumps(report.to_json_dict(), sort_keys=True)
 
 
 class TestCanonicalEnumeration:
@@ -397,9 +398,17 @@ def test_public_names():
     for name in fsdsq.__all__:
         assert getattr(fsdsq, name) is not None
     for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words",
-                 "extremal_ratio", "RatioTable", "ExtensionBudgetError"):
+                 "extremal_ratio", "RatioTable", "ExtensionBudgetError",
+                 "rightmost_map", "run_report"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
+    assert not hasattr(fsdsq.census, "rightmost_map")
+    assert not hasattr(fsdsq.construct, "run_report")
+    assert not hasattr(fsdsq.RunReport, "bound_ok")
+    assert "elapsed_seconds" not in [f.name for f in dataclasses.fields(SweepReport)]
+    assert list(inspect.signature(SweepReport.to_json_dict).parameters) == ["self"]
+    error = fsdsq.ForbiddenPairError("message")
+    assert not any(hasattr(error, a) for a in ("word", "position", "case", "lengths"))
     assert not hasattr(fsdsq.errors, "ExtensionBudgetError")
     assert not hasattr(fsdsq.sweep, "COST_CEILING_ENV")
     assert not hasattr(Word, "rotate")
