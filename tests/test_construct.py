@@ -4,7 +4,7 @@ import pytest
 
 import fsdsq.construct
 from fsdsq.census import s_sequence
-from fsdsq.construct import build_run, extend_equal_run, extend_unequal
+from fsdsq.construct import _run_report, build_run, extend_equal_run, extend_unequal
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.errors import CounterexampleError, NoExtensionError
 from fsdsq.pairs import PairKind, find_double_square_pairs
@@ -25,6 +25,39 @@ SEEDS = [
     "aabbaaabbaabbaaabb", "abaaaabaaabaaaabaa", "ababaababababaabab",
     "abababaababababaab", "abbaaabbaabbaaabba", "abbbaabbbabbbaabbb",
 ]
+
+
+def _report(text):
+    return _run_report(s_sequence(W(text)), ())
+
+
+class TestRatioReport:
+    def test_equal_17(self):
+        rep = _report(EQUAL_17)
+        assert rep.T == 2
+        assert rep.ratio == Fraction(2, 17)
+        assert 7 * rep.T < rep.n
+        assert rep.findings == ()
+
+    def test_trivial(self):
+        rep = _report("ab")
+        assert rep.T == 0
+        assert rep.ratio == 0
+        assert rep.findings == ()
+
+    def test_w2(self):
+        rep = _report(W2)
+        assert rep.T == 2
+        assert rep.ratio == Fraction(2, 89)
+
+    def test_verified_against_census(self):
+        # each constructor's T is the census run length of the word it built
+        seed = W("aabaaabaabaaab")
+        for rep, text in ((build_run(1), "abaababaab"), (build_run(2), EQUAL_17),
+                          (extend_unequal(seed, "short"), W1),
+                          (extend_unequal(seed, "long"), W2)):
+            assert rep.word.text == text
+            assert rep.T == s_sequence(W(text)).longest_run[1]
 
 
 class TestExtendEqualRun:
