@@ -5,7 +5,7 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Two exact facts about m_i keep the
+array of Crochemore & Ilie, IPL 2008).  Four exact facts about m_i keep the
 scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
@@ -21,8 +21,29 @@ scan cheap:
   one of length m_{i+1} + 1 at j-1 > i, so the bound is met and no search
   is needed.  Otherwise lengths m_{i+1} + 1, m_{i+1}, ... are probed, and
   the index the successful search returns becomes the next witness.
+* Bounded first probe.  Let j be the nearest witness of position i+1 and
+  the witness test fail.  A hit k of the probe of length m_{i+1} + 1 puts
+  codes[i+1:i+1+m_{i+1}] at k+1 > i+1, so k+1 >= j; and k = j-1 is what
+  the witness test ruled out.  So that probe searches from j, not i+1, and
+  its hit is again the nearest witness; so is j-1 after a witness step, and
+  the leftmost hit of a shorter probe.  Every witness the step returns is
+  the nearest one.
+* Witness-period rule.  Let m = m_i, j its witness and d = j - i <= m.
+  Then codes[i:i+d+m] has period d, and the period breaks at e = i+d+m
+  (codes[e] != codes[e-d], or e is the end of the word), since otherwise
+  the match at j would be longer than m.  A root p >= d has 2p <= d+m:
+  else e < i+2p, and with p <= m < 2p both e-p and e-d-p lie in
+  [i, i+d+m) and [i, i+p), so codes[e] = codes[e-p] = codes[e-p-d] =
+  codes[e-d].  Then codes[i:i+2p] has periods p and d, and Fine-Wilf gives
+  it period g = gcd(p, d).  As g divides d, all of codes[i:i+d+m] has
+  period g, so if g < d the suffix at i+g matches d+m-g > m letters, which
+  m = m_i forbids; so d divides p.  Conversely every multiple p of d with
+  2p <= d+m is a square of period d.  The interval [q, (d+m)/2] is shorter
+  than d, so it holds at most one such multiple, and the find window
+  shrinks to the roots p < d.  This needs only that j is a witness; the
+  nearest one gives the smallest d, which applies the rule most often.
 
-``_census_step`` is the one implementation of both facts.  ``_census_scan``
+``_census_step`` is the one implementation of these facts.  ``_census_scan``
 runs it right to left along a word; the sweep runs it along the left
 extensions of a word, one new first position per word.
 
@@ -78,12 +99,12 @@ class CensusReport:
 def _census_step(codes: bytes | bytearray):
     """The census step over ``codes``, right to left, as ``step(i, m, j)``.
 
-    From the state of position i + 1 (m = m_{i+1}, and j, a start > i + 1 of
-    a later match of that length; m = 0 and j = len(codes) past the end) it
-    returns m_i, such a start for position i, and the ascending rightmost
-    root lengths at i, by the two facts of the module docstring.  ``codes``
-    may be a buffer that the caller rewrites left of i between calls: the
-    step reads only positions i and right of it.
+    From the state of position i + 1 (m = m_{i+1}, and j, the nearest start
+    > i + 1 of a later match of that length; m = 0 and j = len(codes) past
+    the end) it returns m_i, the nearest such start for position i, and the
+    ascending rightmost root lengths at i, by the facts of the module
+    docstring.  ``codes`` may be a buffer that the caller rewrites left of i
+    between calls: the step reads only positions i and right of it.
     """
     n = len(codes)
     find = codes.find
@@ -95,12 +116,14 @@ def _census_step(codes: bytes | bytearray):
         else:
             if m > n - i - 1:
                 m = n - i - 1
+            start = j  # a match of length m_{i+1} + 1 starts at j or later
             while m > 0:
-                k = find(codes[i:i + m], i + 1)
+                k = find(codes[i:i + m], start)
                 if k != -1:
                     j = k
                     break
                 m -= 1
+                start = i + 1
             else:
                 j = i + 1  # the empty match
         ps: list[int] = []
@@ -108,6 +131,16 @@ def _census_step(codes: bytes | bytearray):
         if m < pmax:
             pmax = m
         q = (m >> 1) + 1
+        d = j - i
+        extra = 0
+        if d <= m:
+            # Roots p >= d: the one multiple of d in [max(q, d), (d + m) / 2], if any.
+            extra = q if q > d else d
+            extra += -extra % d
+            if extra > pmax or extra > (d + m) >> 1:
+                extra = 0
+            if pmax >= d:
+                pmax = d - 1
         if q <= pmax:
             # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
             u = codes[i:i + q]
@@ -117,6 +150,8 @@ def _census_step(codes: bytes | bytearray):
                 if codes[i + q:k] == codes[k + q:2 * k - i]:
                     ps.append(k - i)
                 k = find(u, k + 1, end)
+        if extra:
+            ps.append(extra)
         return m, j, ps
 
     return step

@@ -150,18 +150,20 @@ def _run_report_out(report: RunReport, fmt: str) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # The first option of a kind is required.  An option of another kind is
+    # refused, not ignored: a mistyped --kind would answer another question.
+    used = {"run": ("target",), "equal": ("seed",), "unequal": ("seed", "variant")}[args.kind]
+    if getattr(args, used[0]) is None:
+        raise ValueError(f"--{used[0]} is required for --kind {args.kind}")
+    for name in ("seed", "target", "variant"):
+        if name not in used and getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to --kind {args.kind}")
     if args.kind == "run":
-        if args.target is None:
-            raise ValueError("--target is required for --kind run")
         report = build_run(args.target)
     elif args.kind == "equal":
-        if args.seed is None:
-            raise ValueError("--seed is required for --kind equal")
         report = extend_equal_run(Word.from_text(args.seed))
     else:
-        if args.seed is None:
-            raise ValueError("--seed is required for --kind unequal")
-        report = extend_unequal(Word.from_text(args.seed), args.variant)
+        report = extend_unequal(Word.from_text(args.seed), args.variant or "short")
     return _run_report_out(report, args.format)
 
 
@@ -241,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("equal", "unequal", "run"), required=True)
     p.add_argument("--seed", help="seed word for equal/unequal extension")
     p.add_argument("--target", type=int, help="target run length for --kind run")
-    p.add_argument("--variant", choices=("short", "long"), default="short",
-                   help="middle of the new block for --kind unequal")
+    p.add_argument("--variant", choices=("short", "long"),
+                   help="middle of the new block for --kind unequal (default short)")
     p.add_argument("-f", "--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_generate)
 

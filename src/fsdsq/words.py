@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-_TEXT_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_LETTERS = b"abcdefghijklmnopqrstuvwxyz"
+_DECODE = bytes.maketrans(_LETTERS, bytes(range(26)))
+# Codes past the 26 letters map to 0xff, which the ASCII decode rejects.
+_ENCODE = _LETTERS + b"\xff" * 230
 
 
 class Word:
@@ -25,19 +28,18 @@ class Word:
     @classmethod
     def from_text(cls, text: str) -> "Word":
         """Decode a lowercase-letter string (a=0, b=1, ...)."""
-        out = bytearray()
-        for ch in text:
-            c = ord(ch) - 97
-            if not 0 <= c < 26:
-                raise ValueError(f"invalid word character {ch!r}: lowercase letters only")
-            out.append(c)
-        return cls(bytes(out))
+        raw = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+        if raw.translate(None, _LETTERS):
+            ch = next(ch for ch in text if not "a" <= ch <= "z")
+            raise ValueError(f"invalid word character {ch!r}: lowercase letters only")
+        return cls(raw.translate(_DECODE))
 
     @property
     def text(self) -> str:
-        if any(c >= 26 for c in self.codes):
-            raise ValueError("word uses codes beyond the 26-letter textual alphabet")
-        return "".join(_TEXT_ALPHABET[c] for c in self.codes)
+        try:
+            return self.codes.translate(_ENCODE).decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError("word uses codes beyond the 26-letter textual alphabet") from None
 
     def __len__(self) -> int:
         return len(self.codes)

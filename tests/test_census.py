@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import _census_step, render_census_tsv, s_sequence
+from fsdsq.census import _census_scan, _census_step, render_census_tsv, s_sequence
+from fsdsq.construct import build_run
 from fsdsq.words import Word
 
 from oracles import (all_words, canonical_words, oracle_later_match,
@@ -14,11 +15,23 @@ EQUAL_17 = "abaababaabaababaa"
 EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
 
 
+def square_starts(text: str, roots: dict[int, list[int]]) -> dict[str, int]:
+    """Each square value of ``roots`` mapped to its 1-based start."""
+    return {text[pos - 1:pos - 1 + 2 * p]: pos for pos, ps in roots.items() for p in ps}
+
+
 def rightmost_map(w: Word) -> dict[str, int]:
     """Each distinct square value mapped to the 1-based start of its last
     occurrence, read from the census roots."""
-    return {w.text[pos - 1:pos - 1 + 2 * p]: pos
-            for pos, ps in s_sequence(w).roots.items() for p in ps}
+    return square_starts(w.text, s_sequence(w).roots)
+
+
+def assert_scan_matches_oracles(text: str) -> None:
+    """``_census_scan`` of ``text`` against the cubic oracles: s and the
+    rightmost start of every distinct square."""
+    s, roots = _census_scan(W(text).codes)
+    assert s == oracle_s(text)
+    assert square_starts(text, roots) == oracle_rightmost(text)
 
 
 def later_match_lengths(codes: bytes) -> list[int]:
@@ -102,14 +115,31 @@ class TestSSequence:
             assert rightmost_map(W(text)) == oracle_rightmost(text)
 
     def test_exhaustive_binary_oracle(self):
-        for n in range(1, 11):
+        for n in range(1, 15):
             for text in all_words(2, n):
-                assert list(s_sequence(W(text)).s) == oracle_s(text)
+                assert_scan_matches_oracles(text)
 
     def test_exhaustive_ternary_oracle(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             for text in canonical_words(3, n):
-                assert list(s_sequence(W(text)).s) == oracle_s(text)
+                assert_scan_matches_oracles(text)
+
+    def test_closed_form_words_against_oracle(self):
+        # long periodic stretches, where the witness-period rule fires
+        for target in range(1, 13):
+            assert_scan_matches_oracles(build_run(target).word.text)
+
+    def test_root_below_witness_distance(self):
+        # At position 1 the nearest later match of length m = 5 starts at
+        # d = 5: root 3 < d comes from the find window, root 5 = d is the
+        # one multiple of d.
+        codes = W("abaababaab").codes
+        step = _census_step(codes)
+        m, j = 0, len(codes)
+        for i in range(len(codes) - 1, 0, -1):
+            m, j, _ = step(i, m, j)
+        assert step(0, m, j) == (5, 5, [3, 5])
+        assert s_sequence(W("abaababaab")).roots[1] == [3, 5]
 
     @given(st.text(alphabet="abcd", min_size=0, max_size=40))
     @settings(max_examples=120)

@@ -188,6 +188,11 @@ class TestGenerate:
         assert code == 0
         assert out.splitlines()[0] == W1
 
+    def test_unequal_variant_defaults_to_short(self, capsys):
+        code, out, _ = run(capsys, "generate", "--kind", "unequal", "--seed", "aabaaabaabaaab")
+        assert code == 0
+        assert out.splitlines()[0] == W1
+
     def test_equal_seed(self, capsys):
         code, out, _ = run(capsys, "generate", "--kind", "equal",
                            "--seed", "abaababaabaababa", "-f", "json")
@@ -237,6 +242,24 @@ class TestUsageErrors:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--kind", "run", "--target", "2", "--seed", "zz"], "seed"),
+        (["--kind", "run", "--target", "2", "--variant", "long"], "variant"),
+        (["--kind", "equal", "--seed", "abaababaabaababa", "--target", "9"], "target"),
+        (["--kind", "equal", "--seed", "abaababaabaababa", "--variant", "short"], "variant"),
+        (["--kind", "unequal", "--seed", "aabaaabaabaaab", "--target", "9"], "target"),
+    ])
+    def test_option_of_another_kind_exits_one(self, capsys, argv, option):
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --{option} does not apply to --kind {argv[1]}\n"
+
+    @pytest.mark.parametrize("kind,option", [("run", "target"), ("unequal", "seed")])
+    def test_missing_option_of_the_kind_exits_one(self, capsys, kind, option):
+        code, out, err = run(capsys, "generate", "--kind", kind)
+        assert (code, out) == (1, "")
+        assert err == f"error: --{option} is required for --kind {kind}\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,11 +19,25 @@ class TestWord:
         assert W("").text == ""
         assert list(W("abc")) == [0, 1, 2]
 
+    def test_all_letters_roundtrip(self):
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        assert W(letters).codes == bytes(range(26))
+        assert Word(range(26)).text == letters
+
     def test_rejects_bad_characters(self):
-        with pytest.raises(ValueError):
-            W("aB")
-        with pytest.raises(ValueError):
-            W("a b")
+        # the message names the first character outside a..z
+        for text, bad in [("aB", "B"), ("a b", " "), ("abéc", "é"), ("a?Zb", "?"),
+                          ("ab{", "{"), ("`a", "`")]:
+            with pytest.raises(ValueError) as exc:
+                W(text)
+            assert str(exc.value) == f"invalid word character {bad!r}: lowercase letters only"
+
+    @pytest.mark.parametrize("codes", [[0, 26], [25, 255, 0]])
+    def test_text_rejects_codes_past_z(self, codes):
+        with pytest.raises(ValueError) as exc:
+            Word(codes).text
+        assert str(exc.value) == "word uses codes beyond the 26-letter textual alphabet"
+        assert repr(Word(codes)) == f"Word({codes!r})"
 
     def test_slicing_and_concat(self):
         w = W("abaab")
