@@ -7,8 +7,7 @@ from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
                              MateLabel, canonical_factorization,
                              classify_mate_detail, find_fs_double_squares)
 from .errors import (CostCeilingError, CounterexampleError, FactorizationError,
-                     FindingError, ForbiddenPairError, NoExtensionError,
-                     UnclassifiablePairError)
+                     NoExtensionError)
 from .pairs import (Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
 from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepConfig,
@@ -20,10 +19,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_PROPERTIES", "BuildStep", "CensusReport", "Check", "CostCeilingError",
     "CounterexampleError", "Factorization", "FactorizationError", "Finding",
-    "FindingError", "ForbiddenPairError", "FsDoubleSquare", "LengthStats",
-    "MateClassification", "MateLabel", "NoExtensionError", "PairClassification",
-    "PairKind", "RunReport", "SweepConfig", "SweepReport",
-    "UnclassifiablePairError", "Word",
+    "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
+    "NoExtensionError", "PairClassification", "PairKind", "RunReport",
+    "SweepConfig", "SweepReport", "Word",
     "are_conjugate", "build_run", "canonical_factorization",
     "classify_mate_detail", "exhaustive_verify", "extend_equal_run",
     "extend_unequal", "find_double_square_pairs", "find_fs_double_squares",

@@ -19,7 +19,7 @@ import time
 
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
-from .errors import FindingError
+from .errors import CounterexampleError
 from .sweep import SweepConfig, SweepReport, check_word, exhaustive_verify
 from .words import Word
 
@@ -124,7 +124,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                               for c in pair["checks"])
             rule = f" ({pair['mate_rule']})" if "mate_rule" in pair else ""
             print(f"adjacent pair at {pair['position']}: {pair['kind']} "
-                  f"(case {pair['case']}), mate {pair['mate']}{rule}; {checks}")
+                  f"(case {pair['case']}), mate {pair['mate']}{rule}; {checks}".rstrip("; "))
         for finding in payload["findings"]:
             print(f"FINDING {finding['property']}: {finding['detail']}")
     return EXIT_FINDING if payload["findings"] else EXIT_OK
@@ -268,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FindingError as exc:
+    except CounterexampleError as exc:
         print(json.dumps({"schema_version": SCHEMA_VERSION,
                           "findings": [{"property": "structure", "detail": str(exc)}]},
                          sort_keys=True))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
 from .errors import CounterexampleError, NoExtensionError
-from .pairs import PairKind, find_double_square_pairs
+from .pairs import PairKind, find_double_square_pairs, infeasible_detail
 from .words import Word
 
 
@@ -118,13 +118,18 @@ def _breaking_letter(code: int) -> int:
 
 
 def _accepts_unequal(candidate: Word, frontier: int) -> CensusReport | None:
-    """The census of ``candidate`` if it is accepted, else None."""
+    """The census of ``candidate`` if it is accepted, else None.  A
+    candidate that holds an infeasible adjacent pair is a counterexample,
+    never a silent rejection."""
     report = s_sequence(candidate)
     s = report.s
     if frontier >= len(s) or s[frontier - 1] != 2 or s[frontier] != 2:
         return None
     squares = find_fs_double_squares(candidate, report.roots)
     pairs = find_double_square_pairs(candidate, squares)
+    for p in pairs:
+        if p.kind is PairKind.INFEASIBLE:
+            raise CounterexampleError(infeasible_detail(candidate, p))
     pair = next((p for p in pairs if p.position == frontier), None)
     if (pair is not None and pair.kind is PairKind.UNEQUAL
             and pair.second.SQ_len > 2 * pair.first.SQ_len):

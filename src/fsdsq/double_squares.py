@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .census import s_sequence
-from .errors import CounterexampleError, FactorizationError, UnclassifiablePairError
+from .errors import CounterexampleError, FactorizationError
 from .words import Word, is_primitive, lcp, primitive_root
 
 
@@ -203,8 +203,10 @@ def _delta_prefix_rule(first: FsDoubleSquare, second: FsDoubleSquare) -> str | N
     return None
 
 
-def classify_mate_detail(first: FsDoubleSquare, second: FsDoubleSquare) -> MateClassification:
-    """Mate category of ``second`` relative to ``first`` (same word).
+def classify_mate_detail(first: FsDoubleSquare,
+                         second: FsDoubleSquare) -> MateClassification | None:
+    """Mate category of ``second`` relative to ``first`` (same word), or
+    None when it fits no category.
 
     The four near categories are decided by their own length and prefix
     conditions; the far category (epsilon) is the fallback once the second
@@ -227,7 +229,4 @@ def classify_mate_detail(first: FsDoubleSquare, second: FsDoubleSquare) -> MateC
             return MateClassification(MateLabel.DELTA, delta_rule=rule)
     if k >= (f.p1 - 1) * ell + lcp(f.period, f.x2 + f.x1):
         return MateClassification(MateLabel.EPSILON)
-    raise UnclassifiablePairError(
-        f"double squares at positions {first.position} and {second.position} "
-        f"(roots {first.sq_len}/{first.SQ_len} and {second.sq_len}/{second.SQ_len}) "
-        "fit no mate category")
+    return None

@@ -1,28 +1,17 @@
 """Exception types shared across the package.
 
-``FindingError`` subclasses mark *mathematical* findings: situations the
-analysed structure theory says cannot happen.  They must surface to the
-caller (the sweep harness records them as findings, the CLI exits with
-status 2) and are never silently swallowed.
+``CounterexampleError`` is the one finding that stops a computation, such
+as a census-2 position that does not factor or a construction candidate
+with an infeasible pair; the CLI prints it as a ``structure`` finding and
+exits 2.  Other findings are data that ``sweep.check_word`` reports.  The
+remaining types are ``ValueError``s: bad requests, not findings.
 """
 
 from __future__ import annotations
 
 
-class FindingError(Exception):
-    """Analysis met a configuration the structural claims rule out."""
-
-
-class CounterexampleError(FindingError):
+class CounterexampleError(Exception):
     """A double-square position violated a checked invariant."""
-
-
-class ForbiddenPairError(FindingError):
-    """Adjacent double squares matched an infeasible length ordering."""
-
-
-class UnclassifiablePairError(FindingError):
-    """A pair of double squares fits no mate category."""
 
 
 class NoExtensionError(ValueError):

@@ -7,10 +7,17 @@ reduce to exactly two feasible shapes:
     case 12 (equal):    a = b < A = B
     case 13 (unequal):  a < A < b < B
 
-Everything else (cases 1-11) contradicts the structure of double squares;
-meeting one is a first-class finding.  Each classification also carries the
-individual relation checks, evaluated and reported rather than asserted, so
-a failed relation shows up in output instead of aborting the hunt.
+Everything else (cases 1-11) contradicts the structure of double squares.
+Such a pair is listed as ``INFEASIBLE`` with its case and no checks, and
+``sweep.check_word`` reports it as a ``pair_shapes`` finding.  A feasible
+pair carries its relation checks, evaluated and reported, not asserted.
+
+Open finding, with no claim that case 10 is feasible: the 31-letter binary
+word ``aabaaaabaabaaaababaaaabaabaaaab`` has rightmost roots (5, 8) at
+position 1 and (8, 15) at position 2, which is case 10 (b = A).  The cubic
+oracle agrees; the squares factor as (aa, b, 1, 1) and (a, baaaab, 1, 1),
+and the mate is gamma.  Without a proof either way, the word keeps its
+``pair_shapes`` and ``adjacent_mates`` findings.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .double_squares import FsDoubleSquare, find_fs_double_squares
-from .errors import ForbiddenPairError
 from .words import Word, are_conjugate, lcp
 
 
 class PairKind(Enum):
     EQUAL = "equal"
     UNEQUAL = "unequal"
+    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +94,6 @@ def ordering_case(sq1: int, SQ1: int, sq2: int, SQ2: int) -> int:
     return 7
 
 
-def _first_letter(square: FsDoubleSquare) -> Word:
-    return square.factorization.short_root[:1]
-
-
 def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
     """Relations an equal adjacent pair must satisfy: both squares conjugate
     (long and short), the one-letter shift identity, and a nonempty common
@@ -99,7 +102,7 @@ def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check,
     v = second.factorization.long_root
     su = first.factorization.short_root
     sv = second.factorization.short_root
-    a = _first_letter(first)
+    a = su[:1]
     f = first.factorization
     return (
         Check("longer_squares_conjugate", are_conjugate(u + u, v + v)),
@@ -128,9 +131,8 @@ def find_double_square_pairs(
 ) -> list[PairClassification]:
     """Classify every pair of FS-double squares at adjacent positions.
 
-    A pair matching neither feasible shape raises ForbiddenPairError with
-    the offending case label; that would contradict the two-shape
-    dichotomy and must be reported.
+    A pair matching neither feasible shape is classified ``INFEASIBLE``
+    with its case label and no checks; ``infeasible_detail`` describes it.
     """
     if squares is None:
         squares = find_fs_double_squares(w)
@@ -148,10 +150,15 @@ def find_double_square_pairs(
             kind = PairKind.UNEQUAL
             checks = _unequal_checks(first, second)
         else:
-            raise ForbiddenPairError(
-                f"adjacent double squares at position {pos} of {w.text!r} realise "
-                f"infeasible length ordering case {case}: "
-                f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})")
+            kind = PairKind.INFEASIBLE
+            checks = ()
         out.append(PairClassification(pos, kind, first, second, case, checks))
     return out
 
+
+def infeasible_detail(w: Word, pair: PairClassification) -> str:
+    """The finding text of an infeasible ``pair`` of ``w``."""
+    first, second = pair.first, pair.second
+    return (f"adjacent double squares at position {pair.position} of {w.text!r} realise "
+            f"infeasible length ordering case {pair.case}: "
+            f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})")

@@ -46,9 +46,9 @@ from multiprocessing import Pool
 from .census import _census_step
 from .double_squares import (FsDoubleSquare, MateClassification, MateLabel,
                              classify_mate_detail, find_fs_double_squares)
-from .errors import (CostCeilingError, CounterexampleError, ForbiddenPairError,
-                     UnclassifiablePairError)
-from .pairs import PairClassification, PairKind, find_double_square_pairs
+from .errors import CostCeilingError, CounterexampleError
+from .pairs import (PairClassification, PairKind, find_double_square_pairs,
+                    infeasible_detail)
 from .words import Word
 
 COST_CEILING = 36
@@ -284,7 +284,7 @@ def _process_block(args: tuple) -> tuple[str, dict]:
             for pair in checked.pairs:
                 if pair.kind is PairKind.EQUAL:
                     st.pairs_equal += 1
-                else:
+                elif pair.kind is PairKind.UNEQUAL:
                     st.pairs_unequal += 1
             findings.extend((prop, word.text, detail) for prop, detail in checked.findings)
         return True
@@ -313,9 +313,9 @@ class WordCheck:
 def check_word(word: Word, roots: dict, max_s: int, distinct: int, run: int) -> WordCheck:
     """Check every property of ``ALL_PROPERTIES`` on ``word``, given its
     rightmost-root map (1-based positions), largest s_i, distinct-square
-    count and longest run of 2's.  A structure finding (a position that does
-    not factor, or an infeasible pair) stops the analysis there; what was
-    found before it is returned with the finding."""
+    count and longest run of 2's.  A position that does not factor is a
+    finding that leaves no squares and no pairs; otherwise every adjacent
+    pair, infeasible ones included, gets its checks, end order and mate."""
     n = len(word)
     findings: list[tuple[str, str]] = []
     if max_s > 2:
@@ -326,32 +326,32 @@ def check_word(word: Word, roots: dict, max_s: int, distinct: int, run: int) -> 
     if n and 7 * run >= n:
         findings.append(("run_length_bound", f"7*{run} >= {n}"))
     squares: list[FsDoubleSquare] = []
-    pairs: list[PairClassification] = []
     mates: list[MateClassification | None] = []
     try:
         squares = find_fs_double_squares(word, roots)
-        pairs = find_double_square_pairs(word, squares)
     except CounterexampleError as exc:
         findings.append(("factorization_roundtrip", str(exc)))
-    except ForbiddenPairError as exc:
-        findings.append(("pair_shapes", str(exc)))
+    pairs = find_double_square_pairs(word, squares)
     for pair in pairs:
-        if not pair.all_checks_pass:
+        first, second = pair.first, pair.second
+        if pair.kind is PairKind.INFEASIBLE:
+            findings.append(("pair_shapes", infeasible_detail(word, pair)))
+        elif not pair.all_checks_pass:
             failed = [c.name for c in pair.checks if not c.passed]
             findings.append((f"{pair.kind.value}_pair_checks",
                              f"position {pair.position}: failed {failed}"))
-        if not any(c.name == "second_ends_after_first" and c.passed for c in pair.checks):
+        if second.end <= first.end:
             findings.append(("pair_end_order",
                              f"position {pair.position}: second square does not end after first"))
-        try:
-            mate = classify_mate_detail(pair.first, pair.second)
-        except UnclassifiablePairError as exc:
-            mate = None
-            findings.append(("adjacent_mates", str(exc)))
-        else:
-            if mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
-                findings.append(("adjacent_mates",
-                                 f"position {pair.position}: mate {mate.label.value}"))
+        mate = classify_mate_detail(first, second)
+        if mate is None:
+            findings.append(("adjacent_mates",
+                             f"double squares at positions {first.position} and "
+                             f"{second.position} (roots {first.sq_len}/{first.SQ_len} and "
+                             f"{second.sq_len}/{second.SQ_len}) fit no mate category"))
+        elif mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
+            findings.append(("adjacent_mates",
+                             f"position {pair.position}: mate {mate.label.value}"))
         mates.append(mate)
     return WordCheck(tuple(squares), tuple(pairs), tuple(mates), tuple(findings))
 

@@ -14,7 +14,7 @@ from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.sweep import SweepConfig, exhaustive_verify, minimal_pair_length
 from fsdsq.words import Word
 
-from oracles import all_words, canonical_words, oracle_s
+from oracles import all_words, canonical_words, oracle_rightmost, oracle_s
 
 W = Word.from_text
 
@@ -71,24 +71,23 @@ def test_criterion_02_golden_w1_w2():
 
 
 def test_criterion_03_oracle_equivalence():
+    """s and the rightmost start of every distinct square, against the
+    cubic oracle."""
     start = time.perf_counter()
     mismatches = 0
-    checked = 0
-    for n in range(1, 15):
-        for text in all_words(2, n):
-            checked += 1
-            if list(s_sequence(W(text)).s) != oracle_s(text):
-                mismatches += 1
-    for n in range(1, 11):
-        for text in canonical_words(3, n):
-            checked += 1
-            if list(s_sequence(W(text)).s) != oracle_s(text):
-                mismatches += 1
+    words = [text for n in range(1, 15) for text in all_words(2, n)]
+    words += [text for n in range(1, 11) for text in canonical_words(3, n)]
+    for text in words:
+        report = s_sequence(W(text))
+        starts = {text[pos - 1:pos - 1 + 2 * p]: pos
+                  for pos, ps in report.roots.items() for p in ps}
+        if list(report.s) != oracle_s(text) or starts != oracle_rightmost(text):
+            mismatches += 1
     elapsed = time.perf_counter() - start
     assert mismatches == 0
     assert elapsed < 300
-    print(f"ACCEPTANCE 3 PASS: fast census equals the cubic oracle on "
-          f"{checked} words ({elapsed:.1f} s)")
+    print(f"ACCEPTANCE 3 PASS: fast census and rightmost squares equal the cubic "
+          f"oracle on {len(words)} words ({elapsed:.1f} s)")
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,13 @@ class TestSSequence:
             for text in canonical_words(3, n):
                 assert_scan_matches_oracles(text)
 
+    def test_case_ten_word_against_oracle(self):
+        # a pair of ordering case 10 at position 1: roots (5, 8) then (8, 15)
+        text = "aabaaaabaabaaaababaaaabaabaaaab"
+        assert_scan_matches_oracles(text)
+        roots = s_sequence(W(text)).roots
+        assert (roots[1], roots[2]) == ([5, 8], [8, 15])
+
     def test_closed_form_words_against_oracle(self):
         # long periodic stretches, where the witness-period rule fires
         for target in range(1, 13):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,14 +7,19 @@ import pytest
 import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.cli import main
-from fsdsq.double_squares import MateClassification, MateLabel
-from fsdsq.errors import CounterexampleError, UnclassifiablePairError
+from fsdsq.double_squares import (MateClassification, MateLabel,
+                                  find_fs_double_squares)
+from fsdsq.errors import CounterexampleError
 from fsdsq.words import Word
 
 V = "abaaabaabaaabb"
 W1 = "a" + (V + "ab" + V) * 2
 EQUAL_17 = "abaababaabaababaa"
 EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
+# an adjacent pair of ordering case 10, which the two-shape dichotomy rules out
+CASE_10 = "aabaaaabaabaaaababaaaabaabaaaab"
+# the shortest binary unequal pair found so far
+UNEQUAL_39 = "babbababbaaabbababbaabbababbaaabbababba"
 
 
 def run(capsys, *argv):
@@ -135,7 +141,9 @@ class TestAnalyze:
                                 "pairs", "findings"}
         assert payload["s"] == EQUAL_17_S
         assert [sq["position"] for sq in payload["double_squares"]] == [1, 2]
-        assert payload["pairs"] == []
+        [pair] = payload["pairs"]
+        assert (pair["position"], pair["kind"], pair["case"], pair["checks"],
+                pair["mate"]) == (1, "infeasible", 1, [], "alpha")
         expected = {"property": "pair_shapes",
                     "detail": f"adjacent double squares at position 1 of {EQUAL_17!r} "
                               "realise infeasible length ordering case 1: (5, 8, 5, 8)"}
@@ -143,21 +151,66 @@ class TestAnalyze:
         code, out, _ = run(capsys, "verify", "--max-len", "17", "--jobs", "1", "-f", "json",
                            "--deterministic")
         assert code == 2
+        report = json.loads(out)
         assert [{"property": f["property"], "detail": f["detail"]}
-                for f in json.loads(out)["findings"] if f["word"] == EQUAL_17] == [expected]
+                for f in report["findings"] if f["word"] == EQUAL_17] == [expected]
+        at_17 = report["per_length"]["17"]
+        assert at_17["pairs_equal"] == at_17["pairs_unequal"] == 0
 
     def test_unclassifiable_mate_is_null(self, capsys, monkeypatch):
-        def unclassifiable(first, second):
-            raise UnclassifiablePairError("planted: fits no mate category")
-
-        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail", unclassifiable)
+        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail", lambda first, second: None)
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert code == 2
         payload = json.loads(out)
         assert payload["pairs"][0]["mate"] is None
         assert "mate_rule" not in payload["pairs"][0]
-        assert payload["findings"] == [{"property": "adjacent_mates",
-                                        "detail": "planted: fits no mate category"}]
+        assert payload["findings"] == [{
+            "property": "adjacent_mates",
+            "detail": "double squares at positions 1 and 2 (roots 5/8 and 5/8) "
+                      "fit no mate category"}]
+
+    def test_case_ten_pair_is_listed(self, capsys):
+        code, out, _ = run(capsys, "analyze", CASE_10, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        [pair] = payload["pairs"]
+        assert (pair["position"], pair["kind"], pair["case"], pair["checks"],
+                pair["mate"]) == (1, "infeasible", 10, [], "gamma")
+        assert payload["findings"] == [
+            {"property": "pair_shapes",
+             "detail": f"adjacent double squares at position 1 of {CASE_10!r} "
+                       "realise infeasible length ordering case 10: (5, 8, 8, 15)"},
+            {"property": "adjacent_mates", "detail": "position 1: mate gamma"},
+        ]
+        code, out, _ = run(capsys, "analyze", CASE_10)
+        assert code == 2
+        assert "adjacent pair at 1: infeasible (case 10), mate gamma\n" in out
+
+    def test_infeasible_pair_gets_end_order_and_mate(self, capsys, monkeypatch):
+        # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
+        first = find_fs_double_squares(Word.from_text(EQUAL_17))[0]
+        second = dataclasses.replace(
+            find_fs_double_squares(Word.from_text("abaababaab"))[0], position=2)
+        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
+                            lambda word, roots=None: [first, second])
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert [(p["kind"], p["case"], p["mate"]) for p in payload["pairs"]] == [
+            ("infeasible", 5, "epsilon")]
+        assert [f["property"] for f in payload["findings"]] == [
+            "pair_shapes", "pair_end_order", "adjacent_mates"]
+        assert payload["findings"][1]["detail"] == (
+            "position 1: second square does not end after first")
+
+    def test_unequal_39_is_clean(self, capsys):
+        code, out, _ = run(capsys, "analyze", UNEQUAL_39, "-f", "json")
+        assert code == 0
+        payload = json.loads(out)
+        [pair] = payload["pairs"]
+        assert (pair["kind"], pair["case"], pair["mate"]) == ("unequal", 13, "delta")
+        assert pair["checks"] and all(c["pass"] for c in pair["checks"])
+        assert payload["findings"] == []
 
     def test_structure_finding_keeps_payload(self, capsys, monkeypatch):
         def planted(word, roots=None):
@@ -208,6 +261,14 @@ class TestGenerate:
         assert (code, out) == (1, "")
         assert err == ("error: no equal extension: appending the seed's first letter "
                        "does not lengthen the run of 2's at position 1\n")
+
+    def test_unequal_infeasible_candidate_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(fsdsq.pairs, "ordering_case", lambda *lengths: 1)
+        code, out, _ = run(capsys, "generate", "--kind", "unequal", "--seed", "aabaaabaabaaab")
+        assert code == 2
+        [finding] = json.loads(out)["findings"]
+        assert finding["property"] == "structure"
+        assert "infeasible length ordering case 1" in finding["detail"]
 
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kind", "equal")

@@ -292,7 +292,7 @@ def _reference_per_length(alphabet_size, max_len):
             for pair in find_double_square_pairs(word):
                 if pair.kind is PairKind.EQUAL:
                     st.pairs_equal += 1
-                else:
+                elif pair.kind is PairKind.UNEQUAL:
                     st.pairs_unequal += 1
     return out
 
@@ -399,7 +399,8 @@ def test_public_names():
         assert getattr(fsdsq, name) is not None
     for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words",
                  "extremal_ratio", "RatioTable", "ExtensionBudgetError",
-                 "rightmost_map", "run_report"):
+                 "rightmost_map", "run_report", "FindingError", "ForbiddenPairError",
+                 "UnclassifiablePairError"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
     assert not hasattr(fsdsq.census, "rightmost_map")
@@ -407,9 +408,10 @@ def test_public_names():
     assert not hasattr(fsdsq.RunReport, "bound_ok")
     assert "elapsed_seconds" not in [f.name for f in dataclasses.fields(SweepReport)]
     assert list(inspect.signature(SweepReport.to_json_dict).parameters) == ["self"]
-    error = fsdsq.ForbiddenPairError("message")
-    assert not any(hasattr(error, a) for a in ("word", "position", "case", "lengths"))
-    assert not hasattr(fsdsq.errors, "ExtensionBudgetError")
+    for gone in ("ExtensionBudgetError", "FindingError", "ForbiddenPairError",
+                 "UnclassifiablePairError"):
+        assert not hasattr(fsdsq.errors, gone)
+    assert fsdsq.CounterexampleError.__bases__ == (Exception,)
     assert not hasattr(fsdsq.sweep, "COST_CEILING_ENV")
     assert not hasattr(Word, "rotate")
     assert [f.name for f in dataclasses.fields(SweepConfig)] == [
