@@ -45,7 +45,8 @@ scan cheap:
 
 ``_census_step`` is the one implementation of these facts.  ``_census_scan``
 runs it right to left along a word; the sweep runs it along the left
-extensions of a word, one new first position per word.
+extensions of a word, one new first position per word.  ``runs_of_two``
+reads the runs of 2's off the roots, for the census and the sweep alike.
 
 All equality decisions are exact byte comparisons, never hashes.
 """
@@ -68,12 +69,19 @@ class CensusReport:
 
     word: Word
     s: tuple[int, ...]
-    distinct_square_count: int
     runs_of_two: tuple[tuple[int, int], ...]
-    longest_run: tuple[int, int]
     # Derived from ``word`` like ``s``; kept out of comparison so the report
     # stays hashable.
     roots: dict[int, list[int]] = field(compare=False, repr=False)
+
+    @property
+    def distinct_square_count(self) -> int:
+        return sum(self.s)
+
+    @property
+    def longest_run(self) -> tuple[int, int]:
+        """The first longest run of 2's as (start, length); (0, 0) if none."""
+        return max(self.runs_of_two, key=lambda run: run[1], default=(0, 0))
 
     @property
     def max_s(self) -> int:
@@ -173,37 +181,24 @@ def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     return s, dict(reversed(found))
 
 
-def s_sequence(w: Word) -> CensusReport:
-    """Census of ``w``: the s_i sequence, distinct-square total, runs and
-    the rightmost roots at each position."""
-    s, roots = _census_scan(w.codes)
-    return _report_from_counts(w, s, roots)
-
-
-def _report_from_counts(w: Word, s: list[int], roots: dict[int, list[int]]) -> CensusReport:
-    runs: list[tuple[int, int]] = []
-    i, n = 0, len(s)
-    while i < n:
-        if s[i] == 2:
-            j = i
-            while j < n and s[j] == 2:
-                j += 1
-            runs.append((i + 1, j - i))
-            i = j
+def runs_of_two(roots: dict[int, list[int]]) -> tuple[tuple[int, int], ...]:
+    """(start, length) of each maximal run of consecutive keys of ``roots``
+    with exactly two roots, ascending.  ``roots`` needs every position with
+    s_i >= 2, like the census's map or the sweep's ``doubles``."""
+    runs: list[list[int]] = []
+    for k in sorted(k for k, ps in roots.items() if len(ps) == 2):
+        if runs and runs[-1][0] + runs[-1][1] == k:
+            runs[-1][1] += 1
         else:
-            i += 1
-    best = (0, 0)
-    for start, length in runs:
-        if length > best[1]:
-            best = (start, length)
-    return CensusReport(
-        word=w,
-        s=tuple(s),
-        distinct_square_count=sum(s),
-        runs_of_two=tuple(runs),
-        longest_run=best,
-        roots=roots,
-    )
+            runs.append([k, 1])
+    return tuple((start, length) for start, length in runs)
+
+
+def s_sequence(w: Word) -> CensusReport:
+    """Census of ``w``: the s_i sequence, the runs of 2's and the rightmost
+    roots at each position."""
+    s, roots = _census_scan(w.codes)
+    return CensusReport(w, tuple(s), runs_of_two(roots), roots)
 
 
 def render_census_tsv(report: CensusReport) -> str:

@@ -86,8 +86,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def _analysis_payload(word: Word) -> dict:
     report = s_sequence(word)
-    checked = check_word(word, report.roots, report.max_s, report.distinct_square_count,
-                         report.longest_run[1])
+    checked = check_word(word, report.roots, report.distinct_square_count)
     pair_dicts = []
     for pair, mate in zip(checked.pairs, checked.mates):
         d = pair.to_json_dict()

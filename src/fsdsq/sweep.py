@@ -11,15 +11,14 @@ Each word is built from its parent by prepending one letter.  That leaves
 every old s_i and m_i exact: both depend only on letters at i and to its
 right.  So a word costs one call of the census step of ``census.py`` for
 its new first position.  The rest is carried down the depth-first search
-in O(1) per word: the distinct-square count, the run of 2's at the left
-end, the best run, the largest s_i, and the rightmost roots of every
-position with s_i >= 2, which structure analysis reads instead of
-rescanning.
+in O(1) per word: the distinct-square count and the rightmost roots of
+every position with s_i >= 2, off which the runs of 2's, the largest s_i
+and the structure analysis are read without rescanning.
 
 ``check_word`` is the one definition of a word's findings: it checks every
 property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze``.  The
-sweep calls it only on words that have a census-2 position or already break
-a census claim, since no other word can raise a finding.
+sweep calls it only on words with a position where s_i >= 2, since no
+other word can raise a finding.
 
 Work is split into blocks: one block per canonical suffix of length b,
 plus one block for all shorter words.  b is the longest length up to
@@ -40,10 +39,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .census import _census_step
+from .census import _census_step, runs_of_two
 from .double_squares import (FsDoubleSquare, MateClassification, MateLabel,
                              classify_mate_detail, find_fs_double_squares)
 from .errors import CostCeilingError, CounterexampleError
@@ -57,6 +57,7 @@ COST_CEILING = 36
 BLOCK_SUFFIX_LEN = 7
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
+WALK_STACK_MARGIN = 100  # frames kept for ``_walk``'s callers and its visitor
 
 ALL_PROPERTIES = (
     "census_max_two",
@@ -82,21 +83,25 @@ class SweepConfig:
 
 @dataclass(slots=True)
 class LengthStats:
-    """Aggregates over the words of one length.  The sweep updates it word
-    by word and ``merge`` folds in the record of another block."""
+    """Aggregates over the words of one length; ``run_hist`` counts them by longest run
+    of 2's.  The sweep updates it word by word and ``merge`` adds another block's."""
 
-    words: int = 0
     max_distinct_squares: int = 0
-    max_run: int = 0
     run_hist: dict = field(default_factory=dict)
     pairs_equal: int = 0
     pairs_unequal: int = 0
     double_square_positions: int = 0
 
+    @property
+    def words(self) -> int:
+        return sum(self.run_hist.values())
+
+    @property
+    def max_run(self) -> int:
+        return max(self.run_hist, default=0)
+
     def merge(self, other: "LengthStats") -> None:
-        self.words += other.words
         self.max_distinct_squares = max(self.max_distinct_squares, other.max_distinct_squares)
-        self.max_run = max(self.max_run, other.max_run)
         for t, c in other.run_hist.items():
             self.run_hist[t] = self.run_hist.get(t, 0) + c
         self.pairs_equal += other.pairs_equal
@@ -116,8 +121,7 @@ class LengthStats:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LengthStats":
-        return cls(words=d["words"], max_distinct_squares=d["max_distinct_squares"],
-                   max_run=d["max_run"],
+        return cls(max_distinct_squares=d["max_distinct_squares"],
                    run_hist={int(t): c for t, c in d["run_hist"].items()},
                    pairs_equal=d["pairs_equal"], pairs_unequal=d["pairs_unequal"],
                    double_square_positions=d["double_square_positions"])
@@ -167,7 +171,10 @@ class SweepReport:
         }
 
 
-def _check_ceiling(alphabet_size: int, max_len: int, allow_over: bool) -> None:
+def _check_cost(alphabet_size: int, max_len: int, allow_over: bool) -> None:
+    deepest = sys.getrecursionlimit() - WALK_STACK_MARGIN
+    if max_len > deepest:  # the override cannot lift this one
+        raise ValueError(f"length {max_len} exceeds {deepest}, the deepest walk at this recursion limit")
     if alphabet_size * max_len > COST_CEILING and not allow_over:
         raise CostCeilingError(
             f"alphabet_size*max_len = {alphabet_size * max_len} exceeds the cost "
@@ -190,11 +197,11 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
 
     The current word is ``buf[i:]`` of a buffer of length ``max_len``, so a
     position keeps its index as letters are prepended.  Each word is handed
-    to ``visit(buf, i, distinct, max_s, run, doubles)``: its distinct-square
-    count, largest s_i and longest run of 2's, and ``doubles``, which maps
-    every start with at least two rightmost roots to those roots (ascending
-    lengths).  The walk descends below a word only if ``visit`` returns
-    true.
+    to ``visit(buf, i, distinct, doubles)``: its distinct-square count and
+    ``doubles``, which maps every start with at least two rightmost roots to
+    those roots (ascending lengths), and gives the runs of 2's and the
+    largest s_i.  The walk descends below a word only if ``visit`` returns
+    true.  It recurses once per letter.
     """
     L = max_len
     buf = bytearray(L)
@@ -204,30 +211,23 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     top = alphabet_size - 1
     doubles: dict[int, list[int]] = {}
 
-    # From the state of buf[i+1:] (m_{i+1}, a later-match start, totals and
-    # the run of 2's at its left end) to that of buf[i:].  The letters of
-    # ``suffix`` are already in ``buf`` and are passed through unvisited.
-    def rec(i, used, m, j, distinct, max_s, lead, run):
+    # From the state of buf[i+1:] (m_{i+1}, a later-match start, distinct count) to
+    # that of buf[i:].  The letters of ``suffix`` are in ``buf`` and pass unvisited.
+    def rec(i, used, m, j, distinct):
         m, j, ps = step(i, m, j)
-        s = len(ps)
-        if s >= 2:
+        if len(ps) >= 2:
             doubles[i] = ps
-        lead = lead + 1 if s == 2 else 0
-        if lead > run:
-            run = lead
-        if s > max_s:
-            max_s = s
-        distinct += s
+        distinct += len(ps)
         if i > first:
             c = buf[i - 1]
-            rec(i - 1, c if c > used else used, m, j, distinct, max_s, lead, run)
-        elif visit(buf, i, distinct, max_s, run, doubles) and i:
+            rec(i - 1, c if c > used else used, m, j, distinct)
+        elif visit(buf, i, distinct, doubles) and i:
             for c in range(min(used + 1, top) + 1):
                 buf[i - 1] = c
-                rec(i - 1, c if c > used else used, m, j, distinct, max_s, lead, run)
+                rec(i - 1, c if c > used else used, m, j, distinct)
         doubles.pop(i, None)
 
-    rec(L - 1, buf[L - 1], 0, L, 0, 0, 0, 0)  # from the empty word at L
+    rec(L - 1, buf[L - 1], 0, L, 0)  # from the empty word at L
 
 
 # ------------------------------------------------------------------- blocks
@@ -242,7 +242,7 @@ def _plan_blocks(alphabet_size: int, max_len: int) -> tuple[int, list[str]]:
     top = min(BLOCK_SUFFIX_LEN, max_len)
     by_len: list[list[str]] = [[] for _ in range(top + 1)]
 
-    def visit(buf, i, distinct, max_s, run, doubles):
+    def visit(buf, i, distinct, doubles):
         by_len[top - i].append(Word(buf[i:]).text)
         return True
 
@@ -264,23 +264,21 @@ def _process_block(args: tuple) -> tuple[str, dict]:
     lengths: dict[int, LengthStats] = {}
     findings: list[tuple[str, str, str]] = []
 
-    def visit(buf, i, distinct, max_s, run, doubles):
+    def visit(buf, i, distinct, doubles):
         n = len(buf) - i
         st = lengths.get(n)
         if st is None:
             st = lengths[n] = LengthStats()
-        st.words += 1
         if distinct > st.max_distinct_squares:
             st.max_distinct_squares = distinct
-        if run > st.max_run:
-            st.max_run = run
-        hist = st.run_hist
-        hist[run] = hist.get(run, 0) + 1
+        run = _longest_run(doubles) if doubles else 0
+        st.run_hist[run] = st.run_hist.get(run, 0) + 1
         st.double_square_positions += len(doubles)
-        if doubles or max_s > 2 or distinct >= 2 * n or 7 * run >= n:
+        # s_i > 2, a run and distinct >= 2n need some s_i >= 2: else distinct <= n.
+        if doubles:
             word = Word(_left_canonical(buf[i:]))
             roots = {k - i + 1: ps for k, ps in doubles.items()}
-            checked = check_word(word, roots, max_s, distinct, run)
+            checked = check_word(word, roots, distinct)
             for pair in checked.pairs:
                 if pair.kind is PairKind.EQUAL:
                     st.pairs_equal += 1
@@ -310,13 +308,20 @@ class WordCheck:
     findings: tuple[tuple[str, str], ...]
 
 
-def check_word(word: Word, roots: dict, max_s: int, distinct: int, run: int) -> WordCheck:
+def _longest_run(roots: dict) -> int:
+    return max((length for _, length in runs_of_two(roots)), default=0)
+
+
+def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     """Check every property of ``ALL_PROPERTIES`` on ``word``, given its
-    rightmost-root map (1-based positions), largest s_i, distinct-square
-    count and longest run of 2's.  A position that does not factor is a
-    finding that leaves no squares and no pairs; otherwise every adjacent
-    pair, infeasible ones included, gets its checks, end order and mate."""
+    distinct-square count and a rightmost-root map (1-based positions) with
+    every position where s_i >= 2, which gives the largest s_i and the runs
+    of 2's.  A position that does not factor is a finding that leaves no
+    squares and no pairs; otherwise every adjacent pair, infeasible ones
+    included, gets its checks, end order and mate."""
     n = len(word)
+    max_s = max(map(len, roots.values()), default=0)
+    run = _longest_run(roots)
     findings: list[tuple[str, str]] = []
     if max_s > 2:
         findings.append(("census_max_two", f"max s_i = {max_s}"))
@@ -438,7 +443,7 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         raise ValueError("alphabet_size and max_len must be at least 1")
     if config.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    _check_ceiling(config.alphabet_size, config.max_len, config.allow_over_ceiling)
+    _check_cost(config.alphabet_size, config.max_len, config.allow_over_ceiling)
 
     b, blocks = _plan_blocks(config.alphabet_size, config.max_len)
     done: dict[str, dict] = {}
@@ -502,15 +507,15 @@ def minimal_pair_length(alphabet_size: int, cap: int, *,
     value 2, with the lexicographically smallest canonical witness."""
     if alphabet_size < 1 or cap < 1:
         raise ValueError("alphabet_size and cap must be at least 1")
-    _check_ceiling(alphabet_size, cap, allow_over_ceiling)
+    _check_cost(alphabet_size, cap, allow_over_ceiling)
     best: tuple[int, bytes] | None = None
 
     # A pair, once present, stays in every left extension; so the walk stops
     # below a hit and below the length of the shortest hit so far.
-    def visit(buf, i, distinct, max_s, run, doubles):
+    def visit(buf, i, distinct, doubles):
         nonlocal best
         n = len(buf) - i
-        if run >= 2:
+        if doubles and _longest_run(doubles) >= 2:
             hit = (n, _left_canonical(buf[i:]))
             if best is None or hit < best:
                 best = hit

@@ -30,27 +30,39 @@ def oracle_rightmost(text: str) -> dict[str, int]:
     return out
 
 
-def oracle_s(text: str) -> list[int]:
+def oracle_s(text: str, rightmost: dict[str, int] | None = None) -> list[int]:
+    """s_i of every position, counted off ``rightmost``, the
+    ``oracle_rightmost(text)`` map a caller already has, or a new one."""
+    if rightmost is None:
+        rightmost = oracle_rightmost(text)
     s = [0] * len(text)
-    for start in oracle_rightmost(text).values():
+    for start in rightmost.values():
         s[start - 1] += 1
     return s
 
 
-def oracle_longest_run(text: str) -> tuple[int, int]:
-    s = oracle_s(text)
-    best = (0, 0)
+def oracle_runs_of_two(s: list[int]) -> list[tuple[int, int]]:
+    """1-based (start, length) of every maximal run of 2's, by a scan of s."""
+    runs = []
     i = 0
     while i < len(s):
         if s[i] == 2:
             j = i
             while j < len(s) and s[j] == 2:
                 j += 1
-            if j - i > best[1]:
-                best = (i + 1, j - i)
+            runs.append((i + 1, j - i))
             i = j
         else:
             i += 1
+    return runs
+
+
+def oracle_longest_run(text: str) -> tuple[int, int]:
+    """The first of the longest runs of 2's; (0, 0) if there is none."""
+    best = (0, 0)
+    for run in oracle_runs_of_two(oracle_s(text)):
+        if run[1] > best[1]:
+            best = run
     return best
 
 

@@ -81,7 +81,8 @@ def test_criterion_03_oracle_equivalence():
         report = s_sequence(W(text))
         starts = {text[pos - 1:pos - 1 + 2 * p]: pos
                   for pos, ps in report.roots.items() for p in ps}
-        if list(report.s) != oracle_s(text) or starts != oracle_rightmost(text):
+        rightmost = oracle_rightmost(text)
+        if list(report.s) != oracle_s(text, rightmost) or starts != rightmost:
             mismatches += 1
     elapsed = time.perf_counter() - start
     assert mismatches == 0

@@ -1,13 +1,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import _census_scan, _census_step, render_census_tsv, s_sequence
+from fsdsq.census import _census_scan, _census_step, render_census_tsv, runs_of_two, s_sequence
 from fsdsq.construct import build_run
 from fsdsq.words import Word
 
 from oracles import (all_words, canonical_words, oracle_later_match,
-                     oracle_longest_run, oracle_rightmost, oracle_s,
-                     oracle_squares)
+                     oracle_longest_run, oracle_rightmost, oracle_runs_of_two,
+                     oracle_s, oracle_squares)
 
 W = Word.from_text
 
@@ -30,8 +30,9 @@ def assert_scan_matches_oracles(text: str) -> None:
     """``_census_scan`` of ``text`` against the cubic oracles: s and the
     rightmost start of every distinct square."""
     s, roots = _census_scan(W(text).codes)
-    assert s == oracle_s(text)
-    assert square_starts(text, roots) == oracle_rightmost(text)
+    rightmost = oracle_rightmost(text)
+    assert s == oracle_s(text, rightmost)
+    assert square_starts(text, roots) == rightmost
 
 
 def later_match_lengths(codes: bytes) -> list[int]:
@@ -75,6 +76,39 @@ class TestRightmostMap:
         assert rightmost_map(W(text)) == oracle_rightmost(text)
 
 
+class TestRunsOfTwo:
+    """``runs_of_two`` of the census roots, and of a map of the positions
+    with s_i >= 2 alone in descending order, as the sweep keeps it, against
+    a scan of the oracle's s."""
+
+    @staticmethod
+    def check(text: str) -> None:
+        roots = s_sequence(W(text)).roots
+        expected = tuple(oracle_runs_of_two(oracle_s(text)))
+        assert runs_of_two(roots) == expected
+        doubles = {k: ps for k, ps in reversed(roots.items()) if len(ps) >= 2}
+        assert runs_of_two(doubles) == expected
+
+    def test_small_words(self):
+        for n in range(1, 13):
+            for text in all_words(2, n):
+                self.check(text)
+        for n in range(1, 9):
+            for text in canonical_words(3, n):
+                self.check(text)
+
+    def test_closed_form_words(self):
+        for target in range(1, 13):
+            text = build_run(target).word.text
+            self.check(text)
+            assert runs_of_two(s_sequence(W(text)).roots)[0] == (1, target)
+
+    def test_keys_with_other_counts_break_runs(self):
+        roots = {1: [1, 2], 2: [3, 5], 3: [1, 2, 4], 4: [3, 6], 5: [2], 6: [1, 4], 7: [2, 5]}
+        assert runs_of_two(roots) == ((1, 2), (4, 1), (6, 2))
+        assert runs_of_two({}) == ()
+
+
 class TestSSequence:
     def test_golden_equal_17(self):
         assert list(s_sequence(W(EQUAL_17)).s) == EQUAL_17_S
@@ -105,6 +139,13 @@ class TestSSequence:
         # a run of 2's that does not start at position 1 is not leading
         assert s_sequence(W("c" + EQUAL_17)).longest_run == (2, 2)
         assert s_sequence(W("c" + EQUAL_17)).leading_run == 0
+
+    def test_first_longest_run_wins_a_tie(self):
+        # two census-2 positions that are not adjacent: two runs of length 1
+        report = s_sequence(W("abbababbabbababba"))
+        assert report.s[0] == report.s[7] == 2
+        assert report.runs_of_two == ((1, 1), (8, 1))
+        assert report.longest_run == (1, 1) == oracle_longest_run("abbababbabbababba")
 
     def test_roots_match_rightmost_map(self):
         for text in (EQUAL_17, "abaababaab", "aaaaaa", "ab", ""):

@@ -3,13 +3,14 @@ import inspect
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 import fsdsq
 import fsdsq.sweep
-from fsdsq.census import s_sequence
+from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.pairs import PairKind, find_double_square_pairs
@@ -283,10 +284,8 @@ def _reference_per_length(alphabet_size, max_len):
             word = Word.from_text(text)
             report = s_sequence(word)
             run = report.longest_run[1]
-            st.words += 1
             st.max_distinct_squares = max(st.max_distinct_squares,
                                           report.distinct_square_count)
-            st.max_run = max(st.max_run, run)
             st.run_hist[run] = st.run_hist.get(run, 0) + 1
             st.double_square_positions += sum(1 for v in report.s if v >= 2)
             for pair in find_double_square_pairs(word):
@@ -295,6 +294,13 @@ def _reference_per_length(alphabet_size, max_len):
                 elif pair.kind is PairKind.UNEQUAL:
                     st.pairs_unequal += 1
     return out
+
+
+def _read_off(doubles):
+    """The longest run of 2's and the largest s_i (0 if below 2) that a
+    visitor reads off the walk's ``doubles``."""
+    run = max((length for _, length in runs_of_two(doubles)), default=0)
+    return run, max(map(len, doubles.values()), default=0)
 
 
 class TestLeftExtensionSweep:
@@ -308,14 +314,15 @@ class TestLeftExtensionSweep:
     def test_carried_state_matches_census_per_word(self, alphabet_size, max_len, suffix):
         seen = []
 
-        def visit(buf, i, distinct, max_s, run, doubles):
+        def visit(buf, i, distinct, doubles):
             word = Word(buf[i:])
             text = word.text
             report = s_sequence(word)
             assert text.endswith(suffix)
             assert text[-1] == "a"
             assert distinct == report.distinct_square_count
-            assert max_s == report.max_s
+            run, max_s = _read_off(doubles)
+            assert max_s == (report.max_s if report.max_s >= 2 else 0)
             assert run == report.longest_run[1]
             assert {k - i + 1: ps for k, ps in doubles.items()} == {
                 pos: ps for pos, ps in report.roots.items() if len(ps) >= 2}
@@ -341,14 +348,16 @@ class TestLeftExtensionSweep:
         # carried state against the brute-force oracle instead.
         seen = []
 
-        def visit(buf, i, distinct, max_s, run, doubles):
+        def visit(buf, i, distinct, doubles):
             text = Word(buf[i:]).text
-            s = oracle_s(text)
+            rightmost = oracle_rightmost(text)
+            s = oracle_s(text, rightmost)
             assert distinct == sum(s)
-            assert max_s == max(s)
+            run, max_s = _read_off(doubles)
+            assert max_s == (max(s) if max(s) >= 2 else 0)
             assert run == oracle_longest_run(text)[1]
             roots: dict[int, list[int]] = {}
-            for value, start in oracle_rightmost(text).items():
+            for value, start in rightmost.items():
                 roots.setdefault(start, []).append(len(value) // 2)
             assert {k - i + 1: ps for k, ps in doubles.items()} == {
                 pos: sorted(ps) for pos, ps in roots.items() if len(ps) >= 2}
@@ -417,6 +426,12 @@ def test_public_names():
     assert [f.name for f in dataclasses.fields(SweepConfig)] == [
         "alphabet_size", "max_len", "checkpoint_path", "parallelism",
         "allow_over_ceiling"]
+    # the run of 2's, the word count and the distinct total are derived
+    assert [f.name for f in dataclasses.fields(LengthStats)] == [
+        "max_distinct_squares", "run_hist", "pairs_equal", "pairs_unequal",
+        "double_square_positions"]
+    assert [f.name for f in dataclasses.fields(CensusReport)] == [
+        "word", "s", "runs_of_two", "roots"]
 
 
 class TestMinimalPairLength:
@@ -434,6 +449,41 @@ class TestMinimalPairLength:
         assert n == 17
         s = s_sequence(witness).s
         assert any(s[i] == 2 and s[i + 1] == 2 for i in range(len(s) - 1))
+
+
+class TestWalkDepth:
+    """The walk recurses once per letter, so a length past the recursion
+    limit less the margin is refused up front, override or not."""
+
+    BOUND = sys.getrecursionlimit() - fsdsq.sweep.WALK_STACK_MARGIN
+
+    def _verify(self, max_len):
+        return main(["verify", "--alphabet-size", "1", "--max-len", str(max_len),
+                     "--override-ceiling", "--deterministic", "--format", "json"])
+
+    def test_bound_runs_through_cli(self, capsys):
+        assert self._verify(self.BOUND) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["total_words"] == self.BOUND
+        assert payload["findings"] == []
+
+    def test_past_bound_refused_by_cli(self, capsys):
+        assert self._verify(self.BOUND + 1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: length {self.BOUND + 1} exceeds {self.BOUND}, "
+                                "the deepest walk at this recursion limit\n")
+
+    def test_minimal_pair_length(self):
+        assert minimal_pair_length(1, self.BOUND, allow_over_ceiling=True) == (None, None)
+        with pytest.raises(ValueError, match=f"length {self.BOUND + 1} exceeds"):
+            minimal_pair_length(1, self.BOUND + 1, allow_over_ceiling=True)
+        with pytest.raises(ValueError, match="length 1200 exceeds"):
+            minimal_pair_length(1, 1200, allow_over_ceiling=True)
+        # without the override the depth bound, not the ceiling, is named
+        with pytest.raises(ValueError, match="deepest walk") as info:
+            minimal_pair_length(2, self.BOUND + 1)
+        assert not isinstance(info.value, CostCeilingError)
 
 
 class TestExtremalRatio:
