@@ -2,9 +2,9 @@
 
 Structured results (including findings) go to stdout; diagnostics go to
 stderr.  Exit codes: 0 clean, 1 usage or I/O error, 2 mathematical finding.
-``analyze`` and ``verify`` decide findings by the same check,
-``sweep.check_word``, so a word gets the same property names and details
-from both.  JSON output carries a top-level ``schema_version`` and is
+``analyze``, ``generate`` and ``verify`` decide findings by the same
+check, ``sweep.check_word``, so a word gets the same property names and
+details from each.  JSON output carries a top-level ``schema_version`` and is
 byte-stable for identical invocations; only ``verify`` reports a timing
 field, the time it measures around the sweep, which its ``--deterministic``
 flag omits.  ``tsv`` is a format of ``census`` and ``verify`` only.
@@ -13,6 +13,7 @@ flag omits.  ``tsv`` is a format of ``census`` and ``verify`` only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -143,8 +144,8 @@ def _run_report_out(report: RunReport, fmt: str) -> int:
         print(f"ratio: {report.ratio.numerator}/{report.ratio.denominator}")
         for step in report.steps:
             print(f"step {step.kind}: +{len(step.letters)} letters")
-        for finding in report.findings:
-            print(f"FINDING: {finding}")
+        for prop, detail in report.findings:
+            print(f"FINDING {prop}: {detail}")
     return EXIT_FINDING if report.findings else EXIT_OK
 
 
@@ -222,6 +223,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fsdsq",

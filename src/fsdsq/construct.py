@@ -19,8 +19,8 @@ Two extensions grow a given word that ends in an FS-double square
   prefix for the long variant.  This plants a much longer double square one
   position right of the frontier, roughly quadrupling the word.
 
-Every returned word is re-verified by a full census; construction
-metadata is advisory only.
+Every returned word is re-verified by a full census and its findings are
+those of ``sweep.check_word``; construction metadata is advisory only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from fractions import Fraction
 from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
 from .errors import CounterexampleError, NoExtensionError
-from .pairs import PairKind, find_double_square_pairs, infeasible_detail
+from .pairs import PairKind
+from .sweep import WordCheck, check_word
 from .words import Word
 
 
@@ -43,13 +44,13 @@ class BuildStep:
 
 @dataclass(frozen=True)
 class RunReport:
-    """A constructed word with its census-verified run statistics."""
+    """A constructed word, its census-verified run and ``check_word``'s findings."""
 
     word: Word
     T: int
     ratio: Fraction
     steps: tuple[BuildStep, ...]
-    findings: tuple[str, ...]
+    findings: tuple[tuple[str, str], ...]
 
     @property
     def n(self) -> int:
@@ -62,19 +63,20 @@ class RunReport:
             "T": self.T,
             "ratio": {"num": self.ratio.numerator, "den": self.ratio.denominator},
             "steps": [{"kind": s.kind, "letters": s.letters} for s in self.steps],
-            "findings": list(self.findings),
+            "findings": [{"property": prop, "detail": detail}
+                         for prop, detail in self.findings],
         }
 
 
-def _run_report(report: CensusReport,
-                steps: list[BuildStep] | tuple[BuildStep, ...]) -> RunReport:
-    """The report of a census-verified word; flags 7T >= n as a finding,
-    not an error."""
+def _run_report(report: CensusReport, steps: list[BuildStep] | tuple[BuildStep, ...],
+                checked: WordCheck | None = None) -> RunReport:
+    """The report of a census-verified word, with the findings of
+    ``checked``, its ``check_word`` result, computed here when not given."""
+    if checked is None:
+        checked = check_word(report.word, report.roots, report.distinct_square_count)
     t = report.longest_run[1]
-    n = len(report.word)
-    findings = (f"run bound violated: 7*{t} >= {n}",) if 7 * t >= n else ()
-    return RunReport(word=report.word, T=t, ratio=Fraction(t, n), steps=tuple(steps),
-                     findings=findings)
+    return RunReport(word=report.word, T=t, ratio=Fraction(t, len(report.word)),
+                     steps=tuple(steps), findings=checked.findings)
 
 
 def _equal_phase(report0: CensusReport) -> tuple[CensusReport, int]:
@@ -113,27 +115,19 @@ def extend_equal_run(seed: Word) -> RunReport:
     return _run_report(report, [BuildStep("equal", report.word[len(seed):].text)])
 
 
-def _breaking_letter(code: int) -> int:
-    return 1 if code == 0 else 0
-
-
-def _accepts_unequal(candidate: Word, frontier: int) -> CensusReport | None:
-    """The census of ``candidate`` if it is accepted, else None.  A
-    candidate that holds an infeasible adjacent pair is a counterexample,
-    never a silent rejection."""
+def _accepts_unequal(candidate: Word, frontier: int) -> tuple[CensusReport, WordCheck] | None:
+    """The census and ``check_word`` result of ``candidate`` if it is accepted,
+    else None.  A candidate with 2's at the frontier is screened by
+    ``check_word``; one with a finding is returned, never silently rejected."""
     report = s_sequence(candidate)
     s = report.s
     if frontier >= len(s) or s[frontier - 1] != 2 or s[frontier] != 2:
         return None
-    squares = find_fs_double_squares(candidate, report.roots)
-    pairs = find_double_square_pairs(candidate, squares)
-    for p in pairs:
-        if p.kind is PairKind.INFEASIBLE:
-            raise CounterexampleError(infeasible_detail(candidate, p))
-    pair = next((p for p in pairs if p.position == frontier), None)
-    if (pair is not None and pair.kind is PairKind.UNEQUAL
-            and pair.second.SQ_len > 2 * pair.first.SQ_len):
-        return report
+    checked = check_word(candidate, report.roots, report.distinct_square_count)
+    pair = next((p for p in checked.pairs if p.position == frontier), None)
+    if checked.findings or (pair is not None and pair.kind is PairKind.UNEQUAL
+                            and pair.second.SQ_len > 2 * pair.first.SQ_len):
+        return report, checked
     return None
 
 
@@ -149,7 +143,7 @@ def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
     """
     i = fs.position
     a = w[i - 1:i]
-    b = Word([_breaking_letter(w[i - 1])])
+    b = Word([1 if w[i - 1] == 0 else 0])
     core = w[i - 1:]
     v = core[1:] + b
     for j in range(1, len(v) + 1):
@@ -159,8 +153,8 @@ def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
 
 def extend_unequal(w: Word, variant: str = "short") -> RunReport:
     """Extend a word ending in an FS-double square with a new, longer double
-    square one position right of the frontier.  Raises NoExtensionError when
-    no template candidate is accepted."""
+    square one position right of the frontier.  The first accepted candidate
+    is returned; NoExtensionError is raised when there is none."""
     if variant not in ("short", "long"):
         raise ValueError(f"unknown variant {variant!r}")
     if max(w.codes, default=0) == 0:
@@ -171,9 +165,10 @@ def extend_unequal(w: Word, variant: str = "short") -> RunReport:
         raise ValueError("word does not end in an FS-double square")
     fs = max(enders, key=lambda q: q.position)
     for candidate in _unequal_candidates(w, fs, variant):
-        report = _accepts_unequal(candidate, fs.position)
-        if report is not None:
-            return _run_report(report, [BuildStep("unequal", report.word[len(w):].text)])
+        accepted = _accepts_unequal(candidate, fs.position)
+        if accepted is not None:
+            report, checked = accepted
+            return _run_report(report, [BuildStep("unequal", candidate[len(w):].text)], checked)
     raise NoExtensionError(
         f"no {variant} unequal extension: no template candidate at position "
         f"{fs.position} plants a longer double square one position right of it")
@@ -187,7 +182,7 @@ def build_run(target: int) -> RunReport:
     SQ SQ SQ[:T-1], of length 7T + 3.  Its double squares at positions
     1..T are conjugates of SQ^2, so every adjacent pair in the run is equal.
     The run is read from one census of the word, never from the formula; a
-    census that disagrees is a finding.
+    census that disagrees raises ``CounterexampleError``.
     """
     if target < 1:
         raise ValueError("target must be at least 1")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .census import s_sequence
 from .errors import CounterexampleError, FactorizationError
@@ -39,17 +40,18 @@ class Factorization:
         if not is_primitive(self.x1 + self.x2):
             raise FactorizationError("x1 x2 must be primitive")
 
-    @property
+    # Built once per instance; equality, hash and repr still use the fields.
+    @cached_property
     def period(self) -> Word:
         return self.x1 + self.x2
 
-    @property
+    @cached_property
     def short_root(self) -> Word:
         return self.period * self.p1 + self.x1
 
-    @property
+    @cached_property
     def long_root(self) -> Word:
-        return self.period * self.p1 + self.x1 + self.period * self.p2
+        return self.short_root + self.period * self.p2
 
 
 def canonical_factorization(sq: Word, SQ: Word) -> Factorization:

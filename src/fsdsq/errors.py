@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-``CounterexampleError`` is the one finding that stops a computation, such
-as a census-2 position that does not factor or a construction candidate
-with an infeasible pair; the CLI prints it as a ``structure`` finding and
-exits 2.  Other findings are data that ``sweep.check_word`` reports.  The
-remaining types are ``ValueError``s: bad requests, not findings.
+``CounterexampleError`` is the one finding that stops a computation: a
+construction seed with a census-2 position that does not factor, or a
+closed-form word whose census disagrees with its formula.  The CLI prints
+it as a ``structure`` finding and exits 2.  Other findings are data that
+``sweep.check_word`` reports; the other types are ``ValueError``s.
 """
 
 from __future__ import annotations

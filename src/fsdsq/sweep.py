@@ -16,9 +16,9 @@ every position with s_i >= 2, off which the runs of 2's, the largest s_i
 and the structure analysis are read without rescanning.
 
 ``check_word`` is the one definition of a word's findings: it checks every
-property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze``.  The
-sweep calls it only on words with a position where s_i >= 2, since no
-other word can raise a finding.
+property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze`` and the
+constructions of ``fsdsq generate``.  The sweep calls it only on words with
+a position where s_i >= 2, since no other word can raise a finding.
 
 Work is split into blocks: one block per canonical suffix of length b,
 plus one block for all shorter words.  b is the longest length up to
@@ -400,16 +400,17 @@ def _open_checkpoint(path: str, config: SweepConfig, b: int):
         fh.write(header + "\n")
         fh.flush()
         return {}, fh
-    lines = data[:cut].decode("ascii").splitlines()
-    fields = lines[0].split("\t")
-    if (fields[0] == CHECKPOINT_MAGIC and len(fields) > 1
-            and fields[1] != f"version={CHECKPOINT_VERSION}"):
+    lines = data[:cut].splitlines()
+    fields = lines[0].decode("ascii", "replace").split("\t")
+    if fields[0] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path} is not an fsdsq sweep checkpoint")
+    if len(fields) > 1 and fields[1] != f"version={CHECKPOINT_VERSION}":
         version = fields[1].removeprefix("version=")
         raise ValueError(
             f"checkpoint {path} has format version {version}; this fsdsq reads only "
             f"version {CHECKPOINT_VERSION}, whose blocks are keyed by suffix. "
             "Delete it to start the sweep over")
-    if lines[0] != header:
+    if lines[0] != header.encode("ascii"):
         differ = [f for f in fields if f not in header.split("\t")]
         raise ValueError(f"checkpoint {path} does not match this sweep configuration"
                          + (f": it has {', '.join(differ)}" if differ else ""))
@@ -418,7 +419,7 @@ def _open_checkpoint(path: str, config: SweepConfig, b: int):
         if not line:
             continue
         try:
-            kind, rendered, payload = line.split("\t", 2)
+            kind, rendered, payload = line.decode("ascii").split("\t", 2)
             if kind != "block":
                 raise ValueError(kind)
             record = json.loads(payload)

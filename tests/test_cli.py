@@ -6,11 +6,12 @@ import pytest
 
 import fsdsq.pairs
 import fsdsq.sweep
-from fsdsq.cli import main
+from fsdsq.cli import _build_parser, main
 from fsdsq.double_squares import (MateClassification, MateLabel,
                                   find_fs_double_squares)
 from fsdsq.errors import CounterexampleError
 from fsdsq.words import Word
+from test_acceptance import SEEDS
 
 V = "abaaabaabaaabb"
 W1 = "a" + (V + "ab" + V) * 2
@@ -263,12 +264,49 @@ class TestGenerate:
                        "does not lengthen the run of 2's at position 1\n")
 
     def test_unequal_infeasible_candidate_exits_two(self, capsys, monkeypatch):
+        # the first screened candidate has a finding: the search ends on it
         monkeypatch.setattr(fsdsq.pairs, "ordering_case", lambda *lengths: 1)
+        code, out, _ = run(capsys, "generate", "--kind", "unequal", "--seed", "aabaaabaabaaab",
+                           "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["word"] == W1
+        assert payload["findings"] == [{
+            "property": "pair_shapes",
+            "detail": f"adjacent double squares at position 1 of {W1!r} realise "
+                      "infeasible length ordering case 1: (4, 7, 16, 30)"}]
         code, out, _ = run(capsys, "generate", "--kind", "unequal", "--seed", "aabaaabaabaaab")
         assert code == 2
-        [finding] = json.loads(out)["findings"]
-        assert finding["property"] == "structure"
-        assert "infeasible length ordering case 1" in finding["detail"]
+        assert out.splitlines()[0] == W1
+        assert out.splitlines()[-1] == f"FINDING pair_shapes: {payload['findings'][0]['detail']}"
+
+    def test_planted_mate_is_a_finding(self, capsys, monkeypatch):
+        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail",
+                            lambda first, second: MateClassification(MateLabel.BETA))
+        code, out, _ = run(capsys, "generate", "--kind", "run", "--target", "2", "-f", "json")
+        assert code == 2
+        generated = json.loads(out)
+        assert generated["word"] == EQUAL_17
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        expected = [{"property": "adjacent_mates", "detail": "position 1: mate beta"}]
+        assert generated["findings"] == json.loads(out)["findings"] == expected
+        code, out, _ = run(capsys, "generate", "--kind", "run", "--target", "2")
+        assert code == 2
+        assert "FINDING adjacent_mates: position 1: mate beta\n" in out
+
+    @pytest.mark.parametrize("argv", [
+        *(["--kind", "run", "--target", str(t)] for t in range(1, 41)),
+        *(["--kind", "unequal", "--seed", seed, "--variant", variant]
+          for seed in SEEDS for variant in ("short", "long")),
+        ["--kind", "equal", "--seed", "abaababaabaababa"],
+    ])
+    def test_findings_match_analyze(self, capsys, argv):
+        code, out, _ = run(capsys, "generate", *argv, "-f", "json")
+        generated = json.loads(out)
+        analyzed = run(capsys, "analyze", generated["word"], "-f", "json")
+        assert code == analyzed[0]
+        assert generated["findings"] == json.loads(analyzed[1])["findings"]
 
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kind", "equal")
@@ -321,6 +359,35 @@ class TestUsageErrors:
         code, out, err = run(capsys, "generate", "--kind", kind)
         assert (code, out) == (1, "")
         assert err == f"error: --{option} is required for --kind {kind}\n"
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys):
+        # the parser is built once per process; a usage error must leave
+        # nothing behind for the calls after it
+        sequence = [
+            ["generate", "--kind", "nope"],
+            ["census", EQUAL_17, "-f", "json"],
+            ["analyze", EQUAL_17],
+            ["generate", "--kind", "run", "--target", "2", "-f", "json"],
+            ["verify", "--max-len", "6", "--deterministic"],
+            ["census", "ab"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [call(argv) for argv in sequence]
+        assert _build_parser() is _build_parser()
+        fresh = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 0]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -53,6 +53,15 @@ class TestCanonicalFactorization:
             Factorization(W("a"), W("a"), 1, 1)  # x1x2 = "aa" not primitive
 
 
+    def test_roots_built_once_and_outside_equality(self):
+        f = Factorization(W("a"), W("ab"), 2, 1)
+        fresh = Factorization(W("a"), W("ab"), 2, 1)
+        assert f.long_root is f.long_root
+        assert (f.period.text, f.short_root.text, f.long_root.text) == (
+            "aab", "aabaaba", "aabaabaaab")
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+
+
 class TestDetection:
     def test_smallest(self):
         found = find_fs_double_squares(W("abaababaab"))

@@ -15,7 +15,7 @@ from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _plan_blocks,
-                         exhaustive_verify, minimal_pair_length)
+                         check_word, exhaustive_verify, minimal_pair_length)
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
@@ -265,6 +265,15 @@ class TestDeterminism:
         assert "version 1" in err and "does not match" not in err
         assert ck.read_text() == text
 
+    @pytest.mark.parametrize("data", [b"\n\n", b"\xff\xfe\n"])
+    def test_foreign_file_is_not_a_checkpoint(self, tmp_path, capsys, data):
+        ck = tmp_path / "sweep.ck"
+        ck.write_bytes(data)
+        code = main(["verify", "--max-len", "3", "--checkpoint", str(ck)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ck} is not an fsdsq sweep checkpoint\n"
+        assert ck.read_bytes() == data
+
     def test_checkpoint_is_appended_not_rewritten(self, tmp_path, monkeypatch, crash_after):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 4)
         ck = tmp_path / "sweep.ck"
@@ -496,3 +505,13 @@ class TestExtremalRatio:
         assert all(by_n[n] == 1 for n in range(10, 13))
         for n, t in by_n.items():
             assert 7 * t < n
+
+
+class TestCheckWord:
+    def test_planted_run_breaks_the_run_bound(self):
+        # a run of three 2's in 17 letters: 7*3 >= 17
+        word = Word.from_text("abaababaabaababaa")
+        roots = {**s_sequence(word).roots, 3: [5, 8]}
+        findings = check_word(word, roots, 10).findings
+        assert [prop for prop, _ in findings].count("run_length_bound") == 1
+        assert ("run_length_bound", "7*3 >= 17") in findings
