@@ -11,7 +11,7 @@ from .errors import (CostCeilingError, CounterexampleError, FactorizationError,
 from .pairs import (Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
 from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepConfig,
-                    SweepReport, exhaustive_verify, minimal_pair_length)
+                    SweepReport, exhaustive_verify)
 from .words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 __version__ = "0.1.0"
@@ -25,6 +25,6 @@ __all__ = [
     "are_conjugate", "build_run", "canonical_factorization",
     "classify_mate_detail", "exhaustive_verify", "extend_equal_run",
     "extend_unequal", "find_double_square_pairs", "find_fs_double_squares",
-    "is_primitive", "lcp", "minimal_pair_length", "ordering_case",
-    "primitive_root", "render_census_tsv", "s_sequence",
+    "is_primitive", "lcp", "ordering_case", "primitive_root",
+    "render_census_tsv", "s_sequence",
 ]

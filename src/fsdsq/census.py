@@ -84,10 +84,6 @@ class CensusReport:
         return max(self.runs_of_two, key=lambda run: run[1], default=(0, 0))
 
     @property
-    def max_s(self) -> int:
-        return max(self.s) if self.s else 0
-
-    @property
     def leading_run(self) -> int:
         """Length of the run of 2's that starts at position 1."""
         runs = self.runs_of_two

@@ -8,9 +8,10 @@ reduce to exactly two feasible shapes:
     case 13 (unequal):  a < A < b < B
 
 Everything else (cases 1-11) contradicts the structure of double squares.
-Such a pair is listed as ``INFEASIBLE`` with its case and no checks, and
-``sweep.check_word`` reports it as a ``pair_shapes`` finding.  A feasible
-pair carries its relation checks, evaluated and reported, not asserted.
+Such a pair is listed as ``INFEASIBLE`` with its case and no checks.  A
+feasible pair carries its relation checks, evaluated and reported, not
+asserted.  Nothing here makes a finding: ``sweep.check_word`` writes every
+finding text, the ``pair_shapes`` finding of an infeasible pair included.
 
 Open finding, with no claim that case 10 is feasible: the 31-letter binary
 word ``aabaaaabaabaaaababaaaabaabaaaab`` has rightmost roots (5, 8) at
@@ -132,7 +133,8 @@ def find_double_square_pairs(
     """Classify every pair of FS-double squares at adjacent positions.
 
     A pair matching neither feasible shape is classified ``INFEASIBLE``
-    with its case label and no checks; ``infeasible_detail`` describes it.
+    with its case label and no checks; ``sweep.check_word`` writes its
+    ``pair_shapes`` finding.
     """
     if squares is None:
         squares = find_fs_double_squares(w)
@@ -155,10 +157,3 @@ def find_double_square_pairs(
         out.append(PairClassification(pos, kind, first, second, case, checks))
     return out
 
-
-def infeasible_detail(w: Word, pair: PairClassification) -> str:
-    """The finding text of an infeasible ``pair`` of ``w``."""
-    first, second = pair.first, pair.second
-    return (f"adjacent double squares at position {pair.position} of {w.text!r} realise "
-            f"infeasible length ordering case {pair.case}: "
-            f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})")

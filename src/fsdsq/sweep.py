@@ -32,11 +32,13 @@ Partial aggregates merge by sums and maxima, and findings are sorted by
 order or checkpoint resume points.  The checkpoint file is line-oriented
 text: a header that records b, then one ``block`` line appended and flushed
 per completed block.  A resume drops a trailing line that a crash cut short
-and recomputes that block; a checkpoint of another block plan is refused.
+and recomputes that block.  A checkpoint of another sweep or block plan, or
+one naming a block outside the plan, is refused before it is written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -47,8 +49,7 @@ from .census import _census_step, runs_of_two
 from .double_squares import (FsDoubleSquare, MateClassification, MateLabel,
                              classify_mate_detail, find_fs_double_squares)
 from .errors import CostCeilingError, CounterexampleError
-from .pairs import (PairClassification, PairKind, find_double_square_pairs,
-                    infeasible_detail)
+from .pairs import PairClassification, PairKind, find_double_square_pairs
 from .words import Word
 
 COST_CEILING = 36
@@ -169,16 +170,6 @@ class SweepReport:
                 for f in self.findings
             ],
         }
-
-
-def _check_cost(alphabet_size: int, max_len: int, allow_over: bool) -> None:
-    deepest = sys.getrecursionlimit() - WALK_STACK_MARGIN
-    if max_len > deepest:  # the override cannot lift this one
-        raise ValueError(f"length {max_len} exceeds {deepest}, the deepest walk at this recursion limit")
-    if alphabet_size * max_len > COST_CEILING and not allow_over:
-        raise CostCeilingError(
-            f"alphabet_size*max_len = {alphabet_size * max_len} exceeds the cost "
-            f"ceiling {COST_CEILING}; pass the override flag to run anyway")
 
 
 def _left_canonical(codes: bytes | bytearray) -> bytes:
@@ -340,7 +331,9 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     for pair in pairs:
         first, second = pair.first, pair.second
         if pair.kind is PairKind.INFEASIBLE:
-            findings.append(("pair_shapes", infeasible_detail(word, pair)))
+            findings.append(("pair_shapes", f"adjacent double squares at position {pair.position} "
+                             f"of {word.text!r} realise infeasible length ordering case {pair.case}: "
+                             f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})"))
         elif not pair.all_checks_pass:
             failed = [c.name for c in pair.checks if not c.passed]
             findings.append((f"{pair.kind.value}_pair_checks",
@@ -382,25 +375,25 @@ def _block_line(block_id: str, partial: dict) -> str:
     return f"block\t{block_id or '-'}\t{json.dumps(payload, sort_keys=True)}\n"
 
 
-def _open_checkpoint(path: str, config: SweepConfig, b: int):
+def _open_checkpoint(path: str, config: SweepConfig, b: int, blocks: list[str]):
     """The blocks the checkpoint at ``path`` records, and the file opened
-    for appending.  A missing or empty file starts fresh with a header.  A
-    trailing line without its newline was cut short: it is cut off the file
-    and its block is recomputed."""
+    for appending.  A missing file, or a start of the header with no
+    newline, starts fresh.  A trailing line without its newline was cut
+    short: it is cut off and its block recomputed.  A first line that is no
+    header of this sweep, or a later line that is no record of a block in
+    ``blocks``, is refused before the file is written."""
     header = _checkpoint_header(config, b)
     data = b""
     if os.path.exists(path):
         with open(path, "rb") as fh:
             data = fh.read()
-    cut = data.rfind(b"\n") + 1
-    if cut == 0:
-        if not header.encode("ascii").startswith(data):
-            raise ValueError(f"checkpoint {path} does not match this sweep configuration")
+    if header.encode("ascii").startswith(data):
         fh = open(path, "w", encoding="ascii")
         fh.write(header + "\n")
         fh.flush()
         return {}, fh
-    lines = data[:cut].splitlines()
+    cut = data.rfind(b"\n") + 1
+    lines = data[:cut].splitlines() or [data]  # an unfinished first line is checked too
     fields = lines[0].decode("ascii", "replace").split("\t")
     if fields[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not an fsdsq sweep checkpoint")
@@ -420,10 +413,11 @@ def _open_checkpoint(path: str, config: SweepConfig, b: int):
             continue
         try:
             kind, rendered, payload = line.decode("ascii").split("\t", 2)
-            if kind != "block":
-                raise ValueError(kind)
+            block_id = "" if rendered == "-" else rendered
+            if kind != "block" or block_id not in blocks:
+                raise ValueError(kind, block_id)
             record = json.loads(payload)
-            done["" if rendered == "-" else rendered] = {
+            done[block_id] = {
                 "lengths": {int(n): LengthStats.from_json_dict(st)
                             for n, st in record["lengths"].items()},
                 "findings": [tuple(f) for f in record["findings"]],
@@ -440,40 +434,37 @@ def _open_checkpoint(path: str, config: SweepConfig, b: int):
 
 def exhaustive_verify(config: SweepConfig) -> SweepReport:
     """Census and property-check every canonical word up to ``max_len``."""
-    if config.alphabet_size < 1 or config.max_len < 1:
+    a, n = config.alphabet_size, config.max_len
+    if a < 1 or n < 1:
         raise ValueError("alphabet_size and max_len must be at least 1")
     if config.parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    _check_cost(config.alphabet_size, config.max_len, config.allow_over_ceiling)
+    deepest = sys.getrecursionlimit() - WALK_STACK_MARGIN
+    if n > deepest:  # the override cannot lift this one
+        raise ValueError(f"length {n} exceeds {deepest}, the deepest walk at this recursion limit")
+    if a * n > COST_CEILING and not config.allow_over_ceiling:
+        raise CostCeilingError(f"alphabet_size*max_len = {a * n} exceeds the cost ceiling "
+                               f"{COST_CEILING}; pass the override flag to run anyway")
 
-    b, blocks = _plan_blocks(config.alphabet_size, config.max_len)
+    b, blocks = _plan_blocks(a, n)
     done: dict[str, dict] = {}
     checkpoint = None
     if config.checkpoint_path:
-        done, checkpoint = _open_checkpoint(config.checkpoint_path, config, b)
+        done, checkpoint = _open_checkpoint(config.checkpoint_path, config, b, blocks)
+    args = [(a, n, b, block_id) for block_id in blocks if block_id not in done]
+    workers = min(config.parallelism, len(args), _usable_cpus())
     try:
-        unknown_blocks = set(done) - set(blocks)
-        if unknown_blocks:
-            raise ValueError(f"checkpoint contains unknown blocks: {sorted(unknown_blocks)[:3]}")
-        args = [(config.alphabet_size, config.max_len, b, block_id)
-                for block_id in blocks if block_id not in done]
-
-        def record(block_id: str, partial: dict) -> None:
-            done[block_id] = partial
-            if checkpoint is not None:
-                checkpoint.write(_block_line(block_id, partial))
-                checkpoint.flush()
-
-        workers = min(config.parallelism, len(args), _usable_cpus())
-        if workers > 1:
-            # About four chunks per worker, as ``Pool.map`` sizes them.
-            chunksize = max(1, len(args) // (4 * workers))
-            with Pool(workers) as pool:
-                for block_id, partial in pool.imap_unordered(_process_block, args, chunksize):
-                    record(block_id, partial)
-        else:
-            for arg in args:
-                record(*_process_block(arg))
+        with Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+            if pool is None:
+                results = map(_process_block, args)
+            else:  # about four chunks per worker, as ``Pool.map`` sizes them
+                results = pool.imap_unordered(_process_block, args,
+                                              max(1, len(args) // (4 * workers)))
+            for block_id, partial in results:
+                done[block_id] = partial
+                if checkpoint is not None:
+                    checkpoint.write(_block_line(block_id, partial))
+                    checkpoint.flush()
     finally:
         if checkpoint is not None:
             checkpoint.close()
@@ -498,32 +489,3 @@ def _fold(blocks: list[str], done: dict, config: SweepConfig) -> SweepReport:
         per_length=dict(sorted(per_length.items())),
         findings=tuple(findings),
     )
-
-
-# ------------------------------------------------------------------ queries
-
-def minimal_pair_length(alphabet_size: int, cap: int, *,
-                        allow_over_ceiling: bool = False) -> tuple[int | None, Word | None]:
-    """Smallest n <= cap at which two adjacent positions both carry census
-    value 2, with the lexicographically smallest canonical witness."""
-    if alphabet_size < 1 or cap < 1:
-        raise ValueError("alphabet_size and cap must be at least 1")
-    _check_cost(alphabet_size, cap, allow_over_ceiling)
-    best: tuple[int, bytes] | None = None
-
-    # A pair, once present, stays in every left extension; so the walk stops
-    # below a hit and below the length of the shortest hit so far.
-    def visit(buf, i, distinct, doubles):
-        nonlocal best
-        n = len(buf) - i
-        if doubles and _longest_run(doubles) >= 2:
-            hit = (n, _left_canonical(buf[i:]))
-            if best is None or hit < best:
-                best = hit
-            return False
-        return best is None or n < best[0]
-
-    _walk(alphabet_size, cap, b"", visit)
-    if best is None:
-        return None, None
-    return best[0], Word(best[1])

@@ -11,7 +11,7 @@ from fsdsq.census import s_sequence
 from fsdsq.construct import build_run, extend_unequal
 from fsdsq.double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
-from fsdsq.sweep import SweepConfig, exhaustive_verify, minimal_pair_length
+from fsdsq.sweep import SweepConfig, exhaustive_verify
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_rightmost, oracle_s
@@ -195,8 +195,10 @@ def test_criterion_09_factorization_roundtrip(sweep18):
 
 
 def test_criterion_10_minimal_pair_length():
-    value, witness = minimal_pair_length(2, 17)
+    value = exhaustive_verify(SweepConfig(2, 17)).min_length_per_run.get(2)
+    witness = build_run(2).word
     assert value is not None and value <= 17
+    assert len(witness) == value
     s = s_sequence(witness).s
     assert any(s[i] == 2 and s[i + 1] == 2 for i in range(len(s) - 1))
     print(f"ACCEPTANCE 10 PASS: minimal adjacent-pair length (binary) = {value}, "

@@ -14,8 +14,9 @@ from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.pairs import PairKind, find_double_square_pairs
+from fsdsq.construct import build_run
 from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _plan_blocks,
-                         check_word, exhaustive_verify, minimal_pair_length)
+                         check_word, exhaustive_verify)
 from fsdsq.words import Word
 
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
@@ -229,11 +230,19 @@ class TestDeterminism:
         assert "does not match" in err and "block_prefix_len=7" in err
         assert ck.read_bytes() == old
 
-    def test_checkpoint_config_mismatch_rejected(self, tmp_path):
-        ck = str(tmp_path / "sweep.ck")
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck))
+    def test_checkpoint_config_mismatch_rejected(self, tmp_path, capsys):
+        ck = tmp_path / "sweep.ck"
+        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=str(ck)))
         with pytest.raises(ValueError, match="does not match"):
-            exhaustive_verify(SweepConfig(2, 9, checkpoint_path=ck))
+            exhaustive_verify(SweepConfig(2, 9, checkpoint_path=str(ck)))
+        # the start of another sweep's header, with no newline yet
+        data = b"fsdsq-sweep-checkpoint\tversion=2\talphabet_size=3"
+        ck.write_bytes(data)
+        assert main(["verify", "--max-len", "3", "--checkpoint", str(ck)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ck} does not match this sweep configuration: "
+            "it has alphabet_size=3\n")
+        assert ck.read_bytes() == data
 
     @pytest.mark.parametrize("cut", [1, 7, 40])
     def test_line_cut_short_is_recomputed(self, tmp_path, cut, monkeypatch, crash_after):
@@ -265,13 +274,24 @@ class TestDeterminism:
         assert "version 1" in err and "does not match" not in err
         assert ck.read_text() == text
 
-    @pytest.mark.parametrize("data", [b"\n\n", b"\xff\xfe\n"])
+    @pytest.mark.parametrize("data", [b"\n\n", b"\xff\xfe\n", b"xyz"])
     def test_foreign_file_is_not_a_checkpoint(self, tmp_path, capsys, data):
         ck = tmp_path / "sweep.ck"
         ck.write_bytes(data)
         code = main(["verify", "--max-len", "3", "--checkpoint", str(ck)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {ck} is not an fsdsq sweep checkpoint\n"
+        assert ck.read_bytes() == data
+
+    def test_unknown_block_refused(self, tmp_path, capsys):
+        ck = tmp_path / "sweep.ck"
+        exhaustive_verify(SweepConfig(2, 9, checkpoint_path=str(ck)))
+        header = ck.read_bytes().split(b"\n")[0]
+        data = header + b'\nblock\tzzzzzzz\t{"findings": [], "lengths": {}}\n'
+        ck.write_bytes(data)
+        assert main(["verify", "--max-len", "9", "--checkpoint", str(ck)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ck} line 2 is not a block record\n")
         assert ck.read_bytes() == data
 
     def test_checkpoint_is_appended_not_rewritten(self, tmp_path, monkeypatch, crash_after):
@@ -331,7 +351,8 @@ class TestLeftExtensionSweep:
             assert text[-1] == "a"
             assert distinct == report.distinct_square_count
             run, max_s = _read_off(doubles)
-            assert max_s == (report.max_s if report.max_s >= 2 else 0)
+            top = max(report.s, default=0)
+            assert max_s == (top if top >= 2 else 0)
             assert run == report.longest_run[1]
             assert {k - i + 1: ps for k, ps in doubles.items()} == {
                 pos: ps for pos, ps in report.roots.items() if len(ps) >= 2}
@@ -401,7 +422,7 @@ class TestLeftExtensionSweep:
 
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
         expected = [text for n in range(1, 13) for text in canonical_words(2, n)
-                    if s_sequence(Word.from_text(text)).max_s >= 2]
+                    if max(s_sequence(Word.from_text(text)).s, default=0) >= 2]
         assert len(expected) > 10
         for block_len in (1, 3, 7):
             monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
@@ -418,9 +439,12 @@ def test_public_names():
     for gone in ("SweepInterrupted", "cost_ceiling", "iter_canonical_words",
                  "extremal_ratio", "RatioTable", "ExtensionBudgetError",
                  "rightmost_map", "run_report", "FindingError", "ForbiddenPairError",
-                 "UnclassifiablePairError"):
+                 "UnclassifiablePairError", "minimal_pair_length", "_check_cost",
+                 "infeasible_detail"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
+    assert not hasattr(fsdsq.pairs, "infeasible_detail")
+    assert not hasattr(CensusReport, "max_s")
     assert not hasattr(fsdsq.census, "rightmost_map")
     assert not hasattr(fsdsq.construct, "run_report")
     assert not hasattr(fsdsq.RunReport, "bound_ok")
@@ -444,18 +468,18 @@ def test_public_names():
 
 
 class TestMinimalPairLength:
+    """The shortest length with two adjacent 2's is ``min_length_per_run[2]``."""
+
     def test_none_below_seventeen(self):
-        assert minimal_pair_length(2, 12) == (None, None)
+        assert 2 not in exhaustive_verify(SweepConfig(2, 12)).min_length_per_run
 
     def test_unary_never(self):
-        assert minimal_pair_length(1, 20) == (None, None)
-
-    def test_binary_value_and_witness(self):
-        assert minimal_pair_length(2, 17) == (17, Word.from_text("abaababaabaababaa"))
+        assert exhaustive_verify(SweepConfig(1, 20)).min_length_per_run == {}
 
     def test_witness_is_verified(self):
-        n, witness = minimal_pair_length(2, 17)
-        assert n == 17
+        assert exhaustive_verify(SweepConfig(2, 17)).min_length_per_run == {1: 10, 2: 17}
+        witness = build_run(2).word
+        assert len(witness) == 17
         s = s_sequence(witness).s
         assert any(s[i] == 2 and s[i + 1] == 2 for i in range(len(s) - 1))
 
@@ -483,15 +507,14 @@ class TestWalkDepth:
         assert captured.err == (f"error: length {self.BOUND + 1} exceeds {self.BOUND}, "
                                 "the deepest walk at this recursion limit\n")
 
-    def test_minimal_pair_length(self):
-        assert minimal_pair_length(1, self.BOUND, allow_over_ceiling=True) == (None, None)
+    def test_past_bound_refused_by_sweep(self):
         with pytest.raises(ValueError, match=f"length {self.BOUND + 1} exceeds"):
-            minimal_pair_length(1, self.BOUND + 1, allow_over_ceiling=True)
+            exhaustive_verify(SweepConfig(1, self.BOUND + 1, allow_over_ceiling=True))
         with pytest.raises(ValueError, match="length 1200 exceeds"):
-            minimal_pair_length(1, 1200, allow_over_ceiling=True)
+            exhaustive_verify(SweepConfig(1, 1200, allow_over_ceiling=True))
         # without the override the depth bound, not the ceiling, is named
         with pytest.raises(ValueError, match="deepest walk") as info:
-            minimal_pair_length(2, self.BOUND + 1)
+            exhaustive_verify(SweepConfig(2, self.BOUND + 1))
         assert not isinstance(info.value, CostCeilingError)
 
 
