@@ -5,7 +5,7 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Four exact facts about m_i keep the
+array of Crochemore & Ilie, IPL 2008).  Six exact facts about m_i keep the
 scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
@@ -19,8 +19,9 @@ scan cheap:
   match of the suffix at i+1 starts again at some j > i+1 and
   codes[j-1] == codes[i], the letter before it extends that occurrence to
   one of length m_{i+1} + 1 at j-1 > i, so the bound is met and no search
-  is needed.  Otherwise lengths m_{i+1} + 1, m_{i+1}, ... are probed, and
-  the index the successful search returns becomes the next witness.
+  is needed.  Otherwise the step without an automaton probes lengths
+  m_{i+1} + 1, m_{i+1}, ..., and the index the successful search returns
+  becomes the next witness.
 * Bounded first probe.  Let j be the nearest witness of position i+1 and
   the witness test fail.  A hit k of the probe of length m_{i+1} + 1 puts
   codes[i+1:i+1+m_{i+1}] at k+1 > i+1, so k+1 >= j; and k = j-1 is what
@@ -42,11 +43,34 @@ scan cheap:
   than d, so it holds at most one such multiple, and the find window
   shrinks to the roots p < d.  This needs only that j is a witness; the
   nearest one gives the smallest d, which applies the rule most often.
+* m_i from a suffix automaton.  Let R be codes[i+1:] reversed and c =
+  codes[i].  A prefix of length L of the suffix at i occurs at a start > i
+  exactly when its reverse, the suffix of length L of Rc, is a factor of R.
+  So m_i - 1 is the length of the longest suffix v of R with vc a factor of
+  R, and m_i = 0 if c does not occur in R.  In the suffix automaton of R
+  (Blumer et al., TCS 1985) the suffixes of R are the words of the states on
+  the suffix-link path of the last state, longest first; a state holds
+  words with one set of end positions in R, so either each of its words is
+  followed by c somewhere in R, and the state has a c transition, or none
+  is.  Hence m_i = len(p) + 1 for the first state p on that path with a c
+  transition, or 0 if there is none.  That p is where the on-line extension
+  of the automaton by c stops its walk, so building the automaton of the
+  reversed word right to left gives every m_i in amortized O(1) per letter.
+* Bounded witness search.  With m = m_i known and the witness test failed,
+  one search for codes[i:i+m] in codes[i+1:i+2m] lists the starts k with
+  i < k <= i+m; its leftmost hit is the nearest witness, with d <= m.  A
+  miss means the nearest witness has d > m, where the witness-period rule
+  does not apply, so no longer search is needed.  Each position then
+  searches at most 2m letters, never the rest of the word.
 
-``_census_step`` is the one implementation of these facts.  ``_census_scan``
-runs it right to left along a word; the sweep runs it along the left
-extensions of a word, one new first position per word.  ``runs_of_two``
-reads the runs of 2's off the roots, for the census and the sweep alike.
+``_census_step`` is the one implementation of the witness step and the
+root window.  ``_census_scan`` takes every m_i from ``_later_matches``, the
+automaton, and passes it to the step, which then makes only the bounded
+witness search.  The sweep's walk prepends one letter at a time and
+backtracks, which an automaton built right to left cannot follow, so it
+runs the step with probes along the left extensions of a word.
+``runs_of_two`` reads the runs of 2's off the roots, for the census and the
+sweep alike.
 
 All equality decisions are exact byte comparisons, never hashes.
 """
@@ -101,22 +125,33 @@ class CensusReport:
 
 
 def _census_step(codes: bytes | bytearray):
-    """The census step over ``codes``, right to left, as ``step(i, m, j)``.
+    """The census step over ``codes``, right to left, as ``step(i, m, j)``
+    or ``step(i, m, j, later)``.
 
     From the state of position i + 1 (m = m_{i+1}, and j, the nearest start
     > i + 1 of a later match of that length; m = 0 and j = len(codes) past
     the end) it returns m_i, the nearest such start for position i, and the
     ascending rightmost root lengths at i, by the facts of the module
-    docstring.  ``codes`` may be a buffer that the caller rewrites left of i
-    between calls: the step reads only positions i and right of it.
+    docstring.  Without ``later`` the step finds m_i by probes, so the
+    sweep's walk can take one position at a time.  ``_census_scan`` passes
+    ``later`` = m_i from its automaton; the step then searches a witness
+    only within distance m_i and returns j = -1 when there is none there, so
+    the next step skips the witness test.  ``codes`` may be a buffer that
+    the caller rewrites left of i between calls: the step reads only
+    positions i and right of it.
     """
     n = len(codes)
     find = codes.find
 
-    def step(i: int, m: int, j: int) -> tuple[int, int, list[int]]:
+    def step(i: int, m: int, j: int, later: int = -1) -> tuple[int, int, list[int]]:
         m += 1
         if j - 1 > i and codes[j - 1] == codes[i]:
             j -= 1
+            d = j - i
+        elif later >= 0:
+            m = later
+            j = find(codes[i:i + m], i + 1, i + 2 * m)
+            d = j - i if j >= 0 else n  # a miss means d > m
         else:
             if m > n - i - 1:
                 m = n - i - 1
@@ -130,12 +165,12 @@ def _census_step(codes: bytes | bytearray):
                 start = i + 1
             else:
                 j = i + 1  # the empty match
+            d = j - i
         ps: list[int] = []
         pmax = (n - i) >> 1
         if m < pmax:
             pmax = m
         q = (m >> 1) + 1
-        d = j - i
         extra = 0
         if d <= m:
             # Roots p >= d: the one multiple of d in [max(q, d), (d + m) / 2], if any.
@@ -161,16 +196,64 @@ def _census_step(codes: bytes | bytearray):
     return step
 
 
+def _later_matches(codes: bytes) -> list[int]:
+    """m_0, ..., m_{n-1} of ``codes``, by the suffix automaton of the
+    reversed word, extended by codes[i] for i = n - 1 down to 0.
+
+    State 0 is a bottom state of length -1 with a transition by every letter
+    to the root, state 1, so every suffix-link path meets a transition.
+    State k + 1 is the whole reversed word after its k-th letter; clones
+    follow, at most n - 1 of them.  Each letter has one transition list over
+    the states, 0 meaning none: no transition but the bottom's leads to the
+    root.
+    """
+    n = len(codes)
+    size = 2 * n + 2
+    length = list(range(-1, n + 1)) + [0] * n
+    link = [0] * size
+    tables: list[list[int] | None] = [None] * 256
+    every = []
+    for c in set(codes):
+        tables[c] = [1] + [0] * (size - 1)
+        every.append(tables[c])
+    later = []
+    clone = n + 1
+    for cur, c in enumerate(reversed(codes), 2):
+        t = tables[c]
+        p = cur - 1
+        while not t[p]:
+            t[p] = cur
+            p = link[p]
+        m = length[p] + 1
+        later.append(m)
+        q = t[p]
+        if length[q] == m:
+            link[cur] = q
+        else:
+            clone += 1
+            length[clone] = m
+            link[clone] = link[q]
+            for table in every:
+                table[clone] = table[q]
+            while t[p] == q:
+                t[p] = clone
+                p = link[p]
+            link[q] = link[cur] = clone
+    later.reverse()
+    return later
+
+
 def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     """Counts s_i plus, for positions with s_i > 0, the rightmost root
     lengths (1-based keys in ascending order, ascending root lengths)."""
     n = len(codes)
     s = [0] * n
     found: list[tuple[int, list[int]]] = []
+    later = _later_matches(codes)
     step = _census_step(codes)
     m, j = 0, n
     for i in range(n - 1, -1, -1):
-        m, j, ps = step(i, m, j)
+        m, j, ps = step(i, m, j, later[i])
         if ps:
             s[i] = len(ps)
             found.append((i + 1, ps))

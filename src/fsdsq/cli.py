@@ -36,12 +36,20 @@ def _print_json(payload: dict) -> None:
 
 def _read_words_arg(arg: str) -> list[Word]:
     """``@path``: the words of a file, one per line; anything else is a word
-    given literally, even when a file of that name exists."""
+    given literally, even when a file of that name exists.  A line that is
+    not ASCII or not a word is refused with the file name and line number."""
     if arg.startswith("@"):
         path = arg[1:]
-        with open(path, encoding="ascii") as fh:
-            lines = [line.strip() for line in fh]
-        words = [Word.from_text(line) for line in lines if line]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        words = []
+        for number, raw in enumerate(data.splitlines(), 1):
+            try:
+                line = raw.decode("ascii").strip()
+                if line:
+                    words.append(Word.from_text(line))
+            except ValueError as exc:  # UnicodeDecodeError is a ValueError
+                raise ValueError(f"{path} line {number}: {exc}") from None
         if not words:
             raise ValueError(f"no words found in {path}")
         return words

@@ -1,7 +1,10 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import _census_scan, _census_step, render_census_tsv, runs_of_two, s_sequence
+from fsdsq.census import (_census_scan, _census_step, _later_matches, render_census_tsv,
+                          runs_of_two, s_sequence)
 from fsdsq.construct import build_run
 from fsdsq.words import Word
 
@@ -44,6 +47,32 @@ def later_match_lengths(codes: bytes) -> list[int]:
     for i in range(n - 1, -1, -1):
         m[i], j, _ = step(i, m[i + 1], j)
     return m
+
+
+def automaton_later_match_lengths(codes: bytes) -> list[int]:
+    """m_0 .. m_n from the census's suffix automaton."""
+    return _later_matches(codes) + [0]
+
+
+def step_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
+    """``_census_scan`` with m_i from the step's own probes, as the sweep's
+    walk finds it, in place of the automaton."""
+    n = len(codes)
+    s = [0] * n
+    roots: dict[int, list[int]] = {}
+    step = _census_step(codes)
+    m, j = 0, n
+    for i in range(n - 1, -1, -1):
+        m, j, ps = step(i, m, j)
+        if ps:
+            s[i] = len(ps)
+            roots[i + 1] = ps
+    return s, dict(sorted(roots.items()))
+
+
+def random_word(letters: str, n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    return "".join(rng.choice(letters) for _ in range(n))
 
 
 class TestOracleSquares:
@@ -244,6 +273,9 @@ structured_words = st.one_of(
     st.integers(min_value=0, max_value=300).map(_fibonacci),
     st.integers(min_value=0, max_value=300).map(_thue_morse),
     st.integers(min_value=0, max_value=300).map(lambda n: "a" * n),
+    # unstructured words, where most witness searches miss
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.text(alphabet="abcd"[:k], max_size=300)),
 )
 
 
@@ -266,6 +298,77 @@ class TestLaterMatch:
             for text in canonical_words(3, n):
                 assert later_match_lengths(W(text).codes) == oracle_later_match(text)
 
+    def test_automaton_examples(self):
+        assert automaton_later_match_lengths(W("aaaa").codes) == [3, 2, 1, 0, 0]
+        assert automaton_later_match_lengths(W("abab").codes) == [2, 1, 0, 0, 0]
+        assert automaton_later_match_lengths(W("abc").codes) == [0, 0, 0, 0]
+        assert automaton_later_match_lengths(b"") == [0]
+        # codes past the 26 letters, as a ``Word`` may hold
+        assert automaton_later_match_lengths(bytes([255, 0, 255])) == [1, 0, 0, 0]
+
+    @staticmethod
+    def check_automaton(text: str) -> None:
+        """The automaton's m against the oracle and against the step."""
+        codes = W(text).codes
+        m = automaton_later_match_lengths(codes)
+        assert m == oracle_later_match(text)
+        assert m == later_match_lengths(codes)
+
+    def test_automaton_exhaustive_binary_oracle(self):
+        for n in range(1, 13):
+            for text in all_words(2, n):
+                self.check_automaton(text)
+
+    def test_automaton_exhaustive_ternary_oracle(self):
+        for n in range(1, 9):
+            for text in canonical_words(3, n):
+                self.check_automaton(text)
+
+
+class TestScanMatchesStep:
+    """``_census_scan``, with m_i from the automaton, against the scan that
+    takes m_i from the step's probes, on long words."""
+
+    @staticmethod
+    def check(text: str) -> None:
+        codes = W(text).codes
+        assert _census_scan(codes) == step_scan(codes)
+
+    def test_closed_form_words(self):
+        for target in range(1, 41):
+            self.check(build_run(target).word.text)
+
+    def test_fibonacci_prefixes(self):
+        for n in [*range(1, 201), *range(200, 3001, 50)]:
+            self.check(_fibonacci(n))
+
+    def test_unary(self):
+        self.check("a" * 10_000)
+
+    def test_random_words(self):
+        for letters in ("ab", "abc", "abcdefghijklmnopqrstuvwxyz"):
+            self.check(random_word(letters, 1500, len(letters)))
+
+
+class TestFindCost:
+    """Every substring search of the full census is bounded, so the scan
+    stays near linear on random words: a deterministic count in place of a
+    timing gate."""
+
+    def test_every_find_has_an_end(self):
+        calls: list[tuple[int, int | None]] = []
+
+        class RecordedCodes(bytes):
+            def find(self, sub, start=None, end=None):
+                calls.append((start, end))
+                return super().find(sub, start, end)
+
+        text = random_word("ab", 10_000, 1)
+        codes = W(text).codes
+        assert _census_scan(RecordedCodes(codes)) == _census_scan(codes)
+        assert calls and all(start is not None and end is not None for start, end in calls)
+        assert sum(end - start for start, end in calls) <= 64 * len(codes)
+
 
 class TestStructuredWords:
     """Long structured words against the oracles: m, s and the rightmost map."""
@@ -275,5 +378,6 @@ class TestStructuredWords:
     def test_against_oracles(self, text):
         w = W(text)
         assert later_match_lengths(w.codes) == oracle_later_match(text)
+        assert automaton_later_match_lengths(w.codes) == oracle_later_match(text)
         assert list(s_sequence(w).s) == oracle_s(text)
         assert rightmost_map(w) == oracle_rightmost(text)

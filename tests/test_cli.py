@@ -12,6 +12,7 @@ from fsdsq.double_squares import (MateClassification, MateLabel,
 from fsdsq.errors import CounterexampleError
 from fsdsq.words import Word
 from test_acceptance import SEEDS
+from test_census import _fibonacci, random_word
 
 V = "abaaabaabaaabb"
 W1 = "a" + (V + "ab" + V) * 2
@@ -72,6 +73,40 @@ class TestCensus:
         code, _, err = run(capsys, "census", "@" + str(tmp_path / "none.txt"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("line,detail", [
+        (b"\xff", "'ascii' codec can't decode byte 0xff in position 0: "
+                  "ordinal not in range(128)"),
+        (b"Ab", "invalid word character 'A': lowercase letters only"),
+    ], ids=["not-ascii", "not-a-word"])
+    def test_bad_line_names_file_and_line(self, capsys, tmp_path, line, detail):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"ab\n" + line + b"\n")
+        code, out, err = run(capsys, "census", "@" + str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} line 2: {detail}\n"
+
+    # sha256 of ``census -f json`` and ``analyze -f json`` on long words: a
+    # change to the census or the analysis that alters any byte changes these.
+    @pytest.mark.parametrize("word,census_digest,analyze_digest", [
+        (_fibonacci(2000),
+         "f8b6a3b63891f1e2cfd0d039c2717aa5a3b726cbbcedbce7adf317e544351f7b",
+         "ae1853eb00021625b11374ca71a294fd7bda4eae3d54892c43f74a575884e0f8"),
+        ("a" * 10_000,
+         "4ca0442260b41471cefe228657be6059ea0b4d2ff52142b5767014734bf4d851",
+         "24abf91535241c7470ec7a81d696be5f48b371528edde9fdc4a6807aa613e4cc"),
+        (random_word("ab", 1500, 2),
+         "dd78e394cfd522db7da8df5e14826226cdb0fadd1f4b9512f7c66a5a81db4f72",
+         "dea98a8fb49fbda58b68c0b3ed23e6e0ac51111cda17ce1fce1bb79ccedaab67"),
+        (random_word("abc", 1500, 3),
+         "b32d82bcc33154b686d32c64a0a3a1829a13fac645a030361bdc7ef5ad700094",
+         "d4e7301eba1092354b910ad186b13dc234d2dd45c2a45b0e53fe8f78b9d30850"),
+    ], ids=["fibonacci-2000", "unary-10000", "random-binary-1500", "random-ternary-1500"])
+    def test_long_word_json_is_pinned(self, capsys, word, census_digest, analyze_digest):
+        for command, digest in (("census", census_digest), ("analyze", analyze_digest)):
+            code, out, _ = run(capsys, command, word, "-f", "json")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_invalid_characters(self, capsys):
         code, _, err = run(capsys, "census", "abC")
