@@ -31,7 +31,7 @@ EXIT_FINDING = 2
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps({**payload, "schema_version": SCHEMA_VERSION}, sort_keys=True))
 
 
 def _read_words_arg(arg: str) -> list[Word]:
@@ -83,9 +83,7 @@ def cmd_census(args: argparse.Namespace) -> int:
                   f"longest_run={report.longest_run[0]},{report.longest_run[1]}",
                   file=sys.stderr)
         elif args.format == "json":
-            payload = report.to_json_dict()
-            payload["schema_version"] = SCHEMA_VERSION
-            _print_json(payload)
+            _print_json(report.to_json_dict())
         else:
             print(_census_plain(report))
     return EXIT_OK
@@ -96,20 +94,12 @@ def cmd_census(args: argparse.Namespace) -> int:
 def _analysis_payload(word: Word) -> dict:
     report = s_sequence(word)
     checked = check_word(word, report.roots, report.distinct_square_count)
-    pair_dicts = []
-    for pair, mate in zip(checked.pairs, checked.mates):
-        d = pair.to_json_dict()
-        d["mate"] = mate.label.value if mate else None
-        if mate and mate.delta_rule:
-            d["mate_rule"] = mate.delta_rule
-        pair_dicts.append(d)
     return {
-        "schema_version": SCHEMA_VERSION,
         "word": word.text,
         "n": len(word),
         "s": list(report.s),
         "double_squares": [sq.to_json_dict() for sq in checked.squares],
-        "pairs": pair_dicts,
+        "pairs": [pair.to_json_dict() for pair in checked.pairs],
         "findings": [{"property": prop, "detail": detail}
                      for prop, detail in checked.findings],
     }
@@ -142,9 +132,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _run_report_out(report: RunReport, fmt: str) -> int:
     if fmt == "json":
-        payload = report.to_json_dict()
-        payload["schema_version"] = SCHEMA_VERSION
-        _print_json(payload)
+        _print_json(report.to_json_dict())
     else:
         print(report.word.text)
         print(f"n: {report.n}")
@@ -278,9 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CounterexampleError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "findings": [{"property": "structure", "detail": str(exc)}]},
-                         sort_keys=True))
+        _print_json({"findings": [{"property": "structure", "detail": str(exc)}]})
         return EXIT_FINDING
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,13 +48,16 @@ class RunReport:
 
     word: Word
     T: int
-    ratio: Fraction
     steps: tuple[BuildStep, ...]
     findings: tuple[tuple[str, str], ...]
 
     @property
     def n(self) -> int:
         return len(self.word)
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.T, self.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,8 +77,7 @@ def _run_report(report: CensusReport, steps: list[BuildStep] | tuple[BuildStep, 
     ``checked``, its ``check_word`` result, computed here when not given."""
     if checked is None:
         checked = check_word(report.word, report.roots, report.distinct_square_count)
-    t = report.longest_run[1]
-    return RunReport(word=report.word, T=t, ratio=Fraction(t, len(report.word)),
+    return RunReport(word=report.word, T=report.longest_run[1],
                      steps=tuple(steps), findings=checked.findings)
 
 

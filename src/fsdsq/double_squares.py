@@ -64,12 +64,8 @@ def canonical_factorization(sq: Word, SQ: Word) -> Factorization:
         raise FactorizationError(f"roots are not balanced: |sq|={ns}, |SQ|={nl}")
     if SQ[:ns] != sq:
         raise FactorizationError("short root is not a prefix of the long root")
-    d = nl - ns
-    period, _ = primitive_root(SQ[nl - d:])
+    period, p2 = primitive_root(SQ[ns:])
     ell = len(period)
-    p2, rem = divmod(d, ell)
-    if rem:
-        raise FactorizationError("suffix is not a whole power of its primitive root")
     r = ns % ell
     if r == 0:
         raise FactorizationError("no canonical factorization: x1 would be empty")
@@ -86,23 +82,25 @@ def canonical_factorization(sq: Word, SQ: Word) -> Factorization:
 @dataclass(frozen=True)
 class FsDoubleSquare:
     """An FS-double square: position (1-based) where two rightmost distinct
-    squares start, with root lengths sq_len < SQ_len and the factorization."""
+    squares start, and the factorization of their roots sq and SQ."""
 
     position: int
-    sq_len: int
-    SQ_len: int
     factorization: Factorization
 
     def __post_init__(self) -> None:
         f = self.factorization
-        if len(f.short_root) != self.sq_len or len(f.long_root) != self.SQ_len:
-            raise CounterexampleError("factorization does not match the recorded root lengths")
-        if not self.sq_len < self.SQ_len:
-            raise CounterexampleError("short root must be shorter than the long root")
         if not is_primitive(f.long_root):
             raise CounterexampleError("long root of a double square must be primitive")
         if f.p1 > 1 and not is_primitive(f.short_root):
             raise CounterexampleError("short root must be primitive when p1 > 1")
+
+    @property
+    def sq_len(self) -> int:
+        return len(self.factorization.short_root)
+
+    @property
+    def SQ_len(self) -> int:
+        return len(self.factorization.long_root)
 
     @property
     def end(self) -> int:
@@ -147,7 +145,7 @@ def find_fs_double_squares(
         i = pos - 1
         try:
             fact = canonical_factorization(w[i:i + sq_len], w[i:i + SQ_len])
-            out.append(FsDoubleSquare(pos, sq_len, SQ_len, fact))
+            out.append(FsDoubleSquare(pos, fact))
         except FactorizationError as exc:
             raise CounterexampleError(
                 f"position {pos} of {w.text!r} has two rightmost squares "

@@ -10,15 +10,19 @@ reduce to exactly two feasible shapes:
 Everything else (cases 1-11) contradicts the structure of double squares.
 Such a pair is listed as ``INFEASIBLE`` with its case and no checks.  A
 feasible pair carries its relation checks, evaluated and reported, not
-asserted.  Nothing here makes a finding: ``sweep.check_word`` writes every
-finding text, the ``pair_shapes`` finding of an infeasible pair included.
+asserted.  Every pair carries its mate.  Nothing here makes a finding:
+``sweep.check_word`` writes every finding text.
 
-Open finding, with no claim that case 10 is feasible: the 31-letter binary
-word ``aabaaaabaabaaaababaaaabaabaaaab`` has rightmost roots (5, 8) at
-position 1 and (8, 15) at position 2, which is case 10 (b = A).  The cubic
-oracle agrees; the squares factor as (aa, b, 1, 1) and (a, baaaab, 1, 1),
-and the mate is gamma.  Without a proof either way, the word keeps its
-``pair_shapes`` and ``adjacent_mates`` findings.
+The long square slides right exactly when one more letter agrees.  With
+SQ_1^2 = w[i:i+2A] (0-based), w[j] = w[j+A] for i <= j < i+A; a square of
+root A at i+1 needs this for i+1 <= j <= i+A, where only j = i+A is new,
+and w[i+A] = w[i].  So it exists exactly when w[i+2A] exists and equals
+w[i], and its root SQ_1[1:] SQ_1[0] is SQ_1 rotated by one letter.  Case
+10 (b = A) is thus the long square sliding alone.  Open finding, with no
+proof either way: ``aabaaaabaabaaaababaaaabaabaaaab`` has roots (5, 8) at
+position 1 and (8, 15) at position 2 (the cubic oracle agrees), factored
+as (aa, b, 1, 1) and (a, baaaab, 1, 1), with mate gamma; the word keeps
+its ``pair_shapes`` and ``adjacent_mates`` findings.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .double_squares import FsDoubleSquare, find_fs_double_squares
+from .double_squares import (FsDoubleSquare, MateClassification,
+                             classify_mate_detail, find_fs_double_squares)
 from .words import Word, are_conjugate, lcp
 
 
@@ -44,28 +49,41 @@ class Check:
 
 @dataclass(frozen=True)
 class PairClassification:
-    """Two FS-double squares at positions ``position`` and ``position + 1``."""
+    """Two FS-double squares at adjacent positions, the ordering case of
+    their root lengths, the checks of that case and the mate of ``second``
+    relative to ``first`` (None when it fits no category)."""
 
-    position: int
-    kind: PairKind
     first: FsDoubleSquare
     second: FsDoubleSquare
     case: int
     checks: tuple[Check, ...]
+    mate: MateClassification | None
+
+    @property
+    def position(self) -> int:
+        return self.first.position
+
+    @property
+    def kind(self) -> PairKind:
+        return {12: PairKind.EQUAL, 13: PairKind.UNEQUAL}.get(self.case, PairKind.INFEASIBLE)
 
     @property
     def all_checks_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "position": self.position,
             "kind": self.kind.value,
             "case": self.case,
             "first": self.first.to_json_dict(),
             "second": self.second.to_json_dict(),
             "checks": [{"name": c.name, "pass": c.passed} for c in self.checks],
+            "mate": self.mate.label.value if self.mate else None,
         }
+        if self.mate and self.mate.delta_rule:
+            d["mate_rule"] = self.mate.delta_rule
+        return d
 
 
 def ordering_case(sq1: int, SQ1: int, sq2: int, SQ2: int) -> int:
@@ -99,12 +117,9 @@ def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check,
     """Relations an equal adjacent pair must satisfy: both squares conjugate
     (long and short), the one-letter shift identity, and a nonempty common
     prefix of x1 and x2."""
-    u = first.factorization.long_root
-    v = second.factorization.long_root
-    su = first.factorization.short_root
-    sv = second.factorization.short_root
+    f, g = first.factorization, second.factorization
+    u, v, su, sv = f.long_root, g.long_root, f.short_root, g.short_root
     a = su[:1]
-    f = first.factorization
     return (
         Check("longer_squares_conjugate", are_conjugate(u + u, v + v)),
         Check("shorter_squares_conjugate", are_conjugate(su + su, sv + sv)),
@@ -145,15 +160,9 @@ def find_double_square_pairs(
         if second is None:
             continue
         case = ordering_case(first.sq_len, first.SQ_len, second.sq_len, second.SQ_len)
-        if case == 12:
-            kind = PairKind.EQUAL
-            checks = _equal_checks(first, second)
-        elif case == 13:
-            kind = PairKind.UNEQUAL
-            checks = _unequal_checks(first, second)
-        else:
-            kind = PairKind.INFEASIBLE
-            checks = ()
-        out.append(PairClassification(pos, kind, first, second, case, checks))
+        checks = (_equal_checks(first, second) if case == 12
+                  else _unequal_checks(first, second) if case == 13 else ())
+        out.append(PairClassification(first, second, case, checks,
+                                      classify_mate_detail(first, second)))
     return out
 

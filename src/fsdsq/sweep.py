@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .census import _census_step, runs_of_two
-from .double_squares import (FsDoubleSquare, MateClassification, MateLabel,
-                             classify_mate_detail, find_fs_double_squares)
+from .double_squares import FsDoubleSquare, MateLabel, find_fs_double_squares
 from .errors import CostCeilingError, CounterexampleError
 from .pairs import PairClassification, PairKind, find_double_square_pairs
 from .words import Word
@@ -157,7 +156,6 @@ class SweepReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "alphabet_size": self.alphabet_size,
             "max_len": self.max_len,
             "properties": list(ALL_PROPERTIES),
@@ -270,11 +268,9 @@ def _process_block(args: tuple) -> tuple[str, dict]:
             word = Word(_left_canonical(buf[i:]))
             roots = {k - i + 1: ps for k, ps in doubles.items()}
             checked = check_word(word, roots, distinct)
-            for pair in checked.pairs:
-                if pair.kind is PairKind.EQUAL:
-                    st.pairs_equal += 1
-                elif pair.kind is PairKind.UNEQUAL:
-                    st.pairs_unequal += 1
+            kinds = [pair.kind for pair in checked.pairs]
+            st.pairs_equal += kinds.count(PairKind.EQUAL)
+            st.pairs_unequal += kinds.count(PairKind.UNEQUAL)
             findings.extend((prop, word.text, detail) for prop, detail in checked.findings)
         return True
 
@@ -289,13 +285,11 @@ def _process_block(args: tuple) -> tuple[str, dict]:
 
 @dataclass(frozen=True, slots=True)
 class WordCheck:
-    """What ``check_word`` found: the FS-double squares, the adjacent pairs,
-    each pair's mate (None when it fits no category) and the findings as
-    (property, detail) pairs."""
+    """What ``check_word`` found: the FS-double squares, the adjacent pairs
+    with their mates and the findings as (property, detail) pairs."""
 
     squares: tuple[FsDoubleSquare, ...]
     pairs: tuple[PairClassification, ...]
-    mates: tuple[MateClassification | None, ...]
     findings: tuple[tuple[str, str], ...]
 
 
@@ -309,7 +303,11 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     every position where s_i >= 2, which gives the largest s_i and the runs
     of 2's.  A position that does not factor is a finding that leaves no
     squares and no pairs; otherwise every adjacent pair, infeasible ones
-    included, gets its checks, end order and mate."""
+    included, gets its checks, end order and mate.  A case-10 pair (b = A)
+    is a gamma mate unless p1 = 1 and |x1 x2| = 2 (gamma needs 2 < p1 |x1 x2|
+    at distance 2), and then epsilon, as x1 and x2 are distinct letters.  So
+    ``pair_shapes`` and ``adjacent_mates`` report the same pair twice, and
+    both findings stay: each claim is checked on its own."""
     n = len(word)
     max_s = max(map(len, roots.values()), default=0)
     run = _longest_run(roots)
@@ -322,7 +320,6 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     if n and 7 * run >= n:
         findings.append(("run_length_bound", f"7*{run} >= {n}"))
     squares: list[FsDoubleSquare] = []
-    mates: list[MateClassification | None] = []
     try:
         squares = find_fs_double_squares(word, roots)
     except CounterexampleError as exc:
@@ -341,17 +338,15 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
         if second.end <= first.end:
             findings.append(("pair_end_order",
                              f"position {pair.position}: second square does not end after first"))
-        mate = classify_mate_detail(first, second)
-        if mate is None:
+        if pair.mate is None:
             findings.append(("adjacent_mates",
                              f"double squares at positions {first.position} and "
                              f"{second.position} (roots {first.sq_len}/{first.SQ_len} and "
                              f"{second.sq_len}/{second.SQ_len}) fit no mate category"))
-        elif mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
+        elif pair.mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
             findings.append(("adjacent_mates",
-                             f"position {pair.position}: mate {mate.label.value}"))
-        mates.append(mate)
-    return WordCheck(tuple(squares), tuple(pairs), tuple(mates), tuple(findings))
+                             f"position {pair.position}: mate {pair.mate.label.value}"))
+    return WordCheck(tuple(squares), tuple(pairs), tuple(findings))
 
 
 # --------------------------------------------------------------- checkpoint

@@ -94,15 +94,19 @@ def is_primitive(w: Word) -> bool:
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
-    """Shortest word u and maximal k with u**k == w; u is primitive."""
+    """Shortest word u and maximal k with u**k == w; u is primitive.
+
+    u = w[:d] for d, the first index past 0 of w in ww: the least rotation
+    that fixes w.  The rotations fixing w form a subgroup of Z_n (n = |w|),
+    so they are the multiples of d, d divides n and w = (w[:d])^(n/d).  If
+    w = v^j, rotating by |v| fixes w, so d divides |v|: w[:d] is shortest.
+    """
     n = len(w)
     if n == 0:
         raise ValueError("empty word has no primitive root")
     codes = w.codes
-    for d in range(1, n // 2 + 1):
-        if n % d == 0 and codes == codes[:d] * (n // d):
-            return Word(codes[:d]), n // d
-    return w, 1
+    d = (codes + codes).find(codes, 1)
+    return Word(codes[:d]), n // d
 
 
 def are_conjugate(u: Word, v: Word) -> bool:

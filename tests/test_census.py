@@ -184,11 +184,6 @@ class TestSSequence:
                 i + 1: v for i, v in enumerate(report.s) if v}
             assert rightmost_map(W(text)) == oracle_rightmost(text)
 
-    def test_exhaustive_binary_oracle(self):
-        for n in range(1, 15):
-            for text in all_words(2, n):
-                assert_scan_matches_oracles(text)
-
     def test_exhaustive_ternary_oracle(self):
         for n in range(1, 10):
             for text in canonical_words(3, n):

@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fsdsq.construct
 import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.cli import _build_parser, main
@@ -11,7 +16,7 @@ from fsdsq.double_squares import (MateClassification, MateLabel,
                                   find_fs_double_squares)
 from fsdsq.errors import CounterexampleError
 from fsdsq.words import Word
-from test_acceptance import SEEDS
+from test_acceptance import SEEDS, W2
 from test_census import _fibonacci, random_word
 
 V = "abaaabaabaaabb"
@@ -22,6 +27,8 @@ EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
 CASE_10 = "aabaaaabaabaaaababaaaabaabaaaab"
 # the shortest binary unequal pair found so far
 UNEQUAL_39 = "babbababbaaabbababbaabbababbaaabbababba"
+# ``generate --kind unequal --seed abaababaabaababa``
+UNEQUAL_67 = "abaababaabaabababbbaababaabaabababbaababaabaabababbbaababaabaababab"
 
 
 def run(capsys, *argv):
@@ -52,6 +59,15 @@ class TestCensus:
         assert payload["schema_version"] == 1
         assert payload["s"] == EQUAL_17_S
         assert payload["longest_run"] == {"start": 1, "length": 2}
+
+    def test_module_entry_point(self, capsys):
+        # ``python -m fsdsq`` from a checkout, as the README shows it
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-m", "fsdsq", "census", "ab", "-f", "json"],
+                              capture_output=True, text=True, check=False,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        code, out, err = run(capsys, "census", "ab", "-f", "json")
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (0, out, "")
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
@@ -108,6 +124,38 @@ class TestCensus:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the JSON of the structure records: double squares, pairs with
+    # their checks and mates, and constructed run reports.  UNEQUAL_67 is the
+    # only word here whose mate rule is ``rotated_suffix``.
+    @pytest.mark.parametrize("argv,digest", [
+        (("analyze", EQUAL_17),
+         "d88b25646d5532bb508729e015c519bb88b6d44f1de336a46aad2f13724c010f"),
+        (("analyze", W1),
+         "9b7a4a9076bc594f794c0131a894e85bbd9ff891e2ac3a9ebc4d96edc68bd82a"),
+        (("analyze", W2),
+         "311429924bada7af42f151f1533d27f4aa7edbda3b7790b85020b2a079ea8a29"),
+        (("analyze", CASE_10),
+         "dcf62b048424b5132fcf42f96055de44e6f42ba017f2c21307868b6e33b880d8"),
+        (("analyze", UNEQUAL_39),
+         "c5656e94b448ee6ce051ab930e42b0559333007d7e7df924c70aafa435e19c61"),
+        (("analyze", UNEQUAL_67),
+         "b3387a58079436a20d5c974519a045c6d03ed4215d4d954e7743253360ee5e86"),
+        (("generate", "--kind", "run", "--target", "40"),
+         "f45d530a5ce5327a74c8ab870f112c039a6d7b3cb48de02ebadd82377a3957c1"),
+        (("generate", "--kind", "equal", "--seed", "abaababaabaababa"),
+         "d1771fc92885ff71b92858f8a2c9482cbf722f0835d734baa1847b1e5385c3be"),
+        (("generate", "--kind", "unequal", "--seed", "abaababaabaababa", "--variant", "short"),
+         "160f9ca15e2f889bb0ab93a2216fd2ee19a7b03f36493e1c23432767b0f5637a"),
+        (("generate", "--kind", "unequal", "--seed", "abaababaabaababa", "--variant", "long"),
+         "1380c0cb20e1d411fcd79cd7439677759fbc654c1c780c5c1b893e29fddfbca4"),
+    ], ids=["analyze-equal-17", "analyze-w1", "analyze-w2", "analyze-case-10",
+            "analyze-unequal-39", "analyze-unequal-67", "generate-run-40", "generate-equal",
+            "generate-unequal-short", "generate-unequal-long"])
+    def test_structure_json_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv, "-f", "json")
+        assert code == (2 if CASE_10 in argv else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_invalid_characters(self, capsys):
         code, _, err = run(capsys, "census", "abC")
         assert code == 1
@@ -154,7 +202,7 @@ class TestAnalyze:
         assert out1 == out2
 
     def test_mate_finding_matches_verify(self, capsys, monkeypatch):
-        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail",
+        monkeypatch.setattr(fsdsq.pairs, "classify_mate_detail",
                             lambda first, second: MateClassification(MateLabel.BETA))
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert code == 2
@@ -194,7 +242,7 @@ class TestAnalyze:
         assert at_17["pairs_equal"] == at_17["pairs_unequal"] == 0
 
     def test_unclassifiable_mate_is_null(self, capsys, monkeypatch):
-        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail", lambda first, second: None)
+        monkeypatch.setattr(fsdsq.pairs, "classify_mate_detail", lambda first, second: None)
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert code == 2
         payload = json.loads(out)
@@ -316,7 +364,7 @@ class TestGenerate:
         assert out.splitlines()[-1] == f"FINDING pair_shapes: {payload['findings'][0]['detail']}"
 
     def test_planted_mate_is_a_finding(self, capsys, monkeypatch):
-        monkeypatch.setattr(fsdsq.sweep, "classify_mate_detail",
+        monkeypatch.setattr(fsdsq.pairs, "classify_mate_detail",
                             lambda first, second: MateClassification(MateLabel.BETA))
         code, out, _ = run(capsys, "generate", "--kind", "run", "--target", "2", "-f", "json")
         assert code == 2
@@ -342,6 +390,16 @@ class TestGenerate:
         analyzed = run(capsys, "analyze", generated["word"], "-f", "json")
         assert code == analyzed[0]
         assert generated["findings"] == json.loads(analyzed[1])["findings"]
+
+    def test_structure_error_is_a_stamped_finding(self, capsys, monkeypatch):
+        def planted(word, roots=None):
+            raise CounterexampleError("planted")
+
+        monkeypatch.setattr(fsdsq.construct, "find_fs_double_squares", planted)
+        code, out, err = run(capsys, "generate", "--kind", "equal", "--seed", "abaababaabaababa")
+        assert (code, err) == (2, "")
+        assert out == ('{"findings": [{"detail": "planted", "property": "structure"}], '
+                       '"schema_version": 1}\n')
 
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kind", "equal")

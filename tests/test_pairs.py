@@ -104,8 +104,7 @@ class TestEqualChecks:
         # first: the conjugacy checks must come back false
         real = find_double_square_pairs(W(EQUAL_17))[0]
         fake_second = FsDoubleSquare(
-            position=2, sq_len=5, SQ_len=8,
-            factorization=Factorization(W("ab"), W("b"), 1, 1))
+            position=2, factorization=Factorization(W("ab"), W("b"), 1, 1))
         results = {c.name: c.passed for c in _equal_checks(real.first, fake_second)}
         assert results["longer_squares_conjugate"] is False
         assert results["shorter_squares_conjugate"] is False
