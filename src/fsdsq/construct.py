@@ -120,15 +120,17 @@ def extend_equal_run(seed: Word) -> RunReport:
 def _accepts_unequal(candidate: Word, frontier: int) -> tuple[CensusReport, WordCheck] | None:
     """The census and ``check_word`` result of ``candidate`` if it is accepted,
     else None.  A candidate with 2's at the frontier is screened by
-    ``check_word``; one with a finding is returned, never silently rejected."""
+    ``check_word``; one with a finding is returned, never silently rejected.
+    Otherwise it is accepted when the frontier pair is unequal.  Its long
+    root then doubles: ``long_root_doubles`` is one of the unequal checks,
+    and a failed check is an ``unequal_pair_checks`` finding."""
     report = s_sequence(candidate)
     s = report.s
     if frontier >= len(s) or s[frontier - 1] != 2 or s[frontier] != 2:
         return None
     checked = check_word(candidate, report.roots, report.distinct_square_count)
     pair = next((p for p in checked.pairs if p.position == frontier), None)
-    if checked.findings or (pair is not None and pair.kind is PairKind.UNEQUAL
-                            and pair.second.SQ_len > 2 * pair.first.SQ_len):
+    if checked.findings or (pair is not None and pair.kind is PairKind.UNEQUAL):
         return report, checked
     return None
 

@@ -32,7 +32,7 @@ from enum import Enum
 
 from .double_squares import (FsDoubleSquare, MateClassification,
                              classify_mate_detail, find_fs_double_squares)
-from .words import Word, are_conjugate, lcp
+from .words import Word, are_conjugate
 
 
 class PairKind(Enum):
@@ -116,15 +116,26 @@ def ordering_case(sq1: int, SQ1: int, sq2: int, SQ2: int) -> int:
 def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
     """Relations an equal adjacent pair must satisfy: both squares conjugate
     (long and short), the one-letter shift identity, and a nonempty common
-    prefix of x1 and x2."""
+    prefix of x1 and x2.  Each is decided on the shortest words that decide
+    it.
+
+    * Squares from roots: rotating uu by r gives the square of u rotated by
+      r mod |u|, so for |u| = |v|, vv is a rotation of uu exactly when v is a
+      rotation of u.  Roots of unequal lengths fail both ways.  The same
+      holds for the short roots.
+    * One identity: with a the first letter of u, u a = a v gives
+      u u a = u (a v) = (u a) v = (a v) v, the square form of the shift.
+    * First letters: x1 and x2 are nonempty (``Factorization``), so their
+      common prefix is nonempty exactly when their first letters agree.
+    """
     f, g = first.factorization, second.factorization
     u, v, su, sv = f.long_root, g.long_root, f.short_root, g.short_root
     a = su[:1]
     return (
-        Check("longer_squares_conjugate", are_conjugate(u + u, v + v)),
-        Check("shorter_squares_conjugate", are_conjugate(su + su, sv + sv)),
-        Check("single_letter_shift", u + a == a + v and u + u + a == a + v + v),
-        Check("x1_x2_common_prefix", lcp(f.x1, f.x2) >= 1),
+        Check("longer_squares_conjugate", are_conjugate(u, v)),
+        Check("shorter_squares_conjugate", are_conjugate(su, sv)),
+        Check("single_letter_shift", u + a == a + v),
+        Check("x1_x2_common_prefix", f.x1[0] == f.x2[0]),
         Check("second_ends_after_first", second.end > first.end),
     )
 

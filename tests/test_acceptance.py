@@ -12,34 +12,9 @@ from fsdsq.construct import build_run, extend_unequal
 from fsdsq.double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.sweep import SweepConfig, exhaustive_verify
-from fsdsq.words import Word
 
+from named_words import EQUAL_17, EQUAL_17_S, SEEDS, W, W1, W1_S, W2, W2_S
 from oracles import all_words, canonical_words, oracle_rightmost, oracle_s
-
-W = Word.from_text
-
-EQUAL_17 = "abaababaabaababaa"
-EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
-
-V = "abaaabaabaaabb"
-W1 = "a" + (V + "ab" + V) * 2
-W2 = "a" + (V + V + "ab" + V) * 2
-
-# published 61-entry table for w1
-W1_S = ([2, 2, 1] + [0] * 13 + [1] * 5 + [0] * 10
-        + [0] * 14 + [1, 1, 1] + [0, 0] + [1, 1, 1] + [0] * 4 + [1, 0, 1, 0])
-# published 89-entry table for w2
-W2_S = ([2, 2, 1] + [0] * 11 + [1, 1, 1] + [0] * 18 + [1] * 10
-        + [1] * 4 + [0] * 24 + [1, 1, 1] + [0, 0] + [1, 1, 1] + [0] * 4 + [1, 0, 1, 0])
-
-SEEDS = [
-    "abaababaab", "aabaaabaabaaab", "abaaabaabaaaba", "ababaabababaab",
-    "abbaabbabbaabb", "aabaaaabaabaaaab", "abaababaabaababa",
-    "abbababbabbababb", "aaabaaaabaaabaaaab", "aabaaaabaaabaaaaba",
-    "aabbaaabbaabbaaabb", "abaaaabaaabaaaabaa", "ababaababababaabab",
-    "abababaababababaab", "abbaaabbaabbaaabba", "abbbaabbbabbbaabbb",
-]
-
 
 def _golden_census(text: str, published: list[int], budget_ms: float, label: str):
     word = W(text)

@@ -8,14 +8,10 @@ from fsdsq.census import (_census_scan, _census_step, _later_matches, render_cen
 from fsdsq.construct import build_run
 from fsdsq.words import Word
 
+from named_words import CASE_10, EQUAL_17, EQUAL_17_S, W
 from oracles import (all_words, canonical_words, oracle_later_match,
                      oracle_longest_run, oracle_rightmost, oracle_runs_of_two,
                      oracle_s, oracle_squares)
-
-W = Word.from_text
-
-EQUAL_17 = "abaababaabaababaa"
-EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
 
 
 def square_starts(text: str, roots: dict[int, list[int]]) -> dict[str, int]:
@@ -191,9 +187,8 @@ class TestSSequence:
 
     def test_case_ten_word_against_oracle(self):
         # a pair of ordering case 10 at position 1: roots (5, 8) then (8, 15)
-        text = "aabaaaabaabaaaababaaaabaabaaaab"
-        assert_scan_matches_oracles(text)
-        roots = s_sequence(W(text)).roots
+        assert_scan_matches_oracles(CASE_10)
+        roots = s_sequence(W(CASE_10)).roots
         assert (roots[1], roots[2]) == ([5, 8], [8, 15])
 
     def test_closed_form_words_against_oracle(self):

@@ -16,19 +16,9 @@ from fsdsq.double_squares import (MateClassification, MateLabel,
                                   find_fs_double_squares)
 from fsdsq.errors import CounterexampleError
 from fsdsq.words import Word
-from test_acceptance import SEEDS, W2
+from named_words import (CASE_10, EQUAL_17, EQUAL_17_S, SEEDS, UNEQUAL_39,
+                         UNEQUAL_67, W1, W2)
 from test_census import _fibonacci, random_word
-
-V = "abaaabaabaaabb"
-W1 = "a" + (V + "ab" + V) * 2
-EQUAL_17 = "abaababaabaababaa"
-EQUAL_17_S = [2, 2, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0]
-# an adjacent pair of ordering case 10, which the two-shape dichotomy rules out
-CASE_10 = "aabaaaabaabaaaababaaaabaabaaaab"
-# the shortest binary unequal pair found so far
-UNEQUAL_39 = "babbababbaaabbababbaabbababbaaabbababba"
-# ``generate --kind unequal --seed abaababaabaababa``
-UNEQUAL_67 = "abaababaabaabababbbaababaabaabababbaababaabaabababbbaababaabaababab"
 
 
 def run(capsys, *argv):

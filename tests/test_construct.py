@@ -8,23 +8,10 @@ from fsdsq.construct import _run_report, build_run, extend_equal_run, extend_une
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.errors import CounterexampleError, NoExtensionError
 from fsdsq.pairs import PairKind, find_double_square_pairs
-from fsdsq.words import Word, lcp
+from fsdsq.words import lcp
 
-W = Word.from_text
-
-V = "abaaabaabaaabb"
-W1 = "a" + (V + "ab" + V) * 2
-W2 = "a" + (V + V + "ab" + V) * 2
-EQUAL_17 = "abaababaabaababaa"
-
-# all binary words w = SQ^2 of an FS-double square, up to length 18
-SEEDS = [
-    "abaababaab", "aabaaabaabaaab", "abaaabaabaaaba", "ababaabababaab",
-    "abbaabbabbaabb", "aabaaaabaabaaaab", "abaababaabaababa",
-    "abbababbabbababb", "aaabaaaabaaabaaaab", "aabaaaabaaabaaaaba",
-    "aabbaaabbaabbaaabb", "abaaaabaaabaaaabaa", "ababaababababaabab",
-    "abababaababababaab", "abbaaabbaabbaaabba", "abbbaabbbabbbaabbb",
-]
+from named_words import EQUAL_17, SEEDS, W, W1, W2
+from oracles import oracle_s
 
 
 def _report(text):
@@ -209,6 +196,21 @@ class TestBuildRun:
             for pair in pairs:
                 assert pair.kind is PairKind.EQUAL
                 assert pair.all_checks_pass
+
+    def test_closed_form_census_to_120(self):
+        # the whole census of SQ SQ SQ[:T-1]: 2^T 0^2T 1^(T+1) 00 1^T, then
+        # 0^T (10)^(T/2) for even T or 0^(T+1) (10)^((T-1)/2) for odd T;
+        # every run position has roots 2T+1 and 3T+2
+        for t in range(1, 121):
+            tail = [0] * t + [1, 0] * (t // 2) if t % 2 == 0 \
+                else [0] * (t + 1) + [1, 0] * ((t - 1) // 2)
+            predicted = [2] * t + [0] * (2 * t) + [1] * (t + 1) + [0, 0] + [1] * t + tail
+            word = build_run(t).word
+            report = s_sequence(word)
+            assert list(report.s) == predicted, t
+            assert all(report.roots[i] == [2 * t + 1, 3 * t + 2] for i in range(1, t + 1)), t
+            if t <= 12:
+                assert oracle_s(word.text) == predicted, t
 
     def test_target_three_hundred(self):
         rep = build_run(300)

@@ -6,14 +6,10 @@ from fsdsq.double_squares import (Factorization, FsDoubleSquare, MateLabel,
                                   canonical_factorization, classify_mate_detail,
                                   find_fs_double_squares)
 from fsdsq.errors import FactorizationError
-from fsdsq.words import Word, is_primitive
+from fsdsq.words import is_primitive
 
+from named_words import EQUAL_17, W, W1
 from oracles import all_words, oracle_s
-
-W = Word.from_text
-
-W1 = "a" + ("abaaabaabaaabb" + "ab" + "abaaabaabaaabb") * 2
-EQUAL_17 = "abaababaabaababaa"
 
 
 class TestCanonicalFactorization:

@@ -1,17 +1,35 @@
 import pytest
 
+import fsdsq.sweep
 from fsdsq.census import s_sequence
+from fsdsq.construct import build_run
 from fsdsq.double_squares import Factorization, FsDoubleSquare
-from fsdsq.pairs import (PairKind, _equal_checks, _unequal_checks,
+from fsdsq.pairs import (Check, PairKind, _equal_checks, _unequal_checks,
                          find_double_square_pairs, ordering_case)
-from fsdsq.words import Word
+from fsdsq.sweep import SweepConfig, exhaustive_verify
+from fsdsq.words import Word, are_conjugate, lcp
 
-W = Word.from_text
+from named_words import EQUAL_17, W, W1, W2
+from test_census import _fibonacci
 
-V = "abaaabaabaaabb"
-W1 = "a" + (V + "ab" + V) * 2
-W2 = "a" + (V + V + "ab" + V) * 2
-EQUAL_17 = "abaababaabaababaa"
+
+def _square_equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
+    """The equal checks decided on the squares themselves: the reference
+    for ``_equal_checks``, which decides each on the roots."""
+    f, g = first.factorization, second.factorization
+    u, v, su, sv = f.long_root, g.long_root, f.short_root, g.short_root
+    a = su[:1]
+    return (
+        Check("longer_squares_conjugate", are_conjugate(u + u, v + v)),
+        Check("shorter_squares_conjugate", are_conjugate(su + su, sv + sv)),
+        Check("single_letter_shift", u + a == a + v and u + u + a == a + v + v),
+        Check("x1_x2_common_prefix", lcp(f.x1, f.x2) >= 1),
+        Check("second_ends_after_first", second.end > first.end),
+    )
+
+
+def _equal_pairs(w: Word) -> list:
+    return [p for p in find_double_square_pairs(w) if p.kind is PairKind.EQUAL]
 
 
 class TestOrderingCase:
@@ -108,6 +126,51 @@ class TestEqualChecks:
         results = {c.name: c.passed for c in _equal_checks(real.first, fake_second)}
         assert results["longer_squares_conjugate"] is False
         assert results["shorter_squares_conjugate"] is False
+
+    def test_root_checks_match_square_checks(self, monkeypatch):
+        # every equal pair of the small sweeps, of the closed forms and of
+        # Fibonacci prefixes.  The sweeps find none: no canonical word this
+        # short has two adjacent FS-double squares.
+        swept = []
+
+        def collect(word, squares):
+            pairs = find_double_square_pairs(word, squares)
+            swept.extend(p for p in pairs if p.kind is PairKind.EQUAL)
+            return pairs
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fsdsq.sweep, "find_double_square_pairs", collect)
+            exhaustive_verify(SweepConfig(alphabet_size=2, max_len=14))
+            exhaustive_verify(SweepConfig(alphabet_size=3, max_len=9))
+        closed = [p for t in range(1, 61) for p in _equal_pairs(build_run(t).word)]
+        fib = [p for n in range(50, 3001, 50) for p in _equal_pairs(W(_fibonacci(n)))]
+        assert (len(swept), len(closed), len(fib)) == (0, 1770, 6443)
+        for pair in swept + closed + fib:
+            assert pair.checks == _square_equal_checks(pair.first, pair.second)
+
+    def test_root_checks_match_square_checks_on_failing_pairs(self):
+        # a long root that is no rotation of the first one, in either order,
+        # and one rotated by two letters: the first square of the closed form
+        # at T = 4, factored (aaab, a, 1, 1), against the third, (abaa, a, 1, 1)
+        real = find_double_square_pairs(W(EQUAL_17))[0]
+        fake = Factorization(W("ab"), W("b"), 1, 1)
+        run = find_double_square_pairs(build_run(4).word)[0]
+        pairs = [
+            (real.first, FsDoubleSquare(2, fake)),
+            (FsDoubleSquare(1, fake), real.second),
+            (run.first, FsDoubleSquare(2, Factorization(W("abaa"), W("a"), 1, 1))),
+        ]
+        failed = []
+        for first, second in pairs:
+            checks = _equal_checks(first, second)
+            assert checks == _square_equal_checks(first, second)
+            failed.append([c.name for c in checks if not c.passed])
+        assert failed == [
+            ["longer_squares_conjugate", "shorter_squares_conjugate", "single_letter_shift"],
+            ["longer_squares_conjugate", "shorter_squares_conjugate", "single_letter_shift",
+             "x1_x2_common_prefix"],
+            ["single_letter_shift"],
+        ]
 
     def test_kind_precondition(self):
         # an unequal pair carries the unequal checks, never the equal ones

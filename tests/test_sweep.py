@@ -19,6 +19,7 @@ from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _plan_blocks,
                          check_word, exhaustive_verify)
 from fsdsq.words import Word
 
+from named_words import EQUAL_17
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
 
 # Checkpoints written before the block plan was sized to the alphabet, when
@@ -533,7 +534,7 @@ class TestExtremalRatio:
 class TestCheckWord:
     def test_planted_run_breaks_the_run_bound(self):
         # a run of three 2's in 17 letters: 7*3 >= 17
-        word = Word.from_text("abaababaabaababaa")
+        word = Word.from_text(EQUAL_17)
         roots = {**s_sequence(word).roots, 3: [5, 8]}
         findings = check_word(word, roots, 10).findings
         assert [prop for prop, _ in findings].count("run_length_bound") == 1

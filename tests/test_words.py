@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from fsdsq.words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
+from named_words import EQUAL_17, W
 from oracles import (all_words, canonical_words, oracle_is_primitive,
                      oracle_lce, oracle_rotations)
-
-W = Word.from_text
 
 texts = st.text(alphabet="abc", min_size=0, max_size=24)
 nonempty_texts = st.text(alphabet="abc", min_size=1, max_size=24)
@@ -163,12 +162,11 @@ class TestLce:
         assert self.lce("abab", 1, 3) == 2
         # oracle-derived: suffixes 1 and 9 of the 17-letter word agree for
         # the whole 9-letter suffix
-        w17 = "abaababaabaababaa"
-        assert oracle_lce(w17, 1, 9) == 9
-        assert self.lce(w17, 1, 9) == 9
+        assert oracle_lce(EQUAL_17, 1, 9) == 9
+        assert self.lce(EQUAL_17, 1, 9) == 9
 
     def test_identity_and_symmetry_invariants(self):
-        for text in ("abaababaabaababaa", "aaaa", "abcabc"):
+        for text in (EQUAL_17, "aaaa", "abcabc"):
             n = len(text)
             for i in range(1, n + 1):
                 assert self.lce(text, i, i) == n - i + 1
