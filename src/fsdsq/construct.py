@@ -163,7 +163,7 @@ def extend_unequal(w: Word, variant: str = "short") -> RunReport:
         raise ValueError(f"unknown variant {variant!r}")
     if max(w.codes, default=0) == 0:
         raise ValueError("unequal extension needs at least two letters")
-    squares = find_fs_double_squares(w)
+    squares = find_fs_double_squares(w, s_sequence(w).roots)
     enders = [q for q in squares if q.end == len(w)]
     if not enders:
         raise ValueError("word does not end in an FS-double square")

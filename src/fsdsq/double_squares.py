@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .census import s_sequence
 from .errors import CounterexampleError, FactorizationError
 from .words import Word, is_primitive, lcp, primitive_root
 
@@ -120,18 +119,13 @@ class FsDoubleSquare:
         }
 
 
-def find_fs_double_squares(
-    w: Word, roots: dict[int, list[int]] | None = None
-) -> list[FsDoubleSquare]:
+def find_fs_double_squares(w: Word, roots: dict[int, list[int]]) -> list[FsDoubleSquare]:
     """All FS-double squares of ``w``, by position.
 
-    ``roots`` is the rightmost-root map of ``w`` (``CensusReport.roots``);
-    when omitted, the census is computed here.  Any census-2 position that
-    fails to factor, or carries more than two rightmost squares, is
-    surfaced as a counterexample, never swallowed.
+    ``roots`` is the rightmost-root map of ``w`` (``CensusReport.roots``).
+    Any census-2 position that fails to factor, or carries more than two
+    rightmost squares, is surfaced as a counterexample, never swallowed.
     """
-    if roots is None:
-        roots = s_sequence(w).roots
     out: list[FsDoubleSquare] = []
     for pos in sorted(roots):
         ps = roots[pos]

@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .double_squares import (FsDoubleSquare, MateClassification,
-                             classify_mate_detail, find_fs_double_squares)
-from .words import Word, are_conjugate
+from .double_squares import FsDoubleSquare, MateClassification, classify_mate_detail
+from .words import are_conjugate
 
 
 class PairKind(Enum):
@@ -153,17 +152,14 @@ def _unequal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Chec
     )
 
 
-def find_double_square_pairs(
-    w: Word, squares: list[FsDoubleSquare] | None = None
-) -> list[PairClassification]:
-    """Classify every pair of FS-double squares at adjacent positions.
+def find_double_square_pairs(squares: list[FsDoubleSquare]) -> list[PairClassification]:
+    """Classify every pair at adjacent positions of ``squares``, the
+    FS-double squares of one word.
 
     A pair matching neither feasible shape is classified ``INFEASIBLE``
     with its case label and no checks; ``sweep.check_word`` writes its
     ``pair_shapes`` finding.
     """
-    if squares is None:
-        squares = find_fs_double_squares(w)
     by_pos = {sq.position: sq for sq in squares}
     out: list[PairClassification] = []
     for pos in sorted(by_pos):

@@ -324,7 +324,7 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
         squares = find_fs_double_squares(word, roots)
     except CounterexampleError as exc:
         findings.append(("factorization_roundtrip", str(exc)))
-    pairs = find_double_square_pairs(word, squares)
+    pairs = find_double_square_pairs(squares)
     for pair in pairs:
         first, second = pair.first, pair.second
         if pair.kind is PairKind.INFEASIBLE:
@@ -444,7 +444,7 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     b, blocks = _plan_blocks(a, n)
     done: dict[str, dict] = {}
     checkpoint = None
-    if config.checkpoint_path:
+    if config.checkpoint_path is not None:
         done, checkpoint = _open_checkpoint(config.checkpoint_path, config, b, blocks)
     args = [(a, n, b, block_id) for block_id in blocks if block_id not in done]
     workers = min(config.parallelism, len(args), _usable_cpus())

@@ -9,12 +9,13 @@ import pytest
 
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run, extend_unequal
-from fsdsq.double_squares import MateLabel, classify_mate_detail, find_fs_double_squares
-from fsdsq.pairs import PairKind, find_double_square_pairs
+from fsdsq.double_squares import MateLabel, classify_mate_detail
+from fsdsq.pairs import PairKind
 from fsdsq.sweep import SweepConfig, exhaustive_verify
 
 from named_words import EQUAL_17, EQUAL_17_S, SEEDS, W, W1, W1_S, W2, W2_S
 from oracles import all_words, canonical_words, oracle_rightmost, oracle_s
+from structure import pairs_of, squares_of
 
 def _golden_census(text: str, published: list[int], budget_ms: float, label: str):
     word = W(text)
@@ -110,7 +111,7 @@ def test_criterion_06_adjacent_mates(sweep18):
     # direct spot checks on the worked words
     labels = set()
     for text in (EQUAL_17, W1, W2):
-        squares = find_fs_double_squares(W(text))
+        squares = squares_of(W(text))
         for a, b in zip(squares, squares[1:]):
             if b.position == a.position + 1:
                 labels.add(classify_mate_detail(a, b).label)
@@ -122,13 +123,13 @@ def test_criterion_06_adjacent_mates(sweep18):
 def test_criterion_07_unequal_inequalities():
     instances = 0
     for text in (W1, W2):
-        pair = find_double_square_pairs(W(text))[0]
+        pair = pairs_of(W(text))[0]
         assert pair.kind is PairKind.UNEQUAL and pair.all_checks_pass
     for seed in SEEDS:
         for variant in ("short", "long"):
             report = extend_unequal(W(seed), variant)
             instances += 1
-            pairs = find_double_square_pairs(report.word)
+            pairs = pairs_of(report.word)
             unequal = [p for p in pairs if p.kind is PairKind.UNEQUAL]
             assert unequal
             for pair in unequal:

@@ -215,6 +215,19 @@ class TestSSequence:
         assert list(report.s) == oracle_s(text)
         assert report.longest_run == oracle_longest_run(text)
 
+    def test_fibonacci_words_match_fraenkel_simpson(self):
+        # Fraenkel & Simpson (TCS 1999): with f_1 = b, f_2 = a and
+        # f_k = f_{k-1} f_{k-2}, of length F_k, the word f_k has exactly
+        # 2(F_{k-2} - 1) distinct squares.  No position of these words
+        # starts two rightmost squares.
+        f = {1: "b", 2: "a"}
+        for k in range(3, 22):
+            f[k] = f[k - 1] + f[k - 2]
+        for k in range(6, 22):
+            report = s_sequence(W(f[k]))
+            assert report.distinct_square_count == 2 * (len(f[k - 2]) - 1)
+            assert max(report.s) <= 1
+
     def test_unary_words_never_reach_two(self):
         for n in range(1, 13):
             assert max(s_sequence(W("a" * n)).s, default=0) <= 1

@@ -8,16 +8,17 @@ import sys
 
 import pytest
 
+import fsdsq.census
 import fsdsq.construct
 import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.cli import _build_parser, main
-from fsdsq.double_squares import (MateClassification, MateLabel,
-                                  find_fs_double_squares)
+from fsdsq.double_squares import MateClassification, MateLabel
 from fsdsq.errors import CounterexampleError
 from fsdsq.words import Word
 from named_words import (CASE_10, EQUAL_17, EQUAL_17_S, SEEDS, UNEQUAL_39,
                          UNEQUAL_67, W1, W2)
+from structure import squares_of
 from test_census import _fibonacci, random_word
 
 
@@ -262,11 +263,11 @@ class TestAnalyze:
 
     def test_infeasible_pair_gets_end_order_and_mate(self, capsys, monkeypatch):
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
-        first = find_fs_double_squares(Word.from_text(EQUAL_17))[0]
+        first = squares_of(Word.from_text(EQUAL_17))[0]
         second = dataclasses.replace(
-            find_fs_double_squares(Word.from_text("abaababaab"))[0], position=2)
+            squares_of(Word.from_text("abaababaab"))[0], position=2)
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
-                            lambda word, roots=None: [first, second])
+                            lambda word, roots: [first, second])
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert code == 2
         payload = json.loads(out)
@@ -287,7 +288,7 @@ class TestAnalyze:
         assert payload["findings"] == []
 
     def test_structure_finding_keeps_payload(self, capsys, monkeypatch):
-        def planted(word, roots=None):
+        def planted(word, roots):
             raise CounterexampleError("planted")
 
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
@@ -382,7 +383,7 @@ class TestGenerate:
         assert generated["findings"] == json.loads(analyzed[1])["findings"]
 
     def test_structure_error_is_a_stamped_finding(self, capsys, monkeypatch):
-        def planted(word, roots=None):
+        def planted(word, roots):
             raise CounterexampleError("planted")
 
         monkeypatch.setattr(fsdsq.construct, "find_fs_double_squares", planted)
@@ -543,6 +544,11 @@ class TestVerify:
         assert rows[0].startswith("n\twords\t")
         assert len(rows) == 9
 
+    def test_empty_checkpoint_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-len", "6", "--checkpoint", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
     def test_ceiling_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-len", "19")
         assert code == 1
@@ -555,3 +561,33 @@ class TestVerify:
                            "--override-ceiling", "-f", "json", "--deterministic")
         assert code == 0
         assert json.loads(out)["total_words"] == 40
+
+
+class TestCensusCounts:
+    """Each command runs the censuses it needs and no hidden one: the word
+    lengths of its ``_census_scan`` calls, in order."""
+
+    def test_check_word_runs_none(self, census_calls):
+        report = fsdsq.census.s_sequence(Word.from_text(EQUAL_17))
+        census_calls.clear()
+        check = fsdsq.sweep.check_word(report.word, report.roots,
+                                       report.distinct_square_count)
+        assert check.findings == ()
+        assert census_calls == []
+
+    @pytest.mark.parametrize("argv,lengths", [
+        (("analyze", EQUAL_17), [17]),
+        (("census", EQUAL_17), [17]),
+        (("generate", "--kind", "run", "--target", "7"), [52]),
+        # the seed's census, then one per appended letter
+        (("generate", "--kind", "equal", "--seed", EQUAL_17[:-1]), [16, 17, 18]),
+        # the seed's census, then one per candidate until one is accepted
+        (("generate", "--kind", "unequal", "--seed", EQUAL_17[:-1]), [16, 67]),
+        (("generate", "--kind", "unequal", "--seed", EQUAL_17[:-1], "--variant", "long"),
+         [16, 99]),
+        # the sweep's walk takes the census one position at a time
+        (("verify", "--max-len", "10"), []),
+    ])
+    def test_censuses_per_command(self, capsys, census_calls, argv, lengths):
+        assert run(capsys, *argv)[0] == 0
+        assert [len(codes) for codes in census_calls] == lengths

@@ -5,13 +5,13 @@ import pytest
 import fsdsq.construct
 from fsdsq.census import s_sequence
 from fsdsq.construct import _run_report, build_run, extend_equal_run, extend_unequal
-from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.errors import CounterexampleError, NoExtensionError
-from fsdsq.pairs import PairKind, find_double_square_pairs
+from fsdsq.pairs import PairKind
 from fsdsq.words import lcp
 
 from named_words import EQUAL_17, SEEDS, W, W1, W2
 from oracles import oracle_s
+from structure import pairs_of, squares_of
 
 
 def _report(text):
@@ -75,7 +75,7 @@ class TestExtendEqualRun:
         # capped by |x1| when p1 == p2
         for text in SEEDS:
             seed = W(text)
-            fs = find_fs_double_squares(seed)[0]
+            fs = squares_of(seed)[0]
             f = fs.factorization
             ell = lcp(f.period, f.x2 + f.x1)
             ceiling = min(ell + 1, len(f.x1)) if f.p1 == f.p2 else ell + 1
@@ -95,7 +95,7 @@ class TestExtendEqualRun:
 
     def test_ceiling_tight_for_equal_17_seed(self):
         seed = W("abaababaabaababa")
-        fs = find_fs_double_squares(seed)[0]
+        fs = squares_of(seed)[0]
         f = fs.factorization
         assert (f.x1.text, f.x2.text, f.p1, f.p2) == ("ab", "a", 1, 1)
         ell = lcp(f.period, f.x2 + f.x1)
@@ -150,7 +150,7 @@ class TestExtendUnequal:
     @pytest.mark.parametrize("variant", ["short", "long"])
     def test_all_seeds_extend(self, seed, variant):
         rep = extend_unequal(W(seed), variant)
-        pairs = find_double_square_pairs(rep.word)
+        pairs = pairs_of(rep.word)
         unequal = [p for p in pairs if p.kind is PairKind.UNEQUAL]
         assert unequal, "extension must create an unequal adjacent pair"
         for pair in unequal:
@@ -191,7 +191,7 @@ class TestBuildRun:
             assert s_sequence(rep.word).longest_run == (1, t)
             # the squares of the run are conjugates: every adjacent pair is
             # equal and passes the conjugacy and shift checks
-            pairs = find_double_square_pairs(rep.word)
+            pairs = pairs_of(rep.word)
             assert [p.position for p in pairs] == list(range(1, t))
             for pair in pairs:
                 assert pair.kind is PairKind.EQUAL
@@ -226,7 +226,7 @@ class TestBuildRun:
             w = extend_unequal(w).word
             sizes.append(len(w))
         assert sizes == [61, 244, 973]
-        unequal = [p for p in find_double_square_pairs(w) if p.kind is PairKind.UNEQUAL]
+        unequal = [p for p in pairs_of(w) if p.kind is PairKind.UNEQUAL]
         assert [p.position for p in unequal] == [1, 2, 3]
         for pair in unequal:
             assert pair.second.SQ_len > 2 * pair.first.SQ_len

@@ -3,13 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsdsq.double_squares import (Factorization, FsDoubleSquare, MateLabel,
-                                  canonical_factorization, classify_mate_detail,
-                                  find_fs_double_squares)
+                                  canonical_factorization, classify_mate_detail)
 from fsdsq.errors import FactorizationError
 from fsdsq.words import is_primitive
 
 from named_words import EQUAL_17, W, W1
 from oracles import all_words, oracle_s
+from structure import squares_of
 
 
 class TestCanonicalFactorization:
@@ -60,29 +60,29 @@ class TestCanonicalFactorization:
 
 class TestDetection:
     def test_smallest(self):
-        found = find_fs_double_squares(W("abaababaab"))
+        found = squares_of(W("abaababaab"))
         assert [f.to_json_dict() for f in found] == [
             {"position": 1, "sq_len": 3, "SQ_len": 5,
              "x1": "a", "x2": "b", "p1": 1, "p2": 1}]
 
     def test_fourteen_letter_word(self):
-        found = find_fs_double_squares(W("aabaaabaabaaab"))
+        found = squares_of(W("aabaaabaabaaab"))
         assert [f.to_json_dict() for f in found] == [
             {"position": 1, "sq_len": 4, "SQ_len": 7,
              "x1": "a", "x2": "ab", "p1": 1, "p2": 1}]
 
     def test_no_double_square(self):
-        assert find_fs_double_squares(W("ab")) == []
-        assert find_fs_double_squares(W("")) == []
-        assert find_fs_double_squares(W("aaaaaa")) == []
+        assert squares_of(W("ab")) == []
+        assert squares_of(W("")) == []
+        assert squares_of(W("aaaaaa")) == []
 
     def test_equal_17(self):
-        found = find_fs_double_squares(W(EQUAL_17))
+        found = squares_of(W(EQUAL_17))
         assert [(f.position, f.sq_len, f.SQ_len) for f in found] == [
             (1, 5, 8), (2, 5, 8)]
 
     def test_w1(self):
-        found = find_fs_double_squares(W(W1))
+        found = squares_of(W(W1))
         assert [(f.position, f.sq_len, f.SQ_len) for f in found] == [
             (1, 4, 7), (2, 16, 30)]
 
@@ -90,7 +90,7 @@ class TestDetection:
         for text in (EQUAL_17, W1, "abaababaab", "aabaaabaabaaab"):
             s = oracle_s(text)
             positions = [i + 1 for i, v in enumerate(s) if v == 2]
-            found = find_fs_double_squares(W(text))
+            found = squares_of(W(text))
             assert [f.position for f in found] == positions
 
     def test_roundtrip_exhaustive_small(self):
@@ -99,7 +99,7 @@ class TestDetection:
         hits = 0
         for n in range(1, 15):
             for text in all_words(2, n):
-                for fs in find_fs_double_squares(W(text)):
+                for fs in squares_of(W(text)):
                     hits += 1
                     f = fs.factorization
                     assert f.short_root == W(text)[fs.position - 1:fs.position - 1 + fs.sq_len]
@@ -134,17 +134,17 @@ class TestRecoveryRoundTrip:
 
 
 def _fs(word_text: str, position: int) -> FsDoubleSquare:
-    found = find_fs_double_squares(W(word_text))
+    found = squares_of(W(word_text))
     return next(f for f in found if f.position == position)
 
 
 class TestMates:
     def test_equal_pair_is_alpha(self):
-        first, second = find_fs_double_squares(W(EQUAL_17))
+        first, second = squares_of(W(EQUAL_17))
         assert classify_mate_detail(first, second).label is MateLabel.ALPHA
 
     def test_unequal_pair_is_delta(self):
-        first, second = find_fs_double_squares(W(W1))
+        first, second = squares_of(W(W1))
         detail = classify_mate_detail(first, second)
         assert detail.label is MateLabel.DELTA
         assert detail.delta_rule is not None
@@ -152,12 +152,12 @@ class TestMates:
     def test_distant_unrelated_pair_is_epsilon(self):
         # two structurally unrelated double squares over disjoint letters
         word = "abaababaab" + "ccdcccdccdcccd"
-        squares = find_fs_double_squares(W(word))
+        squares = squares_of(W(word))
         assert [q.position for q in squares] == [1, 11]
         assert classify_mate_detail(squares[0], squares[1]).label is MateLabel.EPSILON
 
     def test_order_precondition(self):
-        first, second = find_fs_double_squares(W(EQUAL_17))
+        first, second = squares_of(W(EQUAL_17))
         with pytest.raises(ValueError):
             classify_mate_detail(second, first)
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestMates:
             for text in ("abaababaabaababaa", "abaababaabaababaab"):
                 if len(text) != n:
                     continue
-                squares = find_fs_double_squares(W(text))
+                squares = squares_of(W(text))
                 for a, b in zip(squares, squares[1:]):
                     if b.position == a.position + 1:
                         seen.add(classify_mate_detail(a, b).label)

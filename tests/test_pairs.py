@@ -10,6 +10,7 @@ from fsdsq.sweep import SweepConfig, exhaustive_verify
 from fsdsq.words import Word, are_conjugate, lcp
 
 from named_words import EQUAL_17, W, W1, W2
+from structure import pairs_of
 from test_census import _fibonacci
 
 
@@ -29,7 +30,7 @@ def _square_equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple
 
 
 def _equal_pairs(w: Word) -> list:
-    return [p for p in find_double_square_pairs(w) if p.kind is PairKind.EQUAL]
+    return [p for p in pairs_of(w) if p.kind is PairKind.EQUAL]
 
 
 class TestOrderingCase:
@@ -71,7 +72,7 @@ class TestOrderingCase:
 
 class TestFindPairs:
     def test_equal_pair(self):
-        pairs = find_double_square_pairs(W(EQUAL_17))
+        pairs = pairs_of(W(EQUAL_17))
         assert len(pairs) == 1
         pair = pairs[0]
         assert pair.position == 1
@@ -81,7 +82,7 @@ class TestFindPairs:
 
     def test_unequal_pairs(self):
         for text in (W1, W2):
-            pairs = find_double_square_pairs(W(text))
+            pairs = pairs_of(W(text))
             assert len(pairs) == 1
             pair = pairs[0]
             assert pair.kind is PairKind.UNEQUAL
@@ -90,26 +91,26 @@ class TestFindPairs:
             assert pair.first.sq_len < pair.first.SQ_len < pair.second.sq_len < pair.second.SQ_len
 
     def test_lone_double_square_yields_no_pair(self):
-        assert find_double_square_pairs(W("abaababaab")) == []
+        assert pairs_of(W("abaababaab")) == []
         # two adjacent census-2 positions form a run of 2's of length >= 2
         assert s_sequence(W("abaababaab")).longest_run[1] < 2
         assert s_sequence(W(EQUAL_17)).longest_run[1] >= 2
 
     def test_w1_lengths(self):
-        pair = find_double_square_pairs(W(W1))[0]
+        pair = pairs_of(W(W1))[0]
         assert (pair.first.sq_len, pair.first.SQ_len) == (4, 7)
         assert (pair.second.sq_len, pair.second.SQ_len) == (16, 30)
 
     def test_second_ends_after_first_everywhere(self):
         for text in (EQUAL_17, W1, W2):
-            for pair in find_double_square_pairs(W(text)):
+            for pair in pairs_of(W(text)):
                 assert pair.second.position + 2 * pair.second.SQ_len - 1 \
                     > pair.first.position + 2 * pair.first.SQ_len - 1
 
 
 class TestEqualChecks:
     def test_all_pass_on_known_word(self):
-        pair = find_double_square_pairs(W(EQUAL_17))[0]
+        pair = pairs_of(W(EQUAL_17))[0]
         checks = pair.checks
         assert [c.name for c in checks] == [
             "longer_squares_conjugate", "shorter_squares_conjugate",
@@ -120,7 +121,7 @@ class TestEqualChecks:
     def test_synthetic_non_conjugate_pair_fails(self):
         # same root lengths, but the second square is not a rotation of the
         # first: the conjugacy checks must come back false
-        real = find_double_square_pairs(W(EQUAL_17))[0]
+        real = pairs_of(W(EQUAL_17))[0]
         fake_second = FsDoubleSquare(
             position=2, factorization=Factorization(W("ab"), W("b"), 1, 1))
         results = {c.name: c.passed for c in _equal_checks(real.first, fake_second)}
@@ -133,8 +134,8 @@ class TestEqualChecks:
         # short has two adjacent FS-double squares.
         swept = []
 
-        def collect(word, squares):
-            pairs = find_double_square_pairs(word, squares)
+        def collect(squares):
+            pairs = find_double_square_pairs(squares)
             swept.extend(p for p in pairs if p.kind is PairKind.EQUAL)
             return pairs
 
@@ -152,9 +153,9 @@ class TestEqualChecks:
         # a long root that is no rotation of the first one, in either order,
         # and one rotated by two letters: the first square of the closed form
         # at T = 4, factored (aaab, a, 1, 1), against the third, (abaa, a, 1, 1)
-        real = find_double_square_pairs(W(EQUAL_17))[0]
+        real = pairs_of(W(EQUAL_17))[0]
         fake = Factorization(W("ab"), W("b"), 1, 1)
-        run = find_double_square_pairs(build_run(4).word)[0]
+        run = pairs_of(build_run(4).word)[0]
         pairs = [
             (real.first, FsDoubleSquare(2, fake)),
             (FsDoubleSquare(1, fake), real.second),
@@ -174,7 +175,7 @@ class TestEqualChecks:
 
     def test_kind_precondition(self):
         # an unequal pair carries the unequal checks, never the equal ones
-        pair = find_double_square_pairs(W(W1))[0]
+        pair = pairs_of(W(W1))[0]
         assert pair.kind is PairKind.UNEQUAL
         assert pair.checks == _unequal_checks(pair.first, pair.second)
         assert "longer_squares_conjugate" not in {c.name for c in pair.checks}
@@ -183,7 +184,7 @@ class TestEqualChecks:
 class TestUnequalChecks:
     def test_all_pass_on_w1_w2(self):
         for text in (W1, W2):
-            pair = find_double_square_pairs(W(text))[0]
+            pair = pairs_of(W(text))[0]
             checks = {c.name: c.passed for c in pair.checks}
             assert checks == {
                 "short_root_floor": True,
@@ -194,7 +195,7 @@ class TestUnequalChecks:
             }
 
     def test_w1_inequality_values(self):
-        pair = find_double_square_pairs(W(W1))[0]
+        pair = pairs_of(W(W1))[0]
         f, g = pair.first.factorization, pair.second.factorization
         assert pair.second.SQ_len > 2 * pair.first.SQ_len  # 30 > 14
         assert len(g.period) > len(f.period)               # 14 > 3
@@ -202,7 +203,7 @@ class TestUnequalChecks:
 
     def test_kind_precondition(self):
         # an equal pair carries the equal checks, never the unequal ones
-        pair = find_double_square_pairs(W(EQUAL_17))[0]
+        pair = pairs_of(W(EQUAL_17))[0]
         assert pair.kind is PairKind.EQUAL
         assert pair.checks == _equal_checks(pair.first, pair.second)
         assert "short_root_floor" not in {c.name for c in pair.checks}

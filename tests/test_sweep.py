@@ -13,6 +13,7 @@ import fsdsq.sweep
 from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
+from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.construct import build_run
 from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _plan_blocks,
@@ -245,6 +246,11 @@ class TestDeterminism:
             "it has alphabet_size=3\n")
         assert ck.read_bytes() == data
 
+    def test_empty_checkpoint_path_is_refused(self):
+        # an empty path asks for a checkpoint too; it must not be read as none
+        with pytest.raises(OSError):
+            exhaustive_verify(SweepConfig(2, 6, checkpoint_path=""))
+
     @pytest.mark.parametrize("cut", [1, 7, 40])
     def test_line_cut_short_is_recomputed(self, tmp_path, cut, monkeypatch, crash_after):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
@@ -318,7 +324,7 @@ def _reference_per_length(alphabet_size, max_len):
                                           report.distinct_square_count)
             st.run_hist[run] = st.run_hist.get(run, 0) + 1
             st.double_square_positions += sum(1 for v in report.s if v >= 2)
-            for pair in find_double_square_pairs(word):
+            for pair in find_double_square_pairs(find_fs_double_squares(word, report.roots)):
                 if pair.kind is PairKind.EQUAL:
                     st.pairs_equal += 1
                 elif pair.kind is PairKind.UNEQUAL:
@@ -418,7 +424,7 @@ class TestLeftExtensionSweep:
         assert report.per_length == expected
 
     def test_planted_findings_are_left_canonical_and_sorted(self, monkeypatch):
-        def planted(word, roots=None):
+        def planted(word, roots):
             raise CounterexampleError("planted")
 
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
