@@ -21,7 +21,8 @@ import time
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
 from .errors import CounterexampleError
-from .sweep import SweepConfig, SweepReport, check_word, exhaustive_verify
+from .sweep import (WORDS_PER_WORKER, SweepConfig, SweepReport, check_word,
+                    exhaustive_verify)
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -249,7 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-size", type=int, default=2)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; at most one per usable CPU")
+                   help="upper bound on worker processes: a sweep gets at most one per "
+                        f"usable CPU and per {WORDS_PER_WORKER:,} words still to sweep, "
+                        "and one worker runs in-process")
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
     p.add_argument("--override-ceiling", action="store_true",
                    help="run even past the cost ceiling")

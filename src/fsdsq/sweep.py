@@ -25,8 +25,12 @@ plus one block for all shorter words.  b is the longest length up to
 ``BLOCK_SUFFIX_LEN`` (and ``max_len``) with at most 64 canonical suffixes,
 the binary count at ``BLOCK_SUFFIX_LEN``; so binary keeps suffixes of 7 and
 ternary and 4-ary get suffixes of 5, and no alphabet gets more than 65
-blocks.  Blocks share nothing, so they can run on worker processes, at most
-one per usable CPU, which take them in chunks to save per-task round trips.
+blocks.  The words of a block, and of the whole sweep, are counted exactly
+(``_prepend_counts``), so b is found without a walk past it.  Blocks share
+nothing, so they can run on worker processes, which take them in chunks to
+save per-task round trips.  The parallelism asked for is an upper bound: at
+most one worker per usable CPU and per ``WORDS_PER_WORKER`` words of the
+blocks still to run, and one worker runs them in-process.
 Partial aggregates merge by sums and maxima, and findings are sorted by
 (length, word), so the report does not depend on worker count, completion
 order or checkpoint resume points.  The checkpoint file is line-oriented
@@ -39,6 +43,7 @@ one naming a block outside the plan, is refused before it is written.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -55,6 +60,10 @@ COST_CEILING = 36
 # The longest block suffix; ``_plan_blocks`` picks the one used, which the
 # checkpoint header records as ``block_prefix_len``.
 BLOCK_SUFFIX_LEN = 7
+# A sweep gets at most one worker per this many words still to sweep.  On
+# fewer than twice as many, a pool's start-up and result pickling cost more
+# than a second CPU saves (the measured table is in CHANGES.md).
+WORDS_PER_WORKER = 10_000
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
 WALK_STACK_MARGIN = 100  # frames kept for ``_walk``'s callers and its visitor
@@ -219,6 +228,46 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     rec(L - 1, buf[L - 1], 0, L, 0)  # from the empty word at L
 
 
+# ------------------------------------------------------------------- counts
+
+def _prepend_counts(alphabet_size: int, max_len: int):
+    """Yield, for k = 0, 1, ..., ``max_len``, the row g(k, u) over u = 0, 1,
+    ...: the number of ways to prepend k letters to a right-canonical word
+    that uses u distinct letters and keep it right-canonical.  The letter
+    next to the word is one of its u letters or, while u < a, the next new
+    one, so g(0, u) = 1 and g(k, u) = u g(k-1, u) + [u < a] g(k-1, u+1).
+    A word of at most ``max_len`` letters uses at most ``max_len`` of them,
+    so a is capped there; that leaves every g(k, u) with u + k <= ``max_len``
+    exact, and those are all a sweep to ``max_len`` asks for.  Summed, the
+    rows give the words up to renaming: sums of Stirling numbers of the
+    second kind."""
+    a = min(alphabet_size, max_len)
+    row = [1] * (a + 1)
+    for _ in range(max_len):
+        yield row
+        row = [u * row[u] + (row[u + 1] if u < a else 0) for u in range(a + 1)]
+    yield row
+
+
+def _word_count(alphabet_size: int, max_len: int) -> int:
+    """The right-canonical words of lengths 1 to ``max_len``: "a" with up to
+    ``max_len - 1`` letters prepended."""
+    return sum(row[1] for row in itertools.islice(_prepend_counts(alphabet_size, max_len),
+                                                  max_len))
+
+
+def _block_words(alphabet_size: int, max_len: int, b: int, blocks: list[str]) -> int:
+    """The words in ``blocks`` of the plan with suffix length ``b``: a suffix
+    with up to ``max_len - b`` letters prepended, and for the block "" the
+    words shorter than ``b``."""
+    used = [len(set(block_id)) for block_id in blocks if block_id]
+    rows = itertools.islice(_prepend_counts(alphabet_size, max_len), max_len - b + 1)
+    words = sum(row[u] for row in rows for u in used)
+    if "" in blocks:
+        words += _word_count(alphabet_size, b - 1)
+    return words
+
+
 # ------------------------------------------------------------------- blocks
 
 def _plan_blocks(alphabet_size: int, max_len: int) -> tuple[int, list[str]]:
@@ -226,19 +275,22 @@ def _plan_blocks(alphabet_size: int, max_len: int) -> tuple[int, list[str]]:
     words shorter than ``b``, then one block per right-canonical suffix of
     length ``b``.  ``b`` is the longest length up to ``BLOCK_SUFFIX_LEN`` and
     ``max_len`` with at most ``2**(BLOCK_SUFFIX_LEN - 1)`` suffixes, which
-    is the binary count at ``BLOCK_SUFFIX_LEN``.  One walk lists the
-    suffixes of every candidate length."""
+    is the binary count at ``BLOCK_SUFFIX_LEN``.  The suffixes of length m
+    are counted, as "a" with m - 1 letters prepended; one walk to ``b``
+    lists those of length ``b``."""
     top = min(BLOCK_SUFFIX_LEN, max_len)
-    by_len: list[list[str]] = [[] for _ in range(top + 1)]
+    suffixes = [row[1] for row in itertools.islice(_prepend_counts(alphabet_size, top), top)]
+    limit = 2 ** (BLOCK_SUFFIX_LEN - 1)
+    b = max(m for m in range(1, top + 1) if suffixes[m - 1] <= limit)
+    blocks = [""]
 
     def visit(buf, i, distinct, doubles):
-        by_len[top - i].append(Word(buf[i:]).text)
+        if i == 0:
+            blocks.append(Word(buf[i:]).text)
         return True
 
-    _walk(alphabet_size, top, b"", visit)
-    limit = 2 ** (BLOCK_SUFFIX_LEN - 1)
-    b = max(n for n in range(1, top + 1) if len(by_len[n]) <= limit)
-    return b, [""] + by_len[b]
+    _walk(alphabet_size, b, b"", visit)
+    return b, blocks
 
 
 def _usable_cpus() -> int:
@@ -439,7 +491,8 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         raise ValueError(f"length {n} exceeds {deepest}, the deepest walk at this recursion limit")
     if a * n > COST_CEILING and not config.allow_over_ceiling:
         raise CostCeilingError(f"alphabet_size*max_len = {a * n} exceeds the cost ceiling "
-                               f"{COST_CEILING}; pass the override flag to run anyway")
+                               f"{COST_CEILING} ({_word_count(a, n):,} canonical words); "
+                               "pass the override flag to run anyway")
 
     b, blocks = _plan_blocks(a, n)
     done: dict[str, dict] = {}
@@ -448,6 +501,9 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
         done, checkpoint = _open_checkpoint(config.checkpoint_path, config, b, blocks)
     args = [(a, n, b, block_id) for block_id in blocks if block_id not in done]
     workers = min(config.parallelism, len(args), _usable_cpus())
+    if workers > 1:  # at most one worker per WORDS_PER_WORKER words still to sweep
+        pending = _block_words(a, n, b, [block_id for *_, block_id in args])
+        workers = min(workers, max(1, pending // WORDS_PER_WORKER))
     try:
         with Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
             if pool is None:

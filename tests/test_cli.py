@@ -515,6 +515,20 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_small_parallel_sweep_runs_in_process(self, capsys, monkeypatch):
+        # 14,767 words are fewer than two workers' worth, so --jobs 2 starts
+        # no pool, even with CPUs to spare
+        def no_pool(processes):
+            raise AssertionError(f"Pool({processes}) started")
+
+        monkeypatch.setattr(fsdsq.sweep, "Pool", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        code, out, _ = run(capsys, "verify", "--alphabet-size", "3", "--max-len", "10",
+                           "--jobs", "2", "--deterministic", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5262bee081b656e38230e8a8387f474bd35158b6ed88566e9e710a1854c09613")
+
     def test_deterministic_output_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--max-len", "9", "-f", "json",
                          "--deterministic")

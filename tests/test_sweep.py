@@ -16,8 +16,8 @@ from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.construct import build_run
-from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _plan_blocks,
-                         check_word, exhaustive_verify)
+from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _block_words, _plan_blocks,
+                         _process_block, _word_count, check_word, exhaustive_verify)
 from fsdsq.words import Word
 
 from named_words import EQUAL_17
@@ -43,12 +43,25 @@ class TestCanonicalEnumeration:
         assert blocks[0] == ""
         assert [b[::-1] for b in blocks[1:]] == list(canonical_words(alphabet_size, length))
 
+    # (b, number of blocks) for n = 1..12: b is n up to the alphabet's cap,
+    # the longest suffix length with at most 64 suffixes, capped at 7
+    CAP = {1: 7, 2: 7, 3: 5, 4: 5, 5: 5, 6: 5, 7: 5, 8: 5}
+    BLOCKS = {
+        1: [2] * 12,
+        2: [2, 3, 5, 9, 17, 33] + [65] * 6,
+        3: [2, 3, 6, 15] + [42] * 8,
+        4: [2, 3, 6, 16] + [52] * 8,
+        **{a: [2, 3, 6, 16] + [53] * 8 for a in range(5, 9)},
+    }
+
     def test_counts(self):
-        # the longest suffix length with at most 64 suffixes, capped at 7
-        plans = {a: _plan_blocks(a, 10) for a in (1, 2, 3, 4)}
-        assert {a: (b, len(blocks)) for a, (b, blocks) in plans.items()} == {
-            1: (7, 1 + 1), 2: (7, 1 + 64), 3: (5, 1 + 41), 4: (5, 1 + 51)}
-        assert _plan_blocks(3, 4)[0] == 4
+        # the plan that a walk to 7 gave, so every checkpoint header and
+        # block list stays as it was
+        for a in range(1, 9):
+            for n in range(1, 13):
+                b, blocks = _plan_blocks(a, n)
+                assert (b, len(blocks)) == (min(n, self.CAP[a]), self.BLOCKS[a][n - 1])
+                assert [s[::-1] for s in blocks[1:]] == list(canonical_words(min(a, b), b))
 
     def test_one_walk_per_plan(self, monkeypatch):
         walks, visits = [], []
@@ -65,8 +78,8 @@ class TestCanonicalEnumeration:
 
         monkeypatch.setattr(fsdsq.sweep, "_walk", counted)
         assert _plan_blocks(4, 12)[0] == 5
-        assert walks == [7]
-        assert len(visits) == sum(1 for n in range(1, 8) for _ in canonical_words(4, n))
+        assert walks == [5]  # counted, b needs no walk past it
+        assert len(visits) == sum(1 for n in range(1, 6) for _ in canonical_words(4, n))
 
     def test_census_invariant_under_renaming(self):
         rng = random.Random(7)
@@ -94,6 +107,40 @@ class TestCanonicalEnumeration:
                 assert s_sequence(Word(canon)).s == s_sequence(word).s
 
 
+class TestWordCount:
+    """The exact count of right-canonical words against the walk."""
+
+    def test_stirling_sums(self):
+        # words up to renaming: S(n, 1) + ... + S(n, a) at each length n
+        for a in (1, 2, 3, 5, 8, 40):
+            row, total = [1], 0  # S(0, k)
+            for n in range(1, 31):
+                row = [0] + [k * (row[k] if k < len(row) else 0) + row[k - 1]
+                             for k in range(1, n + 1)]
+                total += sum(row[1:a + 1])
+                assert _word_count(a, n) == total
+
+    @pytest.mark.parametrize("alphabet_size,max_len", [(1, 12), (2, 12), (3, 10), (4, 10)])
+    def test_sweep_total_and_lengths(self, alphabet_size, max_len):
+        report = exhaustive_verify(SweepConfig(alphabet_size, max_len, allow_over_ceiling=True))
+        assert report.total_words == _word_count(alphabet_size, max_len)
+        assert sorted(report.per_length) == list(range(1, max_len + 1))
+        for n, st in report.per_length.items():
+            assert st.words == _word_count(alphabet_size, n) - _word_count(alphabet_size, n - 1)
+
+    @pytest.mark.parametrize("alphabet_size,max_len,block_len", [
+        (1, 9, 7), (2, 12, 7), (3, 9, 7), (4, 8, 7), (5, 6, 7), (3, 4, 7), (2, 9, 1), (3, 8, 3)])
+    def test_block_words_match_walk(self, alphabet_size, max_len, block_len, monkeypatch):
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
+        b, blocks = _plan_blocks(alphabet_size, max_len)
+        for block_id in blocks:
+            _, partial = _process_block((alphabet_size, max_len, b, block_id))
+            visited = sum(st.words for st in partial["lengths"].values())
+            assert _block_words(alphabet_size, max_len, b, [block_id]) == visited
+        assert _block_words(alphabet_size, max_len, b, blocks) == _word_count(alphabet_size,
+                                                                                max_len)
+
+
 class TestExhaustiveVerify:
     def test_small_binary_sweep_clean(self):
         report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=10))
@@ -113,6 +160,9 @@ class TestExhaustiveVerify:
 
     def test_cost_ceiling(self):
         with pytest.raises(CostCeilingError, match="ceiling 36"):
+            exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
+        with pytest.raises(CostCeilingError, match=r"= 38 exceeds the cost ceiling 36 "
+                           r"\(524,287 canonical words\); pass the override flag"):
             exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
         with pytest.raises(CostCeilingError):
             exhaustive_verify(SweepConfig(alphabet_size=1, max_len=37))
@@ -146,6 +196,7 @@ class TestExhaustiveVerify:
 
         monkeypatch.setattr(fsdsq.sweep, "Pool", FakePool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)
         serial = _json(exhaustive_verify(SweepConfig(2, 6)))
         assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
         assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=2))) == serial
@@ -161,6 +212,42 @@ class TestExhaustiveVerify:
         assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
         assert len(pools) == 3
 
+    def test_pool_sized_to_pending_words(self, monkeypatch, tmp_path, crash_after):
+        # at most one worker per WORDS_PER_WORKER words still to sweep, and
+        # one worker runs in-process
+        pools = []
+
+        class FakePool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, func, args, chunksize=1):
+                return map(func, args)
+
+        monkeypatch.setattr(fsdsq.sweep, "Pool", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        serial = _json(exhaustive_verify(SweepConfig(2, 6)))  # 63 words in 33 blocks
+        for per_worker, workers in ((15, [4]), (30, [2]), (32, [])):
+            pools.clear()
+            monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", per_worker)
+            assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
+            assert pools == workers
+        # a resumed sweep counts only its 3 pending one-word blocks
+        ck = str(tmp_path / "sweep.ck")
+        with crash_after(30):
+            exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck))
+        pools.clear()
+        monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 2)
+        assert _json(exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck,
+                                                   parallelism=64))) == serial
+        assert pools == []
+
     def test_ceiling_override_flag(self):
         report = exhaustive_verify(
             SweepConfig(alphabet_size=4, max_len=5, allow_over_ceiling=True))
@@ -172,12 +259,14 @@ class TestDeterminism:
 
     def test_parallelism_does_not_change_report(self, monkeypatch):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
+        monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)
         seq = exhaustive_verify(self.BASE)
         par = exhaustive_verify(SweepConfig(2, 12, parallelism=3))
         assert _json(seq) == _json(par)
 
     def test_resume_equivalence(self, tmp_path, monkeypatch, crash_after):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
+        monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)
         ck = str(tmp_path / "sweep.ck")
         with crash_after(4):
             exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck))
@@ -419,6 +508,7 @@ class TestLeftExtensionSweep:
     def test_stats_match_full_census(self, reference, block_len, jobs, monkeypatch):
         alphabet_size, max_len, expected = reference
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
+        monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)  # a real pool at jobs=2
         report = exhaustive_verify(SweepConfig(alphabet_size, max_len, parallelism=jobs))
         assert report.findings == ()
         assert report.per_length == expected
@@ -428,6 +518,7 @@ class TestLeftExtensionSweep:
             raise CounterexampleError("planted")
 
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
+        monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)  # a real pool at jobs=2
         expected = [text for n in range(1, 13) for text in canonical_words(2, n)
                     if max(s_sequence(Word.from_text(text)).s, default=0) >= 2]
         assert len(expected) > 10
