@@ -21,8 +21,8 @@ import time
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
 from .errors import CounterexampleError
-from .sweep import (WORDS_PER_WORKER, SweepConfig, SweepReport, check_word,
-                    exhaustive_verify)
+from .sweep import (MAX_SWEEP_WORDS, WORDS_PER_WORKER, SweepConfig, SweepReport,
+                    check_word, exhaustive_verify)
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -255,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "and one worker runs in-process")
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
     p.add_argument("--override-ceiling", action="store_true",
-                   help="run even past the cost ceiling")
+                   help=f"run even a sweep of more than {MAX_SWEEP_WORDS:,} canonical "
+                        "words, which is refused without it")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the elapsed time for byte-stable output")
     p.add_argument("-f", "--format", choices=("plain", "tsv", "json"), default="plain")

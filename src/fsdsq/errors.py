@@ -23,4 +23,4 @@ class FactorizationError(ValueError):
 
 
 class CostCeilingError(ValueError):
-    """A sweep request exceeded the cost ceiling."""
+    """A sweep would check more canonical words than ``sweep.MAX_SWEEP_WORDS``."""

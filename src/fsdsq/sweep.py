@@ -20,17 +20,22 @@ property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze`` and the
 constructions of ``fsdsq generate``.  The sweep calls it only on words with
 a position where s_i >= 2, since no other word can raise a finding.
 
+One count measures what a sweep costs: its exact number of canonical
+words, from ``_prepend_counts``.  It alone decides whether a sweep is
+refused (more than ``MAX_SWEEP_WORDS`` words, unless overridden), how many
+workers it gets and how its blocks are planned, so b is found without a
+walk past it.
+
 Work is split into blocks: one block per canonical suffix of length b,
 plus one block for all shorter words.  b is the longest length up to
 ``BLOCK_SUFFIX_LEN`` (and ``max_len``) with at most 64 canonical suffixes,
 the binary count at ``BLOCK_SUFFIX_LEN``; so binary keeps suffixes of 7 and
 ternary and 4-ary get suffixes of 5, and no alphabet gets more than 65
-blocks.  The words of a block, and of the whole sweep, are counted exactly
-(``_prepend_counts``), so b is found without a walk past it.  Blocks share
-nothing, so they can run on worker processes, which take them in chunks to
-save per-task round trips.  The parallelism asked for is an upper bound: at
-most one worker per usable CPU and per ``WORDS_PER_WORKER`` words of the
-blocks still to run, and one worker runs them in-process.
+blocks.  Blocks share nothing, so they can run on worker processes, which
+take them in chunks to save per-task round trips.  The parallelism asked
+for is an upper bound: at most one worker per usable CPU and per
+``WORDS_PER_WORKER`` words of the blocks still to run, and one worker runs
+them in-process.
 Partial aggregates merge by sums and maxima, and findings are sorted by
 (length, word), so the report does not depend on worker count, completion
 order or checkpoint resume points.  The checkpoint file is line-oriented
@@ -56,7 +61,11 @@ from .errors import CostCeilingError, CounterexampleError
 from .pairs import PairClassification, PairKind, find_double_square_pairs
 from .words import Word
 
-COST_CEILING = 36
+# A sweep of more canonical words than this is refused unless overridden.
+# It is the binary count to length 18.  A word costs 2 to 3 us of one CPU on
+# any alphabet from 2 to 26 letters, so every sweep under it takes less than
+# a second (the measured table is in CHANGES.md).
+MAX_SWEEP_WORDS = 262_143
 # The longest block suffix; ``_plan_blocks`` picks the one used, which the
 # checkpoint header records as ``block_prefix_len``.
 BLOCK_SUFFIX_LEN = 7
@@ -489,9 +498,9 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     deepest = sys.getrecursionlimit() - WALK_STACK_MARGIN
     if n > deepest:  # the override cannot lift this one
         raise ValueError(f"length {n} exceeds {deepest}, the deepest walk at this recursion limit")
-    if a * n > COST_CEILING and not config.allow_over_ceiling:
-        raise CostCeilingError(f"alphabet_size*max_len = {a * n} exceeds the cost ceiling "
-                               f"{COST_CEILING} ({_word_count(a, n):,} canonical words); "
+    if not config.allow_over_ceiling and (words := _word_count(a, n)) > MAX_SWEEP_WORDS:
+        raise CostCeilingError(f"alphabet size {a} to length {n} is {words:,} canonical words, "
+                               f"over the ceiling of {MAX_SWEEP_WORDS:,}; "
                                "pass the override flag to run anyway")
 
     b, blocks = _plan_blocks(a, n)

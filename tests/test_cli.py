@@ -564,17 +564,37 @@ class TestVerify:
         assert err.startswith("error: ")
 
     def test_ceiling_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-len", "19")
-        assert code == 1
-        assert "ceiling" in err
+        code, out, err = run(capsys, "verify", "--max-len", "19")
+        assert (code, out) == (1, "")
+        assert err == ("error: alphabet size 2 to length 19 is 524,287 canonical words, "
+                       "over the ceiling of 262,143; pass the override flag to run anyway\n")
 
-    def test_ceiling_override(self, capsys):
+    def test_ceiling_override(self, capsys, monkeypatch):
+        monkeypatch.setattr(fsdsq.sweep, "MAX_SWEEP_WORDS", 39)
         code, _, err = run(capsys, "verify", "--alphabet-size", "1", "--max-len", "40")
-        assert code == 1 and "ceiling" in err
+        assert code == 1 and "40 canonical words, over the ceiling of 39" in err
         code, out, _ = run(capsys, "verify", "--alphabet-size", "1", "--max-len", "40",
                            "--override-ceiling", "-f", "json", "--deterministic")
         assert code == 0
         assert json.loads(out)["total_words"] == 40
+
+    @pytest.mark.parametrize("alphabet_size,max_len", [("40", "1"), ("1", "37")])
+    def test_few_words_run_at_any_width_or_length(self, capsys, alphabet_size, max_len):
+        code, out, err = run(capsys, "verify", "--alphabet-size", alphabet_size,
+                             "--max-len", max_len, "-f", "json", "--deterministic")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_words"] == int(max_len)
+
+    def test_refused_sweep_does_no_work(self, capsys, monkeypatch, tmp_path):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(fsdsq.sweep, "_walk", walk)
+        ck = tmp_path / "sweep.ck"
+        code, out, err = run(capsys, "verify", "--max-len", "19", "--checkpoint", str(ck))
+        assert (code, out) == (1, "")
+        assert "over the ceiling" in err
+        assert not ck.exists()
 
 
 class TestCensusCounts:

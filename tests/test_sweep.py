@@ -159,14 +159,36 @@ class TestExhaustiveVerify:
         assert all(st.words == 1 for st in report.per_length.values())
 
     def test_cost_ceiling(self):
-        with pytest.raises(CostCeilingError, match="ceiling 36"):
+        with pytest.raises(CostCeilingError, match=r"^alphabet size 2 to length 19 is 524,287 "
+                           r"canonical words, over the ceiling of 262,143; pass the override "
+                           r"flag to run anyway$"):
             exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
-        with pytest.raises(CostCeilingError, match=r"= 38 exceeds the cost ceiling 36 "
-                           r"\(524,287 canonical words\); pass the override flag"):
-            exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
-        with pytest.raises(CostCeilingError):
-            exhaustive_verify(SweepConfig(alphabet_size=1, max_len=37))
-        assert exhaustive_verify(SweepConfig(alphabet_size=1, max_len=36)).total_words == 36
+        with pytest.raises(CostCeilingError, match="398,587 canonical words"):
+            exhaustive_verify(SweepConfig(alphabet_size=3, max_len=13))
+        # 37 unary words are far under the ceiling, however long
+        assert exhaustive_verify(SweepConfig(alphabet_size=1, max_len=37)).total_words == 37
+
+    def test_ceiling_is_the_word_count(self, monkeypatch):
+        """The refused sweeps are exactly those of more than
+        ``MAX_SWEEP_WORDS`` canonical words, and they include none that
+        ``alphabet_size * max_len <= 36`` allowed.  A sweep past the guard
+        stops at its block plan, so no sweep runs."""
+
+        class Planned(Exception):
+            pass
+
+        def plan(alphabet_size, max_len):
+            raise Planned
+
+        monkeypatch.setattr(fsdsq.sweep, "_plan_blocks", plan)
+        for a in range(1, 41):
+            for n in range(1, 41):
+                over = _word_count(a, n) > fsdsq.sweep.MAX_SWEEP_WORDS
+                with pytest.raises(CostCeilingError if over else Planned):
+                    exhaustive_verify(SweepConfig(a, n))
+                assert not (over and a * n <= 36), (a, n)
+                with pytest.raises(Planned):
+                    exhaustive_verify(SweepConfig(a, n, allow_over_ceiling=True))
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_parallelism_below_one_rejected(self, jobs, capsys):
@@ -538,7 +560,7 @@ def test_public_names():
                  "extremal_ratio", "RatioTable", "ExtensionBudgetError",
                  "rightmost_map", "run_report", "FindingError", "ForbiddenPairError",
                  "UnclassifiablePairError", "minimal_pair_length", "_check_cost",
-                 "infeasible_detail"):
+                 "infeasible_detail", "COST_CEILING"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
     assert not hasattr(fsdsq.pairs, "infeasible_detail")
@@ -611,9 +633,11 @@ class TestWalkDepth:
         with pytest.raises(ValueError, match="length 1200 exceeds"):
             exhaustive_verify(SweepConfig(1, 1200, allow_over_ceiling=True))
         # without the override the depth bound, not the ceiling, is named
-        with pytest.raises(ValueError, match="deepest walk") as info:
-            exhaustive_verify(SweepConfig(2, self.BOUND + 1))
-        assert not isinstance(info.value, CostCeilingError)
+        for alphabet_size in (1, 2, 40):
+            with pytest.raises(ValueError, match="deepest walk") as info:
+                exhaustive_verify(SweepConfig(alphabet_size, self.BOUND + 1))
+            assert not isinstance(info.value, CostCeilingError)
+            assert "ceiling" not in str(info.value)
 
 
 class TestExtremalRatio:
