@@ -10,6 +10,19 @@ with x1, x2 nonempty, x1 x2 primitive and p1 >= p2 >= 1.  The factorization
 is recovered from the suffix of SQ of length |SQ| - |sq|: that suffix is
 (x1 x2)^p2, so its primitive root is x1 x2 exactly, which pins down every
 other component.  Recovery is unambiguous, unlike reading periods off sq.
+
+``Factorization`` alone validates this shape; three facts follow from it
+and are never tested.  Let u = x1 x2, l = |u| and r = |x1|, so 0 < r < l.
+Lemma: if u is primitive and s >= 2, then z = u^s x1 is primitive.  Proof: z
+has period l < |z|/2.  If z = v^k with k >= 2, then l + |v| < |z|, so by
+Fine and Wilf z has period gcd(l, |v|), which is l as u = z[:l] is
+primitive.  So l divides |v|, hence |z|, hence r: against 0 < r < l.
+1. The roots are primitive: sq is z with s = p1 when p1 >= 2, and SQ is a
+   rotation of u^p2 sq = z with s = p1 + p2 (rotation keeps primitivity).
+2. ``canonical_factorization`` finds p1 >= p2: its balance check gives
+   p2 l = |SQ| - |sq| < |sq| = p1 l + r < (p1 + 1) l.
+3. There SQ rebuilds exactly when sq does: ``primitive_root`` gives
+   u^p2 = SQ[|sq|:], and the prefix check gives SQ[:|sq|] = sq.
 """
 
 from __future__ import annotations
@@ -64,16 +77,11 @@ def canonical_factorization(sq: Word, SQ: Word) -> Factorization:
     if SQ[:ns] != sq:
         raise FactorizationError("short root is not a prefix of the long root")
     period, p2 = primitive_root(SQ[ns:])
-    ell = len(period)
-    r = ns % ell
+    p1, r = divmod(ns, len(period))
     if r == 0:
         raise FactorizationError("no canonical factorization: x1 would be empty")
-    x1, x2 = period[:r], period[r:]
-    p1 = (ns - r) // ell
-    if p1 < p2:
-        raise FactorizationError(f"exponents out of order: p1={p1} < p2={p2}")
-    fact = Factorization(x1, x2, p1, p2)
-    if fact.short_root != sq or fact.long_root != SQ:
+    fact = Factorization(period[:r], period[r:], p1, p2)
+    if fact.short_root != sq:  # then long_root == SQ too (module docstring, fact 3)
         raise FactorizationError("roots do not reconstruct from the factorization")
     return fact
 
@@ -81,17 +89,11 @@ def canonical_factorization(sq: Word, SQ: Word) -> Factorization:
 @dataclass(frozen=True)
 class FsDoubleSquare:
     """An FS-double square: position (1-based) where two rightmost distinct
-    squares start, and the factorization of their roots sq and SQ."""
+    squares start, and the factorization of their roots sq and SQ.  By the
+    module docstring's lemma, SQ is primitive, and so is sq when p1 > 1."""
 
     position: int
     factorization: Factorization
-
-    def __post_init__(self) -> None:
-        f = self.factorization
-        if not is_primitive(f.long_root):
-            raise CounterexampleError("long root of a double square must be primitive")
-        if f.p1 > 1 and not is_primitive(f.short_root):
-            raise CounterexampleError("short root must be primitive when p1 > 1")
 
     @property
     def sq_len(self) -> int:

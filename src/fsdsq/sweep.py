@@ -20,11 +20,11 @@ property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze`` and the
 constructions of ``fsdsq generate``.  The sweep calls it only on words with
 a position where s_i >= 2, since no other word can raise a finding.
 
-One count measures what a sweep costs: its exact number of canonical
-words, from ``_prepend_counts``.  It alone decides whether a sweep is
-refused (more than ``MAX_SWEEP_WORDS`` words, unless overridden), how many
-workers it gets and how its blocks are planned, so b is found without a
-walk past it.
+One count measures what a sweep costs: its number of canonical words, from
+``_prepend_counts``.  It alone decides whether a sweep is refused (more than
+``MAX_SWEEP_WORDS`` words, summed by length until past that, unless
+overridden), how many workers it gets and how its blocks are planned, so b
+is found without a walk past it.
 
 Work is split into blocks: one block per canonical suffix of length b,
 plus one block for all shorter words.  b is the longest length up to
@@ -498,10 +498,14 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     deepest = sys.getrecursionlimit() - WALK_STACK_MARGIN
     if n > deepest:  # the override cannot lift this one
         raise ValueError(f"length {n} exceeds {deepest}, the deepest walk at this recursion limit")
-    if not config.allow_over_ceiling and (words := _word_count(a, n)) > MAX_SWEEP_WORDS:
-        raise CostCeilingError(f"alphabet size {a} to length {n} is {words:,} canonical words, "
-                               f"over the ceiling of {MAX_SWEEP_WORDS:,}; "
-                               "pass the override flag to run anyway")
+    if not config.allow_over_ceiling:  # stop there: a wide sweep's full count has 1,000s of digits
+        rows = itertools.islice(_prepend_counts(a, n), n)
+        for m, words in enumerate(itertools.accumulate(row[1] for row in rows), 1):
+            if words > MAX_SWEEP_WORDS:
+                raise CostCeilingError(
+                    f"alphabet size {a} to length {n} is {'' if m == n else 'more than '}"
+                    f"{words:,} canonical words, over the ceiling of {MAX_SWEEP_WORDS:,}; "
+                    "pass the override flag to run anyway")
 
     b, blocks = _plan_blocks(a, n)
     done: dict[str, dict] = {}

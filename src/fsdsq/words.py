@@ -44,9 +44,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __bool__(self) -> bool:
-        return bool(self.codes)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.codes)
 
@@ -82,10 +79,7 @@ def lcp(u: Word, v: Word) -> int:
     m = min(len(a), len(b))
     if a[:m] == b[:m]:
         return m
-    for i in range(m):
-        if a[i] != b[i]:
-            return i
-    return m
+    return next(i for i in range(m) if a[i] != b[i])  # some i differs: the slices did
 
 
 def is_primitive(w: Word) -> bool:
@@ -113,7 +107,5 @@ def are_conjugate(u: Word, v: Word) -> bool:
     """True iff v is a cyclic rotation of u."""
     if len(u) != len(v):
         return False
-    if not u.codes:
-        return True
     return v.codes in u.codes + u.codes
 

@@ -585,6 +585,14 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert json.loads(out)["total_words"] == int(max_len)
 
+    def test_wide_refusal_stops_counting(self, capsys):
+        # the words to length 11 already pass the ceiling; the exact count to
+        # length 900 has 1,702 digits
+        code, out, err = run(capsys, "verify", "--alphabet-size", "900", "--max-len", "900")
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 300
+        assert "is more than 820,987 canonical words, over the ceiling of 262,143" in err
+
     def test_refused_sweep_does_no_work(self, capsys, monkeypatch, tmp_path):
         def walk(*args):
             raise AssertionError("walked")

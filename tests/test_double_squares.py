@@ -2,13 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsdsq.double_squares
+import fsdsq.words
+from fsdsq.census import s_sequence
+from fsdsq.construct import build_run
 from fsdsq.double_squares import (Factorization, FsDoubleSquare, MateLabel,
-                                  canonical_factorization, classify_mate_detail)
+                                  canonical_factorization, classify_mate_detail,
+                                  find_fs_double_squares)
 from fsdsq.errors import FactorizationError
 from fsdsq.words import is_primitive
 
-from named_words import EQUAL_17, W, W1
-from oracles import all_words, oracle_s
+from named_words import (CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W, W1,
+                         W2)
+from oracles import all_words, oracle_is_primitive, oracle_s
 from structure import squares_of
 
 
@@ -48,6 +54,26 @@ class TestCanonicalFactorization:
         with pytest.raises(FactorizationError):
             Factorization(W("a"), W("a"), 1, 1)  # x1x2 = "aa" not primitive
 
+
+    def test_outcome_exhaustive_small(self):
+        # the exponent order and the long root are never tested: every
+        # balanced binary prefix pair either factors with both facts or is
+        # refused by a check that stays
+        outcomes = {"factored": 0, "refused": 0}
+        for nl in range(3, 13):
+            for text in all_words(2, nl):
+                SQ = W(text)
+                for ns in range(nl // 2 + 1, nl):
+                    try:
+                        f = canonical_factorization(SQ[:ns], SQ)
+                    except FactorizationError:
+                        outcomes["refused"] += 1
+                        continue
+                    outcomes["factored"] += 1
+                    assert f.p1 >= f.p2
+                    assert f.short_root == SQ[:ns]
+                    assert f.long_root == SQ
+        assert outcomes["factored"] > 0 and outcomes["refused"] > 0
 
     def test_roots_built_once_and_outside_equality(self):
         f = Factorization(W("a"), W("ab"), 2, 1)
@@ -110,6 +136,47 @@ class TestDetection:
                     if f.p1 > 1:
                         assert is_primitive(f.short_root)
         assert hits > 50
+
+
+class TestPrimitivityLemma:
+    def test_roots_primitive_exhaustive_small(self):
+        # u = x1 x2 primitive makes the long root primitive, and the short
+        # root too when p1 >= 2, by the lemma of ``double_squares``
+        cases = 0
+        for alphabet_size, top in ((2, 9), (3, 6)):
+            for ell in range(2, top + 1):
+                for u in filter(oracle_is_primitive, all_words(alphabet_size, ell)):
+                    for r in range(1, ell):
+                        for p1 in range(1, 4):
+                            for p2 in range(1, p1 + 1):
+                                f = Factorization(W(u[:r]), W(u[r:]), p1, p2)
+                                assert oracle_is_primitive(f.long_root.text)
+                                if p1 >= 2:
+                                    assert oracle_is_primitive(f.short_root.text)
+                                cases += 1
+        assert cases == 69_708
+
+    def test_at_most_two_primitive_root_calls_per_double_square(self, monkeypatch):
+        words = [W(text) for n in range(1, 15) for text in all_words(2, n)]
+        words += [build_run(50).word]
+        words += [W(text) for text in (EQUAL_17, W1, W2, CASE_10, UNEQUAL_39, UNEQUAL_67,
+                                       *SEEDS)]
+        censuses = [(w, s_sequence(w).roots) for w in words]
+        calls = 0
+        root = fsdsq.words.primitive_root
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            return root(w)
+
+        # ``is_primitive`` looks it up in ``words``
+        monkeypatch.setattr(fsdsq.words, "primitive_root", counted)
+        monkeypatch.setattr(fsdsq.double_squares, "primitive_root", counted)
+        squares = [fs for w, roots in censuses for fs in find_fs_double_squares(w, roots)]
+        assert len(squares) > 200
+        assert any(fs.factorization.p1 > 1 for fs in squares)
+        assert calls <= 2 * len(squares)
 
 
 @st.composite
