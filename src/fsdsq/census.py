@@ -129,16 +129,19 @@ def _census_step(codes: bytes | bytearray):
     or ``step(i, m, j, later)``.
 
     From the state of position i + 1 (m = m_{i+1}, and j, the nearest start
-    > i + 1 of a later match of that length; m = 0 and j = len(codes) past
+    > i + 1 of a later match of that length; m = -1 and j = len(codes) past
     the end) it returns m_i, the nearest such start for position i, and the
     ascending rightmost root lengths at i, by the facts of the module
     docstring.  Without ``later`` the step finds m_i by probes, so the
-    sweep's walk can take one position at a time.  ``_census_scan`` passes
-    ``later`` = m_i from its automaton; the step then searches a witness
-    only within distance m_i and returns j = -1 when there is none there, so
-    the next step skips the witness test.  ``codes`` may be a buffer that
-    the caller rewrites left of i between calls: the step reads only
-    positions i and right of it.
+    sweep's walk can take one position at a time.  No probe is longer than
+    the n - i - 1 letters right of i: a later match of the suffix at i + 1
+    starts at i + 2 or later, so m_{i+1} <= n - i - 2 and the first probe
+    has length m_{i+1} + 1 <= n - i - 1; at i = n - 1 the base state gives
+    0.  ``_census_scan`` passes ``later`` = m_i from its automaton; the step
+    then searches a witness only within distance m_i and returns j = -1
+    when there is none there, so the next step skips the witness test.
+    ``codes`` may be a buffer that the caller rewrites left of i between
+    calls: the step reads only positions i and right of it.
     """
     n = len(codes)
     find = codes.find
@@ -153,8 +156,6 @@ def _census_step(codes: bytes | bytearray):
             j = find(codes[i:i + m], i + 1, i + 2 * m)
             d = j - i if j >= 0 else n  # a miss means d > m
         else:
-            if m > n - i - 1:
-                m = n - i - 1
             start = j  # a match of length m_{i+1} + 1 starts at j or later
             while m > 0:
                 k = find(codes[i:i + m], start)
@@ -251,7 +252,7 @@ def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     found: list[tuple[int, list[int]]] = []
     later = _later_matches(codes)
     step = _census_step(codes)
-    m, j = 0, n
+    m, j = -1, n
     for i in range(n - 1, -1, -1):
         m, j, ps = step(i, m, j, later[i])
         if ps:

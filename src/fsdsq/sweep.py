@@ -20,11 +20,14 @@ property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze`` and the
 constructions of ``fsdsq generate``.  The sweep calls it only on words with
 a position where s_i >= 2, since no other word can raise a finding.
 
-One count measures what a sweep costs: its number of canonical words, from
-``_prepend_counts``.  It alone decides whether a sweep is refused (more than
-``MAX_SWEEP_WORDS`` words, summed by length until past that, unless
-overridden), how many workers it gets and how its blocks are planned, so b
-is found without a walk past it.
+One count measures what a sweep costs: its number of canonical words of
+each length, from ``_length_counts``.  It alone decides whether a sweep is
+refused (more than ``MAX_SWEEP_WORDS`` words, summed by length until past
+that, unless overridden), how its blocks are planned, so b is found without
+a walk past it, and how many workers it gets.  The words still to sweep are
+the total less the words that the blocks of a loaded checkpoint record:
+the blocks partition the words, and a block's stats count each of its
+words once.
 
 Work is split into blocks: one block per canonical suffix of length b,
 plus one block for all shorter words.  b is the longest length up to
@@ -234,47 +237,29 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
                 rec(i - 1, c if c > used else used, m, j, distinct)
         doubles.pop(i, None)
 
-    rec(L - 1, buf[L - 1], 0, L, 0)  # from the empty word at L
+    rec(L - 1, buf[L - 1], -1, L, 0)  # from the empty word at L
 
 
 # ------------------------------------------------------------------- counts
 
-def _prepend_counts(alphabet_size: int, max_len: int):
-    """Yield, for k = 0, 1, ..., ``max_len``, the row g(k, u) over u = 0, 1,
-    ...: the number of ways to prepend k letters to a right-canonical word
-    that uses u distinct letters and keep it right-canonical.  The letter
-    next to the word is one of its u letters or, while u < a, the next new
-    one, so g(0, u) = 1 and g(k, u) = u g(k-1, u) + [u < a] g(k-1, u+1).
-    A word of at most ``max_len`` letters uses at most ``max_len`` of them,
-    so a is capped there; that leaves every g(k, u) with u + k <= ``max_len``
-    exact, and those are all a sweep to ``max_len`` asks for.  Summed, the
-    rows give the words up to renaming: sums of Stirling numbers of the
-    second kind."""
+def _length_counts(alphabet_size: int, max_len: int):
+    """Yield the number of right-canonical words of each length 1, ...,
+    ``max_len``.  Let g(k, u) be the number of ways to prepend k letters to
+    a right-canonical word that uses u distinct letters and keep it
+    right-canonical.  The letter next to the word is one of its u letters
+    or, while u < a, the next new one, so g(0, u) = 1 and g(k, u) =
+    u g(k-1, u) + [u < a] g(k-1, u+1).  A word of length k + 1 is "a" with
+    k letters prepended, so there are g(k, 1) of them.  A word of at most
+    ``max_len`` letters uses at most ``max_len`` of them, so a is capped
+    there; that leaves every g(k, u) with u + k <= ``max_len`` exact, and
+    g(k, 1) for k < ``max_len`` are among them.  Summed, the counts give the
+    words up to renaming: sums of Stirling numbers of the second kind."""
     a = min(alphabet_size, max_len)
     row = [1] * (a + 1)
-    for _ in range(max_len):
-        yield row
+    yield 1
+    for _ in range(max_len - 1):
         row = [u * row[u] + (row[u + 1] if u < a else 0) for u in range(a + 1)]
-    yield row
-
-
-def _word_count(alphabet_size: int, max_len: int) -> int:
-    """The right-canonical words of lengths 1 to ``max_len``: "a" with up to
-    ``max_len - 1`` letters prepended."""
-    return sum(row[1] for row in itertools.islice(_prepend_counts(alphabet_size, max_len),
-                                                  max_len))
-
-
-def _block_words(alphabet_size: int, max_len: int, b: int, blocks: list[str]) -> int:
-    """The words in ``blocks`` of the plan with suffix length ``b``: a suffix
-    with up to ``max_len - b`` letters prepended, and for the block "" the
-    words shorter than ``b``."""
-    used = [len(set(block_id)) for block_id in blocks if block_id]
-    rows = itertools.islice(_prepend_counts(alphabet_size, max_len), max_len - b + 1)
-    words = sum(row[u] for row in rows for u in used)
-    if "" in blocks:
-        words += _word_count(alphabet_size, b - 1)
-    return words
+        yield row[1]
 
 
 # ------------------------------------------------------------------- blocks
@@ -285,12 +270,11 @@ def _plan_blocks(alphabet_size: int, max_len: int) -> tuple[int, list[str]]:
     length ``b``.  ``b`` is the longest length up to ``BLOCK_SUFFIX_LEN`` and
     ``max_len`` with at most ``2**(BLOCK_SUFFIX_LEN - 1)`` suffixes, which
     is the binary count at ``BLOCK_SUFFIX_LEN``.  The suffixes of length m
-    are counted, as "a" with m - 1 letters prepended; one walk to ``b``
-    lists those of length ``b``."""
-    top = min(BLOCK_SUFFIX_LEN, max_len)
-    suffixes = [row[1] for row in itertools.islice(_prepend_counts(alphabet_size, top), top)]
+    are the words of length m, so they are counted; one walk to ``b`` lists
+    those of length ``b``."""
+    suffixes = _length_counts(alphabet_size, min(BLOCK_SUFFIX_LEN, max_len))
     limit = 2 ** (BLOCK_SUFFIX_LEN - 1)
-    b = max(m for m in range(1, top + 1) if suffixes[m - 1] <= limit)
+    b = max(m for m, count in enumerate(suffixes, 1) if count <= limit)
     blocks = [""]
 
     def visit(buf, i, distinct, doubles):
@@ -499,8 +483,7 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     if n > deepest:  # the override cannot lift this one
         raise ValueError(f"length {n} exceeds {deepest}, the deepest walk at this recursion limit")
     if not config.allow_over_ceiling:  # stop there: a wide sweep's full count has 1,000s of digits
-        rows = itertools.islice(_prepend_counts(a, n), n)
-        for m, words in enumerate(itertools.accumulate(row[1] for row in rows), 1):
+        for m, words in enumerate(itertools.accumulate(_length_counts(a, n)), 1):
             if words > MAX_SWEEP_WORDS:
                 raise CostCeilingError(
                     f"alphabet size {a} to length {n} is {'' if m == n else 'more than '}"
@@ -515,7 +498,8 @@ def exhaustive_verify(config: SweepConfig) -> SweepReport:
     args = [(a, n, b, block_id) for block_id in blocks if block_id not in done]
     workers = min(config.parallelism, len(args), _usable_cpus())
     if workers > 1:  # at most one worker per WORDS_PER_WORKER words still to sweep
-        pending = _block_words(a, n, b, [block_id for *_, block_id in args])
+        pending = sum(_length_counts(a, n)) - sum(
+            st.words for partial in done.values() for st in partial["lengths"].values())
         workers = min(workers, max(1, pending // WORDS_PER_WORKER))
     try:
         with Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:

@@ -9,6 +9,7 @@ itself stays 0-based.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Iterator
 
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
@@ -90,17 +91,27 @@ def is_primitive(w: Word) -> bool:
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Shortest word u and maximal k with u**k == w; u is primitive.
 
-    u = w[:d] for d, the first index past 0 of w in ww: the least rotation
-    that fixes w.  The rotations fixing w form a subgroup of Z_n (n = |w|),
-    so they are the multiples of d, d divides n and w = (w[:d])^(n/d).  If
-    w = v^j, rotating by |v| fixes w, so d divides |v|: w[:d] is shortest.
+    u = w[:d] for d, the least divisor of n = |w| that is a period of w
+    (w[d:] == w[:n-d]); d = n always is.  A period d dividing n gives w =
+    (w[:d])^(n/d).  If w[:d] = v^j with j >= 2, then |v| is a period of w
+    that divides n and is smaller than d, so w[:d] is primitive.  If w =
+    v^j, |v| is a period dividing n, so d <= |v|: w[:d] is shortest.  The
+    divisors are tried in ascending order: those up to isqrt(n), then their
+    cofactors, with one slice compare each.
     """
     n = len(w)
     if n == 0:
         raise ValueError("empty word has no primitive root")
     codes = w.codes
-    d = (codes + codes).find(codes, 1)
-    return Word(codes[:d]), n // d
+    root = isqrt(n)
+    for d in range(1, root + 1):
+        if n % d == 0 and codes[d:] == codes[:n - d]:
+            return Word(codes[:d]), n // d
+    for k in range(root, 1, -1):
+        d = n // k
+        if n % k == 0 and codes[d:] == codes[:n - d]:
+            return Word(codes[:d]), k
+    return w, 1
 
 
 def are_conjugate(u: Word, v: Word) -> bool:

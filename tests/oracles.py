@@ -92,6 +92,13 @@ def oracle_lce(text: str, i: int, j: int) -> int:
     return k
 
 
+def oracle_primitive_root(text: str) -> tuple[str, int]:
+    """The shortest u with text == u * k, and k."""
+    n = len(text)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and text == text[:d] * (n // d))
+    return text[:d], n // d
+
+
 def oracle_is_primitive(text: str) -> bool:
     n = len(text)
     for d in range(1, n):

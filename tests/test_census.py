@@ -39,9 +39,10 @@ def later_match_lengths(codes: bytes) -> list[int]:
     n = len(codes)
     m = [0] * (n + 1)
     step = _census_step(codes)
-    j = n
+    later, j = -1, n
     for i in range(n - 1, -1, -1):
-        m[i], j, _ = step(i, m[i + 1], j)
+        later, j, _ = step(i, later, j)
+        m[i] = later
     return m
 
 
@@ -57,7 +58,7 @@ def step_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     s = [0] * n
     roots: dict[int, list[int]] = {}
     step = _census_step(codes)
-    m, j = 0, n
+    m, j = -1, n
     for i in range(n - 1, -1, -1):
         m, j, ps = step(i, m, j)
         if ps:
@@ -202,7 +203,7 @@ class TestSSequence:
         # one multiple of d.
         codes = W("abaababaab").codes
         step = _census_step(codes)
-        m, j = 0, len(codes)
+        m, j = -1, len(codes)
         for i in range(len(codes) - 1, 0, -1):
             m, j, _ = step(i, m, j)
         assert step(0, m, j) == (5, 5, [3, 5])

@@ -15,6 +15,7 @@ import fsdsq.sweep
 from fsdsq.cli import _build_parser, main
 from fsdsq.double_squares import MateClassification, MateLabel
 from fsdsq.errors import CounterexampleError
+from fsdsq.pairs import Check
 from fsdsq.words import Word
 from named_words import (CASE_10, EQUAL_17, EQUAL_17_S, SEEDS, UNEQUAL_39,
                          UNEQUAL_67, W1, W2)
@@ -80,6 +81,13 @@ class TestCensus:
         code, _, err = run(capsys, "census", "@" + str(tmp_path / "none.txt"))
         assert code == 1
         assert "error" in err
+
+    def test_file_of_blank_lines_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("\n  \n\n")
+        code, out, err = run(capsys, "census", "@" + str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: no words found in {path}\n"
 
     @pytest.mark.parametrize("line,detail", [
         (b"\xff", "'ascii' codec can't decode byte 0xff in position 0: "
@@ -231,6 +239,24 @@ class TestAnalyze:
                 for f in report["findings"] if f["word"] == EQUAL_17] == [expected]
         at_17 = report["per_length"]["17"]
         assert at_17["pairs_equal"] == at_17["pairs_unequal"] == 0
+
+    def test_failed_equal_check_is_a_finding_in_every_format(self, capsys, monkeypatch):
+        monkeypatch.setattr(fsdsq.pairs, "_equal_checks",
+                            lambda first, second: (Check("x", False),))
+        detail = "position 1: failed ['x']"
+        code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["pairs"][0]["checks"] == [{"name": "x", "pass": False}]
+        assert payload["findings"] == [{"property": "equal_pair_checks", "detail": detail}]
+        code, out, _ = run(capsys, "verify", "--max-len", "17", "-f", "tsv", "--deterministic")
+        assert code == 2
+        assert [line for line in out.splitlines() if line.startswith("finding")] == [
+            f"finding\tequal_pair_checks\t{EQUAL_17}\t{detail}"]
+        code, out, _ = run(capsys, "verify", "--max-len", "17", "--deterministic")
+        assert code == 2
+        assert [line for line in out.splitlines() if line.startswith("FINDING")] == [
+            f"FINDING equal_pair_checks {EQUAL_17}: {detail}"]
 
     def test_unclassifiable_mate_is_null(self, capsys, monkeypatch):
         monkeypatch.setattr(fsdsq.pairs, "classify_mate_detail", lambda first, second: None)
@@ -557,6 +583,11 @@ class TestVerify:
         rows = out.strip().split("\n")
         assert rows[0].startswith("n\twords\t")
         assert len(rows) == 9
+
+    def test_zero_length_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-len", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: alphabet_size and max_len must be at least 1\n"
 
     def test_empty_checkpoint_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--max-len", "6", "--checkpoint", "")

@@ -223,6 +223,13 @@ class TestMates:
         assert [q.position for q in squares] == [1, 11]
         assert classify_mate_detail(squares[0], squares[1]).label is MateLabel.EPSILON
 
+    def test_longer_short_root_same_long_root_is_beta(self):
+        # roots 4/7 (abba/abbaabb) at 1 and 5/7 (ababa/ababaab) at 2
+        first = FsDoubleSquare(1, Factorization(W("a"), W("bb"), 1, 1))
+        second = FsDoubleSquare(2, Factorization(W("a"), W("b"), 2, 1))
+        assert (first.sq_len, first.SQ_len, second.sq_len, second.SQ_len) == (4, 7, 5, 7)
+        assert classify_mate_detail(first, second).label is MateLabel.BETA
+
     def test_order_precondition(self):
         first, second = squares_of(W(EQUAL_17))
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.construct import build_run
-from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _block_words, _plan_blocks,
-                         _process_block, _word_count, check_word, exhaustive_verify)
+from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _length_counts, _plan_blocks,
+                         _process_block, check_word, exhaustive_verify)
 from fsdsq.words import Word
 
 from named_words import EQUAL_17
@@ -113,32 +113,35 @@ class TestWordCount:
     def test_stirling_sums(self):
         # words up to renaming: S(n, 1) + ... + S(n, a) at each length n
         for a in (1, 2, 3, 5, 8, 40):
-            row, total = [1], 0  # S(0, k)
+            row, counts = [1], []  # S(0, k)
             for n in range(1, 31):
                 row = [0] + [k * (row[k] if k < len(row) else 0) + row[k - 1]
                              for k in range(1, n + 1)]
-                total += sum(row[1:a + 1])
-                assert _word_count(a, n) == total
+                counts.append(sum(row[1:a + 1]))
+                assert list(_length_counts(a, n)) == counts
 
     @pytest.mark.parametrize("alphabet_size,max_len", [(1, 12), (2, 12), (3, 10), (4, 10)])
     def test_sweep_total_and_lengths(self, alphabet_size, max_len):
         report = exhaustive_verify(SweepConfig(alphabet_size, max_len, allow_over_ceiling=True))
-        assert report.total_words == _word_count(alphabet_size, max_len)
+        counts = list(_length_counts(alphabet_size, max_len))
+        assert report.total_words == sum(counts)
         assert sorted(report.per_length) == list(range(1, max_len + 1))
         for n, st in report.per_length.items():
-            assert st.words == _word_count(alphabet_size, n) - _word_count(alphabet_size, n - 1)
+            assert st.words == counts[n - 1]
 
     @pytest.mark.parametrize("alphabet_size,max_len,block_len", [
         (1, 9, 7), (2, 12, 7), (3, 9, 7), (4, 8, 7), (5, 6, 7), (3, 4, 7), (2, 9, 1), (3, 8, 3)])
     def test_block_words_match_walk(self, alphabet_size, max_len, block_len, monkeypatch):
+        # a resumed sweep's pending words are the count less the words its
+        # checkpoint's blocks record, exact because the blocks' stats sum
+        # to the count under every plan
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
         b, blocks = _plan_blocks(alphabet_size, max_len)
+        recorded = 0
         for block_id in blocks:
             _, partial = _process_block((alphabet_size, max_len, b, block_id))
-            visited = sum(st.words for st in partial["lengths"].values())
-            assert _block_words(alphabet_size, max_len, b, [block_id]) == visited
-        assert _block_words(alphabet_size, max_len, b, blocks) == _word_count(alphabet_size,
-                                                                                max_len)
+            recorded += sum(st.words for st in partial["lengths"].values())
+        assert recorded == sum(_length_counts(alphabet_size, max_len))
 
 
 class TestExhaustiveVerify:
@@ -183,7 +186,7 @@ class TestExhaustiveVerify:
         monkeypatch.setattr(fsdsq.sweep, "_plan_blocks", plan)
         for a in range(1, 41):
             for n in range(1, 41):
-                over = _word_count(a, n) > fsdsq.sweep.MAX_SWEEP_WORDS
+                over = sum(_length_counts(a, n)) > fsdsq.sweep.MAX_SWEEP_WORDS
                 with pytest.raises(CostCeilingError if over else Planned):
                     exhaustive_verify(SweepConfig(a, n))
                 assert not (over and a * n <= 36), (a, n)
@@ -660,3 +663,16 @@ class TestCheckWord:
         findings = check_word(word, roots, 10).findings
         assert [prop for prop, _ in findings].count("run_length_bound") == 1
         assert ("run_length_bound", "7*3 >= 17") in findings
+
+    def test_three_roots_break_the_census_bound_and_the_factorization(self):
+        checked = check_word(Word.from_text("abaab"), {1: [1, 2, 3]}, 3)
+        assert (checked.squares, checked.pairs) == ((), ())
+        assert checked.findings == (
+            ("census_max_two", "max s_i = 3"),
+            ("factorization_roundtrip", "position 1 of 'abaab' starts 3 rightmost squares; "
+                                        "at most two should be possible"),
+        )
+
+    def test_planted_count_breaks_the_distinct_bound(self):
+        assert check_word(Word.from_text("ab"), {}, 4).findings == (
+            ("distinct_below_twice_length", "4 distinct squares at length 2"),)

@@ -6,7 +6,7 @@ from fsdsq.words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 from named_words import EQUAL_17, W
 from oracles import (all_words, canonical_words, oracle_is_primitive,
-                     oracle_lce, oracle_rotations)
+                     oracle_lce, oracle_primitive_root, oracle_rotations)
 
 texts = st.text(alphabet="abc", min_size=0, max_size=24)
 nonempty_texts = st.text(alphabet="abc", min_size=1, max_size=24)
@@ -74,6 +74,9 @@ class TestPrimitivity:
         ("aaa", "a", 3),
         ("aabaab", "aab", 2),
         ("aba", "aba", 1),
+        # a long word whose only period dividing its length is the length
+        pytest.param("a" * 999 + "ba", "a" * 999 + "ba", 1, id="a999ba"),
+        pytest.param(("a" * 999 + "ba") * 3, "a" * 999 + "ba", 3, id="a999ba-cubed"),
     ])
     def test_primitive_root_examples(self, text, root, exponent):
         r, e = primitive_root(W(text))
@@ -88,9 +91,12 @@ class TestPrimitivity:
         assert is_primitive(w) == (exponent == 1)
 
     def test_exhaustive_against_oracle(self):
-        for n in range(1, 9):
-            for text in all_words(2, n):
-                assert is_primitive(W(text)) == oracle_is_primitive(text)
+        for alphabet_size, max_len in ((2, 12), (3, 8)):
+            for n in range(1, max_len + 1):
+                for text in all_words(alphabet_size, n):
+                    root, exponent = primitive_root(W(text))
+                    assert (root.text, exponent) == oracle_primitive_root(text)
+                    assert is_primitive(W(text)) == oracle_is_primitive(text)
 
 
 class TestConjugacy:
