@@ -10,8 +10,8 @@ from .errors import (CostCeilingError, CounterexampleError, FactorizationError,
                      NoExtensionError)
 from .pairs import (Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
-from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepConfig,
-                    SweepReport, exhaustive_verify)
+from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepReport,
+                    exhaustive_verify)
 from .words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "CounterexampleError", "Factorization", "FactorizationError", "Finding",
     "FsDoubleSquare", "LengthStats", "MateClassification", "MateLabel",
     "NoExtensionError", "PairClassification", "PairKind", "RunReport",
-    "SweepConfig", "SweepReport", "Word",
+    "SweepReport", "Word",
     "are_conjugate", "build_run", "canonical_factorization",
     "classify_mate_detail", "exhaustive_verify", "extend_equal_run",
     "extend_unequal", "find_double_square_pairs", "find_fs_double_squares",

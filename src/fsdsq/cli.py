@@ -21,8 +21,8 @@ import time
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
 from .errors import CounterexampleError
-from .sweep import (MAX_SWEEP_WORDS, WORDS_PER_WORKER, SweepConfig, SweepReport,
-                    check_word, exhaustive_verify)
+from .sweep import (MAX_SWEEP_WORDS, WORDS_PER_WORKER, SweepReport, check_word,
+                    exhaustive_verify)
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -197,15 +197,9 @@ def _verify_out(report: SweepReport, fmt: str, elapsed: float | None) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        alphabet_size=args.alphabet_size,
-        max_len=args.max_len,
-        checkpoint_path=args.checkpoint,
-        parallelism=args.jobs,
-        allow_over_ceiling=args.override_ceiling,
-    )
     start = time.monotonic()
-    report = exhaustive_verify(config)
+    report = exhaustive_verify(args.alphabet_size, args.max_len, checkpoint_path=args.checkpoint,
+                               parallelism=args.jobs, allow_over_ceiling=args.override_ceiling)
     elapsed = None if args.deterministic else time.monotonic() - start
     return _verify_out(report, args.format, elapsed)
 

@@ -126,7 +126,7 @@ def _accepts_unequal(candidate: Word, frontier: int) -> tuple[CensusReport, Word
     and a failed check is an ``unequal_pair_checks`` finding."""
     report = s_sequence(candidate)
     s = report.s
-    if frontier >= len(s) or s[frontier - 1] != 2 or s[frontier] != 2:
+    if s[frontier - 1] != 2 or s[frontier] != 2:  # a candidate runs past its frontier
         return None
     checked = check_word(candidate, report.roots, report.distinct_square_count)
     pair = next((p for p in checked.pairs if p.position == frontier), None)

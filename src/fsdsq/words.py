@@ -59,8 +59,6 @@ class Word:
     def __mul__(self, times: int) -> "Word":
         return Word(self.codes * times)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.codes == other.codes
 

@@ -11,7 +11,7 @@ from fsdsq.census import s_sequence
 from fsdsq.construct import build_run, extend_unequal
 from fsdsq.double_squares import MateLabel, classify_mate_detail
 from fsdsq.pairs import PairKind
-from fsdsq.sweep import SweepConfig, exhaustive_verify
+from fsdsq.sweep import exhaustive_verify
 
 from named_words import EQUAL_17, EQUAL_17_S, SEEDS, W, W1, W1_S, W2, W2_S
 from oracles import all_words, canonical_words, oracle_rightmost, oracle_s
@@ -70,8 +70,7 @@ def test_criterion_03_oracle_equivalence():
 @pytest.fixture(scope="session")
 def sweep18():
     start = time.perf_counter()
-    report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
-                                           parallelism=8))
+    report = exhaustive_verify(alphabet_size=2, max_len=18, parallelism=8)
     return report, time.perf_counter() - start
 
 
@@ -98,7 +97,7 @@ def test_criterion_05_pair_dichotomy(sweep18):
     pairs = sum(st.pairs_equal + st.pairs_unequal for st in sweep18.per_length.values())
     assert pairs > 0, "dichotomy check must not be vacuous"
     # supplementary ternary sweep, same properties, smaller cap
-    ternary = exhaustive_verify(SweepConfig(alphabet_size=3, max_len=12))
+    ternary = exhaustive_verify(alphabet_size=3, max_len=12)
     assert ternary.findings == ()
     print(f"ACCEPTANCE 5 PASS: every adjacent pair ({pairs} binary, plus ternary "
           f"to 12) is equal or unequal; no infeasible ordering, no failed check")
@@ -146,7 +145,7 @@ def test_criterion_07_unequal_inequalities():
 
 def test_criterion_08_run_bound():
     start = time.perf_counter()
-    sweep = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18, parallelism=8))
+    sweep = exhaustive_verify(alphabet_size=2, max_len=18, parallelism=8)
     assert sweep.findings == ()
     for n, st in sweep.per_length.items():
         assert 7 * st.max_run < n
@@ -171,7 +170,7 @@ def test_criterion_09_factorization_roundtrip(sweep18):
 
 
 def test_criterion_10_minimal_pair_length():
-    value = exhaustive_verify(SweepConfig(2, 17)).min_length_per_run.get(2)
+    value = exhaustive_verify(2, 17).min_length_per_run.get(2)
     witness = build_run(2).word
     assert value is not None and value <= 17
     assert len(witness) == value
@@ -184,15 +183,14 @@ def test_criterion_10_minimal_pair_length():
 def test_criterion_11_determinism(sweep18, tmp_path, crash_after):
     baseline = json.dumps(sweep18[0].to_json_dict(), sort_keys=True)
 
-    other_jobs = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
-                                               parallelism=2))
+    other_jobs = exhaustive_verify(alphabet_size=2, max_len=18, parallelism=2)
     assert json.dumps(other_jobs.to_json_dict(), sort_keys=True) == baseline
 
     ck = str(tmp_path / "sweep18.ck")
     with crash_after(20):
-        exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18, checkpoint_path=ck))
-    resumed = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=18,
-                                            checkpoint_path=ck, parallelism=4))
+        exhaustive_verify(alphabet_size=2, max_len=18, checkpoint_path=ck)
+    resumed = exhaustive_verify(alphabet_size=2, max_len=18,
+                                checkpoint_path=ck, parallelism=4)
     assert json.dumps(resumed.to_json_dict(), sort_keys=True) == baseline
     print("ACCEPTANCE 11 PASS: reports are byte-identical across worker counts "
           "and a mid-run checkpoint/resume")

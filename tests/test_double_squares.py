@@ -230,6 +230,15 @@ class TestMates:
         assert (first.sq_len, first.SQ_len, second.sq_len, second.SQ_len) == (4, 7, 5, 7)
         assert classify_mate_detail(first, second).label is MateLabel.BETA
 
+    def test_hand_built_pair_fits_no_mate(self):
+        # roots 7/9 at 1: epsilon needs k >= (3 - 1)*2 + lcp(ab, ba) = 4, and k = 2;
+        # the second short root has 11 letters, past 9, and matches no delta rule
+        first = FsDoubleSquare(1, Factorization(W("a"), W("b"), 3, 1))
+        second = FsDoubleSquare(2, Factorization(W("c"), W("d"), 5, 1))
+        assert (first.sq_len, first.SQ_len, second.sq_len) == (7, 9, 11)
+        assert fsdsq.double_squares._delta_prefix_rule(first, second) is None
+        assert classify_mate_detail(first, second) is None
+
     def test_order_precondition(self):
         first, second = squares_of(W(EQUAL_17))
         with pytest.raises(ValueError):

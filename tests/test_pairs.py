@@ -6,7 +6,7 @@ from fsdsq.construct import build_run
 from fsdsq.double_squares import Factorization, FsDoubleSquare
 from fsdsq.pairs import (Check, PairKind, _equal_checks, _unequal_checks,
                          find_double_square_pairs, ordering_case)
-from fsdsq.sweep import SweepConfig, exhaustive_verify
+from fsdsq.sweep import exhaustive_verify
 from fsdsq.words import Word, are_conjugate, lcp
 
 from named_words import EQUAL_17, W, W1, W2
@@ -141,8 +141,8 @@ class TestEqualChecks:
 
         with monkeypatch.context() as patch:
             patch.setattr(fsdsq.sweep, "find_double_square_pairs", collect)
-            exhaustive_verify(SweepConfig(alphabet_size=2, max_len=14))
-            exhaustive_verify(SweepConfig(alphabet_size=3, max_len=9))
+            exhaustive_verify(alphabet_size=2, max_len=14)
+            exhaustive_verify(alphabet_size=3, max_len=9)
         closed = [p for t in range(1, 61) for p in _equal_pairs(build_run(t).word)]
         fib = [p for n in range(50, 3001, 50) for p in _equal_pairs(W(_fibonacci(n)))]
         assert (len(swept), len(closed), len(fib)) == (0, 1770, 6443)

@@ -16,7 +16,7 @@ from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.pairs import PairKind, find_double_square_pairs
 from fsdsq.construct import build_run
-from fsdsq.sweep import (LengthStats, SweepConfig, SweepReport, _length_counts, _plan_blocks,
+from fsdsq.sweep import (LengthStats, SweepReport, _length_counts, _plan_blocks,
                          _process_block, check_word, exhaustive_verify)
 from fsdsq.words import Word
 
@@ -122,7 +122,7 @@ class TestWordCount:
 
     @pytest.mark.parametrize("alphabet_size,max_len", [(1, 12), (2, 12), (3, 10), (4, 10)])
     def test_sweep_total_and_lengths(self, alphabet_size, max_len):
-        report = exhaustive_verify(SweepConfig(alphabet_size, max_len, allow_over_ceiling=True))
+        report = exhaustive_verify(alphabet_size, max_len, allow_over_ceiling=True)
         counts = list(_length_counts(alphabet_size, max_len))
         assert report.total_words == sum(counts)
         assert sorted(report.per_length) == list(range(1, max_len + 1))
@@ -146,7 +146,7 @@ class TestWordCount:
 
 class TestExhaustiveVerify:
     def test_small_binary_sweep_clean(self):
-        report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=10))
+        report = exhaustive_verify(alphabet_size=2, max_len=10)
         assert report.findings == ()
         assert report.total_words == 1023
         assert max(st.max_run for st in report.per_length.values()) == 1
@@ -156,7 +156,7 @@ class TestExhaustiveVerify:
         assert report.min_length_per_run == {1: 10}
 
     def test_unary_sweep(self):
-        report = exhaustive_verify(SweepConfig(alphabet_size=1, max_len=8))
+        report = exhaustive_verify(alphabet_size=1, max_len=8)
         assert report.findings == ()
         assert all(st.max_run == 0 for st in report.per_length.values())
         assert all(st.words == 1 for st in report.per_length.values())
@@ -165,11 +165,11 @@ class TestExhaustiveVerify:
         with pytest.raises(CostCeilingError, match=r"^alphabet size 2 to length 19 is 524,287 "
                            r"canonical words, over the ceiling of 262,143; pass the override "
                            r"flag to run anyway$"):
-            exhaustive_verify(SweepConfig(alphabet_size=2, max_len=19))
+            exhaustive_verify(alphabet_size=2, max_len=19)
         with pytest.raises(CostCeilingError, match="398,587 canonical words"):
-            exhaustive_verify(SweepConfig(alphabet_size=3, max_len=13))
+            exhaustive_verify(alphabet_size=3, max_len=13)
         # 37 unary words are far under the ceiling, however long
-        assert exhaustive_verify(SweepConfig(alphabet_size=1, max_len=37)).total_words == 37
+        assert exhaustive_verify(alphabet_size=1, max_len=37).total_words == 37
 
     def test_ceiling_is_the_word_count(self, monkeypatch):
         """The refused sweeps are exactly those of more than
@@ -188,15 +188,15 @@ class TestExhaustiveVerify:
             for n in range(1, 41):
                 over = sum(_length_counts(a, n)) > fsdsq.sweep.MAX_SWEEP_WORDS
                 with pytest.raises(CostCeilingError if over else Planned):
-                    exhaustive_verify(SweepConfig(a, n))
+                    exhaustive_verify(a, n)
                 assert not (over and a * n <= 36), (a, n)
                 with pytest.raises(Planned):
-                    exhaustive_verify(SweepConfig(a, n, allow_over_ceiling=True))
+                    exhaustive_verify(a, n, allow_over_ceiling=True)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_parallelism_below_one_rejected(self, jobs, capsys):
         with pytest.raises(ValueError, match="parallelism must be at least 1"):
-            exhaustive_verify(SweepConfig(2, 6, parallelism=jobs))
+            exhaustive_verify(2, 6, parallelism=jobs)
         assert main(["verify", "--max-len", "6", "--jobs", str(jobs)]) == 1
         assert "parallelism must be at least 1" in capsys.readouterr().err
 
@@ -222,19 +222,19 @@ class TestExhaustiveVerify:
         monkeypatch.setattr(fsdsq.sweep, "Pool", FakePool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)
-        serial = _json(exhaustive_verify(SweepConfig(2, 6)))
-        assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
-        assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=2))) == serial
+        serial = _json(exhaustive_verify(2, 6))
+        assert _json(exhaustive_verify(2, 6, parallelism=64)) == serial
+        assert _json(exhaustive_verify(2, 6, parallelism=2)) == serial
         ck = str(tmp_path / "sweep.ck")
         with crash_after(30):
-            exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck))
-        resumed = exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck, parallelism=64))
+            exhaustive_verify(2, 6, checkpoint_path=ck)
+        resumed = exhaustive_verify(2, 6, checkpoint_path=ck, parallelism=64)
         assert _json(resumed) == serial
         assert pools == [[4, 2], [2, 4], [3, 1]]
         # without an affinity mask, the CPU count; one CPU runs in-process
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
+        assert _json(exhaustive_verify(2, 6, parallelism=64)) == serial
         assert len(pools) == 3
 
     def test_pool_sized_to_pending_words(self, monkeypatch, tmp_path, crash_after):
@@ -257,36 +257,32 @@ class TestExhaustiveVerify:
 
         monkeypatch.setattr(fsdsq.sweep, "Pool", FakePool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        serial = _json(exhaustive_verify(SweepConfig(2, 6)))  # 63 words in 33 blocks
+        serial = _json(exhaustive_verify(2, 6))  # 63 words in 33 blocks
         for per_worker, workers in ((15, [4]), (30, [2]), (32, [])):
             pools.clear()
             monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", per_worker)
-            assert _json(exhaustive_verify(SweepConfig(2, 6, parallelism=64))) == serial
+            assert _json(exhaustive_verify(2, 6, parallelism=64)) == serial
             assert pools == workers
         # a resumed sweep counts only its 3 pending one-word blocks
         ck = str(tmp_path / "sweep.ck")
         with crash_after(30):
-            exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck))
+            exhaustive_verify(2, 6, checkpoint_path=ck)
         pools.clear()
         monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 2)
-        assert _json(exhaustive_verify(SweepConfig(2, 6, checkpoint_path=ck,
-                                                   parallelism=64))) == serial
+        assert _json(exhaustive_verify(2, 6, checkpoint_path=ck, parallelism=64)) == serial
         assert pools == []
 
     def test_ceiling_override_flag(self):
-        report = exhaustive_verify(
-            SweepConfig(alphabet_size=4, max_len=5, allow_over_ceiling=True))
+        report = exhaustive_verify(alphabet_size=4, max_len=5, allow_over_ceiling=True)
         assert report.findings == ()
 
 
 class TestDeterminism:
-    BASE = SweepConfig(alphabet_size=2, max_len=12)
-
     def test_parallelism_does_not_change_report(self, monkeypatch):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
         monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)
-        seq = exhaustive_verify(self.BASE)
-        par = exhaustive_verify(SweepConfig(2, 12, parallelism=3))
+        seq = exhaustive_verify(2, 12)
+        par = exhaustive_verify(2, 12, parallelism=3)
         assert _json(seq) == _json(par)
 
     def test_resume_equivalence(self, tmp_path, monkeypatch, crash_after):
@@ -294,15 +290,15 @@ class TestDeterminism:
         monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)
         ck = str(tmp_path / "sweep.ck")
         with crash_after(4):
-            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck))
+            exhaustive_verify(2, 12, checkpoint_path=ck)
         assert len((tmp_path / "sweep.ck").read_text().splitlines()) == 1 + 4
-        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=ck, parallelism=2))
-        fresh = exhaustive_verify(self.BASE)
+        resumed = exhaustive_verify(2, 12, checkpoint_path=ck, parallelism=2)
+        fresh = exhaustive_verify(2, 12)
         assert _json(resumed) == _json(fresh)
 
     def test_checkpoint_format(self, tmp_path):
         ck = str(tmp_path / "sweep.ck")
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=ck))
+        exhaustive_verify(2, 8, checkpoint_path=ck)
         lines = (tmp_path / "sweep.ck").read_text().splitlines()
         assert lines[0] == (
             "fsdsq-sweep-checkpoint\tversion=2\talphabet_size=2\tmax_len=8"
@@ -318,8 +314,7 @@ class TestDeterminism:
         (2, 7, 7), (2, 12, 7), (3, 10, 5), (4, 6, 5), (2, 4, 4), (3, 4, 4), (4, 2, 2)])
     def test_header_records_block_plan(self, tmp_path, alphabet_size, max_len, b):
         ck = tmp_path / "sweep.ck"
-        config = SweepConfig(alphabet_size, max_len, checkpoint_path=str(ck))
-        exhaustive_verify(config)
+        exhaustive_verify(alphabet_size, max_len, checkpoint_path=str(ck))
         lines = ck.read_text().splitlines()
         assert f"\tblock_prefix_len={b}\t" in lines[0]
         assert len(lines) == 1 + len(_plan_blocks(alphabet_size, max_len)[1])
@@ -329,8 +324,8 @@ class TestDeterminism:
         ck = tmp_path / "sweep.ck"
         old = (DATA / "checkpoint-bin9-suffix7.txt").read_bytes()
         ck.write_bytes(old)
-        resumed = exhaustive_verify(SweepConfig(2, 9, checkpoint_path=str(ck)))
-        assert _json(resumed) == _json(exhaustive_verify(SweepConfig(2, 9)))
+        resumed = exhaustive_verify(2, 9, checkpoint_path=str(ck))
+        assert _json(resumed) == _json(exhaustive_verify(2, 9))
         data = ck.read_bytes()
         assert data.startswith(old)
         assert len(data.splitlines()) == 1 + 65
@@ -348,9 +343,9 @@ class TestDeterminism:
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path, capsys):
         ck = tmp_path / "sweep.ck"
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=str(ck)))
+        exhaustive_verify(2, 8, checkpoint_path=str(ck))
         with pytest.raises(ValueError, match="does not match"):
-            exhaustive_verify(SweepConfig(2, 9, checkpoint_path=str(ck)))
+            exhaustive_verify(2, 9, checkpoint_path=str(ck))
         # the start of another sweep's header, with no newline yet
         data = b"fsdsq-sweep-checkpoint\tversion=2\talphabet_size=3"
         ck.write_bytes(data)
@@ -363,30 +358,30 @@ class TestDeterminism:
     def test_empty_checkpoint_path_is_refused(self):
         # an empty path asks for a checkpoint too; it must not be read as none
         with pytest.raises(OSError):
-            exhaustive_verify(SweepConfig(2, 6, checkpoint_path=""))
+            exhaustive_verify(2, 6, checkpoint_path="")
 
     @pytest.mark.parametrize("cut", [1, 7, 40])
     def test_line_cut_short_is_recomputed(self, tmp_path, cut, monkeypatch, crash_after):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 5)
         ck = tmp_path / "sweep.ck"
         with crash_after(6):
-            exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck)))
+            exhaustive_verify(2, 12, checkpoint_path=str(ck))
         data = ck.read_bytes()
         ck.write_bytes(data[:-cut])  # a crash in the middle of the last line
-        resumed = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck)))
-        assert _json(resumed) == _json(exhaustive_verify(self.BASE))
+        resumed = exhaustive_verify(2, 12, checkpoint_path=str(ck))
+        assert _json(resumed) == _json(exhaustive_verify(2, 12))
         lines = ck.read_text().split("\n")
         assert lines[-1] == ""
         block_ids = [line.split("\t")[1] for line in lines[1:-1]]
         assert sorted(block_ids) == sorted(set(block_ids))
         assert len(block_ids) == 1 + len(list(canonical_words(2, 5)))
         # the repaired file resumes again to the same report
-        again = exhaustive_verify(SweepConfig(2, 12, checkpoint_path=str(ck)))
+        again = exhaustive_verify(2, 12, checkpoint_path=str(ck))
         assert _json(again) == _json(resumed)
 
     def test_version_one_is_refused_by_name(self, tmp_path, capsys):
         ck = tmp_path / "sweep.ck"
-        exhaustive_verify(SweepConfig(2, 8, checkpoint_path=str(ck)))
+        exhaustive_verify(2, 8, checkpoint_path=str(ck))
         text = ck.read_text().replace("\tversion=2\t", "\tversion=1\t", 1)
         ck.write_text(text)
         code = main(["verify", "--max-len", "8", "--checkpoint", str(ck)])
@@ -406,7 +401,7 @@ class TestDeterminism:
 
     def test_unknown_block_refused(self, tmp_path, capsys):
         ck = tmp_path / "sweep.ck"
-        exhaustive_verify(SweepConfig(2, 9, checkpoint_path=str(ck)))
+        exhaustive_verify(2, 9, checkpoint_path=str(ck))
         header = ck.read_bytes().split(b"\n")[0]
         data = header + b'\nblock\tzzzzzzz\t{"findings": [], "lengths": {}}\n'
         ck.write_bytes(data)
@@ -415,13 +410,27 @@ class TestDeterminism:
             f"error: checkpoint {ck} line 2 is not a block record\n")
         assert ck.read_bytes() == data
 
+    def test_blank_line_refused(self, tmp_path, capsys):
+        # the sweep never writes an empty line, so one is no block record
+        ck = tmp_path / "sweep.ck"
+        argv = ["verify", "--max-len", "8", "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        header, rest = ck.read_bytes().split(b"\n", 1)
+        data = header + b"\n\n" + rest
+        ck.write_bytes(data)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ck} line 2 is not a block record\n")
+        assert ck.read_bytes() == data
+
     def test_checkpoint_is_appended_not_rewritten(self, tmp_path, monkeypatch, crash_after):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 4)
         ck = tmp_path / "sweep.ck"
         with crash_after(3):
-            exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck)))
+            exhaustive_verify(2, 10, checkpoint_path=str(ck))
         first = ck.read_text()
-        exhaustive_verify(SweepConfig(2, 10, checkpoint_path=str(ck)))
+        exhaustive_verify(2, 10, checkpoint_path=str(ck))
         assert ck.read_text().startswith(first)
 
 
@@ -534,7 +543,7 @@ class TestLeftExtensionSweep:
         alphabet_size, max_len, expected = reference
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
         monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)  # a real pool at jobs=2
-        report = exhaustive_verify(SweepConfig(alphabet_size, max_len, parallelism=jobs))
+        report = exhaustive_verify(alphabet_size, max_len, parallelism=jobs)
         assert report.findings == ()
         assert report.per_length == expected
 
@@ -550,7 +559,7 @@ class TestLeftExtensionSweep:
         for block_len in (1, 3, 7):
             monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
             for jobs in (1, 2):
-                report = exhaustive_verify(SweepConfig(2, 12, parallelism=jobs))
+                report = exhaustive_verify(2, 12, parallelism=jobs)
                 assert [f.word for f in report.findings] == expected
                 assert {(f.property, f.detail) for f in report.findings} == {
                     ("factorization_roundtrip", "planted")}
@@ -563,7 +572,7 @@ def test_public_names():
                  "extremal_ratio", "RatioTable", "ExtensionBudgetError",
                  "rightmost_map", "run_report", "FindingError", "ForbiddenPairError",
                  "UnclassifiablePairError", "minimal_pair_length", "_check_cost",
-                 "infeasible_detail", "COST_CEILING"):
+                 "infeasible_detail", "COST_CEILING", "SweepConfig"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
     assert not hasattr(fsdsq.pairs, "infeasible_detail")
@@ -578,8 +587,8 @@ def test_public_names():
         assert not hasattr(fsdsq.errors, gone)
     assert fsdsq.CounterexampleError.__bases__ == (Exception,)
     assert not hasattr(fsdsq.sweep, "COST_CEILING_ENV")
-    assert not hasattr(Word, "rotate")
-    assert [f.name for f in dataclasses.fields(SweepConfig)] == [
+    assert not hasattr(Word, "rotate") and not hasattr(Word, "__rmul__")
+    assert list(inspect.signature(exhaustive_verify).parameters) == [
         "alphabet_size", "max_len", "checkpoint_path", "parallelism",
         "allow_over_ceiling"]
     # the run of 2's, the word count and the distinct total are derived
@@ -594,13 +603,13 @@ class TestMinimalPairLength:
     """The shortest length with two adjacent 2's is ``min_length_per_run[2]``."""
 
     def test_none_below_seventeen(self):
-        assert 2 not in exhaustive_verify(SweepConfig(2, 12)).min_length_per_run
+        assert 2 not in exhaustive_verify(2, 12).min_length_per_run
 
     def test_unary_never(self):
-        assert exhaustive_verify(SweepConfig(1, 20)).min_length_per_run == {}
+        assert exhaustive_verify(1, 20).min_length_per_run == {}
 
     def test_witness_is_verified(self):
-        assert exhaustive_verify(SweepConfig(2, 17)).min_length_per_run == {1: 10, 2: 17}
+        assert exhaustive_verify(2, 17).min_length_per_run == {1: 10, 2: 17}
         witness = build_run(2).word
         assert len(witness) == 17
         s = s_sequence(witness).s
@@ -632,20 +641,20 @@ class TestWalkDepth:
 
     def test_past_bound_refused_by_sweep(self):
         with pytest.raises(ValueError, match=f"length {self.BOUND + 1} exceeds"):
-            exhaustive_verify(SweepConfig(1, self.BOUND + 1, allow_over_ceiling=True))
+            exhaustive_verify(1, self.BOUND + 1, allow_over_ceiling=True)
         with pytest.raises(ValueError, match="length 1200 exceeds"):
-            exhaustive_verify(SweepConfig(1, 1200, allow_over_ceiling=True))
+            exhaustive_verify(1, 1200, allow_over_ceiling=True)
         # without the override the depth bound, not the ceiling, is named
         for alphabet_size in (1, 2, 40):
             with pytest.raises(ValueError, match="deepest walk") as info:
-                exhaustive_verify(SweepConfig(alphabet_size, self.BOUND + 1))
+                exhaustive_verify(alphabet_size, self.BOUND + 1)
             assert not isinstance(info.value, CostCeilingError)
             assert "ceiling" not in str(info.value)
 
 
 class TestExtremalRatio:
     def test_binary_to_twelve(self):
-        report = exhaustive_verify(SweepConfig(alphabet_size=2, max_len=12))
+        report = exhaustive_verify(alphabet_size=2, max_len=12)
         assert report.findings == ()
         by_n = {n: st.max_run for n, st in report.per_length.items()}
         assert sorted(by_n) == list(range(1, 13))
