@@ -5,7 +5,7 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Six exact facts about m_i keep the
+array of Crochemore & Ilie, IPL 2008).  Seven exact facts about m_i keep the
 scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
@@ -62,13 +62,23 @@ scan cheap:
   miss means the nearest witness has d > m, where the witness-period rule
   does not apply, so no longer search is needed.  Each position then
   searches at most 2m letters, never the rest of the word.
+* Witness miss.  Let the bounded search of position i+1 miss, so no copy
+  of x = codes[i+1:i+1+m_{i+1}] starts at distance 1..m_{i+1} from i+1,
+  and let m_i = m_{i+1} + 1.  A copy of codes[i:i+m_i] at distance d <=
+  m_i from i, less its first letter, is a copy of x at distance d from
+  i+1, so d > m_{i+1}, that is d = m_i.  One slice compare of
+  codes[i:i+m_i] with codes[i+m_i:i+2m_i] then finds the nearest witness
+  within m_i or a miss, and no search is needed.  On periodic words such
+  as the Fibonacci words most bounded searches miss, and most misses are
+  followed by this case.
 
 ``_census_step`` is the one implementation of the witness step and the
 root window.  ``_census_scan`` takes every m_i from ``_later_matches``, the
 automaton, and passes it to the step, which then makes only the bounded
-witness search.  The sweep's walk prepends one letter at a time and
-backtracks, which an automaton built right to left cannot follow, so it
-runs the step with probes along the left extensions of a word.
+witness search or, after a witness miss, one compare.  The sweep's walk
+prepends one letter at a time and backtracks, which an automaton built
+right to left cannot follow, so it runs the step with probes along the
+left extensions of a word.
 ``runs_of_two`` reads the runs of 2's off the roots, for the census and the
 sweep alike.
 
@@ -140,6 +150,8 @@ def _census_step(codes: bytes | bytearray):
     0.  ``_census_scan`` passes ``later`` = m_i from its automaton; the step
     then searches a witness only within distance m_i and returns j = -1
     when there is none there, so the next step skips the witness test.
+    After such a miss, if m_i = m_{i+1} + 1, the step compares the one
+    start at distance m_i instead of searching.
     ``codes`` may be a buffer that the caller rewrites left of i between
     calls: the step reads only positions i and right of it.
     """
@@ -152,8 +164,11 @@ def _census_step(codes: bytes | bytearray):
             j -= 1
             d = j - i
         elif later >= 0:
-            m = later
-            j = find(codes[i:i + m], i + 1, i + 2 * m)
+            if j < 0 and later == m:  # i + 1 missed: only d = m is left
+                j = i + m if codes[i:i + m] == codes[i + m:i + 2 * m] else -1
+            else:
+                m = later
+                j = find(codes[i:i + m], i + 1, i + 2 * m)
             d = j - i if j >= 0 else n  # a miss means d > m
         else:
             start = j  # a match of length m_{i+1} + 1 starts at j or later

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
@@ -178,6 +179,19 @@ def extend_unequal(w: Word, variant: str = "short") -> RunReport:
         f"{fs.position} plants a longer double square one position right of it")
 
 
+def _closed_form_census(target: int) -> tuple[int, ...]:
+    """The census that ``build_run(target)`` predicts for its word.
+
+    With T = target it is 2^T 0^(2T) 1^(T+1) 00 1^T, then 0^T (10)^(T/2)
+    for even T or 0^(T+1) (10)^((T-1)/2) for odd T: 7T + 3 values.  This is
+    an observation, not yet a theorem: it held on every T the census was run
+    on, and ``build_run`` checks it on every word it builds.
+    """
+    t = target
+    tail = [0] * t + [1, 0] * (t // 2) if t % 2 == 0 else [0] * (t + 1) + [1, 0] * ((t - 1) // 2)
+    return tuple([2] * t + [0] * (2 * t) + [1] * (t + 1) + [0, 0] + [1] * t + tail)
+
+
 def build_run(target: int) -> RunReport:
     """The closed-form word whose census has a run of exactly ``target``
     2's, starting at position 1.
@@ -186,7 +200,8 @@ def build_run(target: int) -> RunReport:
     SQ SQ SQ[:T-1], of length 7T + 3.  Its double squares at positions
     1..T are conjugates of SQ^2, so every adjacent pair in the run is equal.
     The run is read from one census of the word, never from the formula; a
-    census that disagrees raises ``CounterexampleError``.
+    census that differs anywhere from ``_closed_form_census(target)`` raises
+    ``CounterexampleError``.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
@@ -197,9 +212,11 @@ def build_run(target: int) -> RunReport:
     if target == 1:  # babbababba: rename so that the word starts with a
         text = text.translate(str.maketrans("ab", "ba"))
     report = s_sequence(Word.from_text(text))
-    if report.longest_run != (1, target):
-        start, length = report.longest_run
+    predicted = _closed_form_census(target)
+    if report.s != predicted:
+        k, got, want = next((k, got, want) for k, (got, want)
+                            in enumerate(zip_longest(report.s, predicted), 1) if got != want)
         raise CounterexampleError(
-            f"closed-form word of length {len(text)} has its longest run of 2's "
-            f"({length}) at position {start}, not {target} at position 1")
+            f"closed-form word of length {len(text)} has s_{k} = {got}, "
+            f"not the predicted {want}")
     return _run_report(report, ())

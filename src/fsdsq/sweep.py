@@ -343,8 +343,11 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     is a gamma mate unless p1 = 1 and |x1 x2| = 2 (gamma needs 2 < p1 |x1 x2|
     at distance 2), and then epsilon, as x1 and x2 are distinct letters.  So
     ``pair_shapes`` and ``adjacent_mates`` report the same pair twice, and
-    both findings stay: each claim is checked on its own."""
+    both findings stay: each claim is checked on its own.  Every check
+    reads only the positions with s_i >= 2: the largest s_i is tested
+    against 2, runs count only 2's, and only those positions factor."""
     n = len(word)
+    roots = {k: ps for k, ps in roots.items() if len(ps) >= 2}
     max_s = max(map(len, roots.values()), default=0)
     run = _longest_run(roots)
     findings: list[tuple[str, str]] = []

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,37 @@ def step_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
             s[i] = len(ps)
             roots[i + 1] = ps
     return s, dict(sorted(roots.items()))
+
+
+def scan_states(codes: bytes) -> list[tuple[int, int]]:
+    """(m_i, j_i) of every position as ``_census_scan`` drives the step,
+    with m_i from the automaton."""
+    n = len(codes)
+    later = _later_matches(codes)
+    step = _census_step(codes)
+    states = [(0, 0)] * n
+    m, j = -1, n
+    for i in range(n - 1, -1, -1):
+        m, j, _ = step(i, m, j, later[i])
+        states[i] = (m, j)
+    return states
+
+
+def oracle_witnesses(text: str) -> list[tuple[int, int]]:
+    """(m_i, j_i) by brute force: j_i is the nearest start k in
+    (i, i + m_i] of a copy of text[i:i+m_i], or -1 if there is none."""
+    m = oracle_later_match(text)
+    return [(m[i], next((k for k in range(i + 1, i + m[i] + 1)
+                         if text[k:k + m[i]] == text[i:i + m[i]]), -1))
+            for i in range(len(text))]
+
+
+def fibonacci_words(last: int) -> dict[int, str]:
+    """f_1 = b, f_2 = a and f_k = f_{k-1} f_{k-2}, for k up to ``last``."""
+    f = {1: "b", 2: "a"}
+    for k in range(3, last + 1):
+        f[k] = f[k - 1] + f[k - 2]
+    return f
 
 
 def random_word(letters: str, n: int, seed: int) -> str:
@@ -221,10 +253,17 @@ class TestSSequence:
         # f_k = f_{k-1} f_{k-2}, of length F_k, the word f_k has exactly
         # 2(F_{k-2} - 1) distinct squares.  No position of these words
         # starts two rightmost squares.
-        f = {1: "b", 2: "a"}
-        for k in range(3, 22):
-            f[k] = f[k - 1] + f[k - 2]
+        f = fibonacci_words(21)
         for k in range(6, 22):
+            report = s_sequence(W(f[k]))
+            assert report.distinct_square_count == 2 * (len(f[k - 2]) - 1)
+            assert max(report.s) <= 1
+
+    @pytest.mark.slow
+    def test_long_fibonacci_words_match_fraenkel_simpson(self):
+        # f_22 ... f_25, up to 75,025 letters
+        f = fibonacci_words(25)
+        for k in range(22, 26):
             report = s_sequence(W(f[k]))
             assert report.distinct_square_count == 2 * (len(f[k - 2]) - 1)
             assert max(report.s) <= 1
@@ -329,6 +368,49 @@ class TestLaterMatch:
                 self.check_automaton(text)
 
 
+class TestWitnessMiss:
+    """After the bounded witness search of position i + 1 misses and
+    m_i = m_{i+1} + 1, the step compares the one start at distance m_i in
+    place of a search; every witness of the scan is the nearest one."""
+
+    @staticmethod
+    def compares(text: str) -> list[tuple[int, int]]:
+        """(i, j_i) at each position where the step compares."""
+        states = scan_states(W(text).codes)
+        return [(i, states[i][1]) for i in range(len(text) - 1)
+                if states[i + 1][1] == -1 and states[i][0] == states[i + 1][0] + 1]
+
+    @staticmethod
+    def check(text: str) -> None:
+        codes = W(text).codes
+        assert scan_states(codes) == oracle_witnesses(text)
+        assert _census_scan(codes) == step_scan(codes)
+
+    def test_compare_finds_the_witness(self):
+        # m_1 = 0 misses; m_0 = 1 and "a" recurs at distance 1
+        assert self.compares("aa") == [(0, 1)]
+        self.check("aa")
+
+    def test_compare_misses(self):
+        # m_1 = 0 misses; m_0 = 1, but "a" recurs only at distance 2
+        assert self.compares("aba") == [(0, -1)]
+        self.check("aba")
+
+    def test_exhaustive_against_oracle(self):
+        for n in range(1, 13):
+            for text in all_words(2, n):
+                self.check(text)
+        for n in range(1, 9):
+            for text in canonical_words(3, n):
+                self.check(text)
+
+    def test_fibonacci_prefix(self):
+        # most searches miss on Fibonacci words, and the compare follows
+        text = _fibonacci(300)
+        assert len(self.compares(text)) > 100
+        self.check(text)
+
+
 class TestScanMatchesStep:
     """``_census_scan``, with m_i from the automaton, against the scan that
     takes m_i from the step's probes, on long words."""
@@ -339,7 +421,7 @@ class TestScanMatchesStep:
         assert _census_scan(codes) == step_scan(codes)
 
     def test_closed_form_words(self):
-        for target in range(1, 41):
+        for target in [*range(1, 41), 100, 200, 300]:
             self.check(build_run(target).word.text)
 
     def test_fibonacci_prefixes(self):
@@ -359,7 +441,9 @@ class TestFindCost:
     stays near linear on random words: a deterministic count in place of a
     timing gate."""
 
-    def test_every_find_has_an_end(self):
+    @staticmethod
+    def recorded_finds(text: str) -> list[tuple[int, int | None]]:
+        """(start, end) of every ``find`` of the census of ``text``."""
         calls: list[tuple[int, int | None]] = []
 
         class RecordedCodes(bytes):
@@ -367,11 +451,21 @@ class TestFindCost:
                 calls.append((start, end))
                 return super().find(sub, start, end)
 
-        text = random_word("ab", 10_000, 1)
         codes = W(text).codes
         assert _census_scan(RecordedCodes(codes)) == _census_scan(codes)
+        return calls
+
+    def test_every_find_has_an_end(self):
+        text = random_word("ab", 10_000, 1)
+        calls = self.recorded_finds(text)
         assert calls and all(start is not None and end is not None for start, end in calls)
-        assert sum(end - start for start, end in calls) <= 64 * len(codes)
+        assert sum(end - start for start, end in calls) <= 64 * len(text)
+
+    def test_find_counts_on_periodic_words(self):
+        # A witness miss followed by m_i = m_{i+1} + 1 costs a compare, not
+        # a find: 2,924 and 1,105 finds without that step.
+        assert len(self.recorded_finds(_fibonacci(2000))) == 2244
+        assert len(self.recorded_finds(build_run(100).word.text)) == 803
 
 
 class TestStructuredWords:

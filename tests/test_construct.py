@@ -1,15 +1,17 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import fsdsq.construct
 from fsdsq.census import s_sequence
-from fsdsq.construct import _run_report, build_run, extend_equal_run, extend_unequal
+from fsdsq.construct import (_closed_form_census, _run_report, build_run, extend_equal_run,
+                             extend_unequal)
 from fsdsq.errors import CounterexampleError, NoExtensionError
 from fsdsq.pairs import PairKind
 from fsdsq.words import lcp
 
-from named_words import EQUAL_17, SEEDS, W, W1, W2
+from named_words import EQUAL_17, EQUAL_17_S, SEEDS, W, W1, W2
 from oracles import oracle_s
 from structure import pairs_of, squares_of
 
@@ -197,20 +199,21 @@ class TestBuildRun:
                 assert pair.kind is PairKind.EQUAL
                 assert pair.all_checks_pass
 
-    def test_closed_form_census_to_120(self):
-        # the whole census of SQ SQ SQ[:T-1]: 2^T 0^2T 1^(T+1) 00 1^T, then
-        # 0^T (10)^(T/2) for even T or 0^(T+1) (10)^((T-1)/2) for odd T;
-        # every run position has roots 2T+1 and 3T+2
-        for t in range(1, 121):
-            tail = [0] * t + [1, 0] * (t // 2) if t % 2 == 0 \
-                else [0] * (t + 1) + [1, 0] * ((t - 1) // 2)
-            predicted = [2] * t + [0] * (2 * t) + [1] * (t + 1) + [0, 0] + [1] * t + tail
+    def test_closed_form_census_predictor(self):
+        # the whole census of SQ SQ SQ[:T-1], against the census and, for
+        # short words, the cubic oracle; every run position has roots 2T+1
+        # and 3T+2
+        assert _closed_form_census(1) == (2, 0, 0, 1, 1, 0, 0, 1, 0, 0)
+        assert _closed_form_census(2) == tuple(EQUAL_17_S)
+        for t in range(1, 301):
+            predicted = _closed_form_census(t)
+            assert len(predicted) == 7 * t + 3
             word = build_run(t).word
             report = s_sequence(word)
-            assert list(report.s) == predicted, t
+            assert report.s == predicted, t
             assert all(report.roots[i] == [2 * t + 1, 3 * t + 2] for i in range(1, t + 1)), t
-            if t <= 12:
-                assert oracle_s(word.text) == predicted, t
+            if t <= 20:
+                assert tuple(oracle_s(word.text)) == predicted, t
 
     def test_target_three_hundred(self):
         rep = build_run(300)
@@ -241,8 +244,26 @@ class TestBuildRun:
     def test_census_mismatch_is_a_finding(self, monkeypatch):
         other = s_sequence(W(EQUAL_17))
         monkeypatch.setattr(fsdsq.construct, "s_sequence", lambda word: other)
-        with pytest.raises(CounterexampleError):
+        with pytest.raises(CounterexampleError, match="s_3 = 0, not the predicted 2"):
             build_run(3)
+
+    def test_mismatch_outside_the_run_is_a_finding(self, monkeypatch):
+        # the run of 2's is intact; only s_20 differs from the prediction
+        census = fsdsq.construct.s_sequence
+
+        def planted(word):
+            report = census(word)
+            s = list(report.s)
+            s[19] += 1
+            return dataclasses.replace(report, s=tuple(s))
+
+        monkeypatch.setattr(fsdsq.construct, "s_sequence", planted)
+        with pytest.raises(CounterexampleError, match="has s_20 = 2, not the predicted 1"):
+            build_run(4)
+
+    @pytest.mark.slow
+    def test_closed_form_census_at_two_thousand(self):
+        assert s_sequence(build_run(2000).word).s == _closed_form_census(2000)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

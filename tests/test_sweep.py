@@ -20,7 +20,7 @@ from fsdsq.sweep import (LengthStats, SweepReport, _length_counts, _plan_blocks,
                          _process_block, check_word, exhaustive_verify)
 from fsdsq.words import Word
 
-from named_words import EQUAL_17
+from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
 
 # Checkpoints written before the block plan was sized to the alphabet, when
@@ -681,6 +681,17 @@ class TestCheckWord:
             ("factorization_roundtrip", "position 1 of 'abaab' starts 3 rightmost squares; "
                                         "at most two should be possible"),
         )
+
+    def test_census_two_positions_alone_give_the_same_check(self):
+        texts = [text for n in range(1, 13) for text in all_words(2, n)]
+        texts += [EQUAL_17, W1, W2, CASE_10, UNEQUAL_39, UNEQUAL_67, *SEEDS]
+        texts += [build_run(t).word.text for t in range(1, 41)]
+        for text in texts:
+            report = s_sequence(Word.from_text(text))
+            doubles = {k: ps for k, ps in report.roots.items() if len(ps) >= 2}
+            distinct = report.distinct_square_count
+            assert check_word(report.word, report.roots, distinct) == \
+                check_word(report.word, doubles, distinct), text
 
     def test_planted_count_breaks_the_distinct_bound(self):
         assert check_word(Word.from_text("ab"), {}, 4).findings == (
