@@ -78,8 +78,8 @@ def _run_report(report: CensusReport, steps: list[BuildStep] | tuple[BuildStep, 
     ``checked``, its ``check_word`` result, computed here when not given."""
     if checked is None:
         checked = check_word(report.word, report.roots, report.distinct_square_count)
-    return RunReport(word=report.word, T=report.longest_run[1],
-                     steps=tuple(steps), findings=checked.findings)
+    return RunReport(word=report.word, T=checked.run, steps=tuple(steps),
+                     findings=checked.findings)
 
 
 def _equal_phase(report0: CensusReport) -> tuple[CensusReport, int]:
@@ -122,16 +122,16 @@ def _accepts_unequal(candidate: Word, frontier: int) -> tuple[CensusReport, Word
     """The census and ``check_word`` result of ``candidate`` if it is accepted,
     else None.  A candidate with 2's at the frontier is screened by
     ``check_word``; one with a finding is returned, never silently rejected.
-    Otherwise it is accepted when the frontier pair is unequal.  Its long
-    root then doubles: ``long_root_doubles`` is one of the unequal checks,
-    and a failed check is an ``unequal_pair_checks`` finding."""
+    Otherwise both frontier positions factor, so their pair exists; it is
+    accepted when unequal.  Its long root then doubles: ``long_root_doubles``
+    is an unequal check, and a failed one is an ``unequal_pair_checks`` finding."""
     report = s_sequence(candidate)
     s = report.s
     if s[frontier - 1] != 2 or s[frontier] != 2:  # a candidate runs past its frontier
         return None
     checked = check_word(candidate, report.roots, report.distinct_square_count)
     pair = next((p for p in checked.pairs if p.position == frontier), None)
-    if checked.findings or (pair is not None and pair.kind is PairKind.UNEQUAL):
+    if checked.findings or pair.kind is PairKind.UNEQUAL:
         return report, checked
     return None
 

@@ -54,7 +54,6 @@ import contextlib
 import itertools
 import json
 import os
-import sys
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -78,7 +77,6 @@ BLOCK_SUFFIX_LEN = 7
 WORDS_PER_WORKER = 10_000
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
-WALK_STACK_MARGIN = 100  # frames kept for ``_walk``'s callers and its visitor
 
 ALL_PROPERTIES = (
     "census_max_two",
@@ -202,7 +200,9 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     ``doubles``, which maps every start with at least two rightmost roots to
     those roots (ascending lengths), and gives the runs of 2's and the
     largest s_i.  The walk descends below a word only if ``visit`` returns
-    true.  It recurses once per letter.
+    true.  The words still to visit wait on a stack of its own, children
+    pushed last letter first, so at any length the visit order is a
+    recursion's: pre-order, letters ascending.
     """
     L = max_len
     buf = bytearray(L)
@@ -211,24 +211,27 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     step = _census_step(buf)
     top = alphabet_size - 1
     doubles: dict[int, list[int]] = {}
-
-    # From the state of buf[i+1:] (m_{i+1}, a later-match start, distinct count) to
-    # that of buf[i:].  The letters of ``suffix`` are in ``buf`` and pass unvisited.
-    def rec(i, used, m, j, distinct):
+    # Each entry is (i, the letter at i, the largest letter of buf[i:], and the
+    # state of buf[i+1:]: m_{i+1}, a later-match start and the distinct count).
+    # The letters of ``suffix`` are in ``buf`` and pass unvisited.
+    stack = [(L - 1, buf[L - 1], buf[L - 1], -1, L, 0)]  # from the empty word at L
+    while stack:
+        i, c, used, m, j, distinct = stack.pop()
+        # Keys go in descending along a path, so those that a finished
+        # subtree left, all <= i, are the last ones in.
+        while doubles and next(reversed(doubles)) <= i:
+            doubles.popitem()
+        buf[i] = c
         m, j, ps = step(i, m, j)
         if len(ps) >= 2:
             doubles[i] = ps
         distinct += len(ps)
         if i > first:
             c = buf[i - 1]
-            rec(i - 1, c if c > used else used, m, j, distinct)
+            stack.append((i - 1, c, c if c > used else used, m, j, distinct))
         elif visit(buf, i, distinct, doubles) and i:
-            for c in range(min(used + 1, top) + 1):
-                buf[i - 1] = c
-                rec(i - 1, c if c > used else used, m, j, distinct)
-        doubles.pop(i, None)
-
-    rec(L - 1, buf[L - 1], -1, L, 0)  # from the empty word at L
+            for c in range(min(used + 1, top), -1, -1):
+                stack.append((i - 1, c, c if c > used else used, m, j, distinct))
 
 
 # ------------------------------------------------------------------- counts
@@ -296,18 +299,19 @@ def _process_block(args: tuple) -> tuple[str, dict]:
             st = lengths[n] = LengthStats()
         if distinct > st.max_distinct_squares:
             st.max_distinct_squares = distinct
-        run = _longest_run(doubles) if doubles else 0
-        st.run_hist[run] = st.run_hist.get(run, 0) + 1
         st.double_square_positions += len(doubles)
+        run = 0
         # s_i > 2, a run and distinct >= 2n need some s_i >= 2: else distinct <= n.
         if doubles:
             word = Word(_left_canonical(buf[i:]))
             roots = {k - i + 1: ps for k, ps in doubles.items()}
             checked = check_word(word, roots, distinct)
+            run = checked.run
             kinds = [pair.kind for pair in checked.pairs]
             st.pairs_equal += kinds.count(PairKind.EQUAL)
             st.pairs_unequal += kinds.count(PairKind.UNEQUAL)
             findings.extend((prop, word.text, detail) for prop, detail in checked.findings)
+        st.run_hist[run] = st.run_hist.get(run, 0) + 1
         return True
 
     if block_id:
@@ -322,15 +326,13 @@ def _process_block(args: tuple) -> tuple[str, dict]:
 @dataclass(frozen=True, slots=True)
 class WordCheck:
     """What ``check_word`` found: the FS-double squares, the adjacent pairs
-    with their mates and the findings as (property, detail) pairs."""
+    with their mates, the longest run of 2's and the findings as (property,
+    detail) pairs."""
 
     squares: tuple[FsDoubleSquare, ...]
     pairs: tuple[PairClassification, ...]
+    run: int
     findings: tuple[tuple[str, str], ...]
-
-
-def _longest_run(roots: dict) -> int:
-    return max((length for _, length in runs_of_two(roots)), default=0)
 
 
 def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
@@ -349,7 +351,7 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     n = len(word)
     roots = {k: ps for k, ps in roots.items() if len(ps) >= 2}
     max_s = max(map(len, roots.values()), default=0)
-    run = _longest_run(roots)
+    run = max((length for _, length in runs_of_two(roots)), default=0)
     findings: list[tuple[str, str]] = []
     if max_s > 2:
         findings.append(("census_max_two", f"max s_i = {max_s}"))
@@ -385,7 +387,7 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
         elif pair.mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
             findings.append(("adjacent_mates",
                              f"position {pair.position}: mate {pair.mate.label.value}"))
-    return WordCheck(tuple(squares), tuple(pairs), tuple(findings))
+    return WordCheck(tuple(squares), tuple(pairs), run, tuple(findings))
 
 
 # --------------------------------------------------------------- checkpoint
@@ -471,9 +473,6 @@ def exhaustive_verify(alphabet_size: int, max_len: int, *, checkpoint_path: str 
         raise ValueError("alphabet_size and max_len must be at least 1")
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    deepest = sys.getrecursionlimit() - WALK_STACK_MARGIN
-    if n > deepest:  # the override cannot lift this one
-        raise ValueError(f"length {n} exceeds {deepest}, the deepest walk at this recursion limit")
     if not allow_over_ceiling:  # stop there: a wide sweep's full count has 1,000s of digits
         for m, words in enumerate(itertools.accumulate(_length_counts(a, n)), 1):
             if words > MAX_SWEEP_WORDS:

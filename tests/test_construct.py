@@ -148,6 +148,12 @@ class TestExtendUnequal:
             extend_unequal(W("aabaaabaabaaab"), variant)
         assert len(tried) == 14  # one candidate per prefix of v, then no more
 
+    def test_equal_frontier_pair_is_rejected(self):
+        # both frontier positions at census 2, an equal pair and no findings
+        assert EQUAL_17_S[:2] == [2, 2]
+        assert [p.kind for p in pairs_of(W(EQUAL_17))] == [PairKind.EQUAL]
+        assert fsdsq.construct._accepts_unequal(W(EQUAL_17), 1) is None
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("variant", ["short", "long"])
     def test_all_seeds_extend(self, seed, variant):

@@ -3,7 +3,6 @@ import inspect
 import json
 import os
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,14 +13,15 @@ from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.double_squares import find_fs_double_squares
-from fsdsq.pairs import PairKind, find_double_square_pairs
+from fsdsq.pairs import Check, PairKind, find_double_square_pairs
 from fsdsq.construct import build_run
-from fsdsq.sweep import (LengthStats, SweepReport, _length_counts, _plan_blocks,
-                         _process_block, check_word, exhaustive_verify)
+from fsdsq.sweep import (ALL_PROPERTIES, LengthStats, SweepReport, _length_counts,
+                         _plan_blocks, _process_block, check_word, exhaustive_verify)
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
+from structure import squares_of
 
 # Checkpoints written before the block plan was sized to the alphabet, when
 # every alphabet was keyed by suffixes of length 7: a binary sweep to 9 and
@@ -572,7 +572,8 @@ def test_public_names():
                  "extremal_ratio", "RatioTable", "ExtensionBudgetError",
                  "rightmost_map", "run_report", "FindingError", "ForbiddenPairError",
                  "UnclassifiablePairError", "minimal_pair_length", "_check_cost",
-                 "infeasible_detail", "COST_CEILING", "SweepConfig"):
+                 "infeasible_detail", "COST_CEILING", "SweepConfig", "WALK_STACK_MARGIN",
+                 "_longest_run"):
         assert gone not in fsdsq.__all__
         assert not hasattr(fsdsq, gone) and not hasattr(fsdsq.sweep, gone)
     assert not hasattr(fsdsq.pairs, "infeasible_detail")
@@ -616,40 +617,66 @@ class TestMinimalPairLength:
         assert any(s[i] == 2 and s[i + 1] == 2 for i in range(len(s) - 1))
 
 
-class TestWalkDepth:
-    """The walk recurses once per letter, so a length past the recursion
-    limit less the margin is refused up front, override or not."""
+def _reference_order(alphabet_size, max_len, suffix, keep):
+    """The right-canonical words of at most ``max_len`` letters that end in
+    ``suffix``, in pre-order with letters ascending, by recursion; below a
+    word only if ``keep`` holds for it."""
+    out = []
 
-    BOUND = sys.getrecursionlimit() - fsdsq.sweep.WALK_STACK_MARGIN
+    def rec(text, used):
+        out.append(text)
+        if keep(text) and len(text) < max_len:
+            for c in range(min(used + 1, alphabet_size - 1) + 1):
+                rec(chr(ord("a") + c) + text, max(c, used))
 
-    def _verify(self, max_len):
-        return main(["verify", "--alphabet-size", "1", "--max-len", str(max_len),
-                     "--override-ceiling", "--deterministic", "--format", "json"])
+    start = suffix or "a"
+    rec(start, max(Word.from_text(start).codes))
+    return out
 
-    def test_bound_runs_through_cli(self, capsys):
-        assert self._verify(self.BOUND) == 0
+
+class TestWalk:
+    """The walk keeps its own stack: no length is too deep for it, whoever
+    calls it, and it visits the words in the order a recursion would."""
+
+    def test_deep_caller_gets_its_answer(self):
+        def nested(depth):
+            return nested(depth - 1) if depth else exhaustive_verify(1, 900)
+
+        report = nested(150)
+        assert report.total_words == 900
+        assert report.findings == ()
+
+    def test_long_unary_sweep_runs_through_cli(self, capsys):
+        assert main(["verify", "--alphabet-size", "1", "--max-len", "5000",
+                     "--deterministic", "-f", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["total_words"] == self.BOUND
+        assert payload["total_words"] == 5000
         assert payload["findings"] == []
+        assert {int(n): st["max_distinct_squares"] for n, st in payload["per_length"].items()} \
+            == {n: n // 2 for n in range(1, 5001)}
 
-    def test_past_bound_refused_by_cli(self, capsys):
-        assert self._verify(self.BOUND + 1) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: length {self.BOUND + 1} exceeds {self.BOUND}, "
-                                "the deepest walk at this recursion limit\n")
+    @pytest.mark.parametrize("alphabet_size", [2, 40])
+    def test_ceiling_is_the_first_refusal(self, alphabet_size):
+        with pytest.raises(CostCeilingError, match="over the ceiling"):
+            exhaustive_verify(alphabet_size, 901)
 
-    def test_past_bound_refused_by_sweep(self):
-        with pytest.raises(ValueError, match=f"length {self.BOUND + 1} exceeds"):
-            exhaustive_verify(1, self.BOUND + 1, allow_over_ceiling=True)
-        with pytest.raises(ValueError, match="length 1200 exceeds"):
-            exhaustive_verify(1, 1200, allow_over_ceiling=True)
-        # without the override the depth bound, not the ceiling, is named
-        for alphabet_size in (1, 2, 40):
-            with pytest.raises(ValueError, match="deepest walk") as info:
-                exhaustive_verify(alphabet_size, self.BOUND + 1)
-            assert not isinstance(info.value, CostCeilingError)
-            assert "ceiling" not in str(info.value)
+    @pytest.mark.parametrize("alphabet_size,max_len,suffix,prune", [
+        (2, 10, "", False), (3, 7, "", False),
+        (2, 12, "abbababbabbababba"[-7:], False), (3, 7, "", True),
+    ])
+    def test_visit_order_matches_a_recursion(self, alphabet_size, max_len, suffix, prune):
+        def keep(text):
+            return not (prune and text.startswith("b"))
+
+        seen = []
+
+        def visit(buf, i, distinct, doubles):
+            seen.append(Word(buf[i:]).text)
+            return keep(seen[-1])
+
+        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+        assert seen == _reference_order(alphabet_size, max_len, suffix, keep)
+        assert not prune or any(t.startswith("b") and len(t) < max_len for t in seen)
 
 
 class TestExtremalRatio:
@@ -696,3 +723,27 @@ class TestCheckWord:
     def test_planted_count_breaks_the_distinct_bound(self):
         assert check_word(Word.from_text("ab"), {}, 4).findings == (
             ("distinct_below_twice_length", "4 distinct squares at length 2"),)
+
+    def test_every_finding_names_a_listed_property(self, monkeypatch):
+        def emitted(text, roots=None, distinct=None):
+            word = Word.from_text(text)
+            report = s_sequence(word)
+            checked = check_word(word, report.roots if roots is None else roots,
+                                 report.distinct_square_count if distinct is None else distinct)
+            return {prop for prop, _ in checked.findings}
+
+        names = emitted("abaab", {1: [1, 2, 3]}, 3)  # census_max_two, factorization_roundtrip
+        names |= emitted("ab", {}, 4)  # distinct_below_twice_length
+        # run_length_bound
+        names |= emitted(EQUAL_17, {**s_sequence(Word.from_text(EQUAL_17)).roots, 3: [5, 8]})
+        names |= emitted(CASE_10)  # pair_shapes, adjacent_mates
+        for checks in ("_equal_checks", "_unequal_checks"):
+            monkeypatch.setattr(fsdsq.pairs, checks, lambda first, second: (Check("x", False),))
+        names |= emitted(EQUAL_17) | emitted(UNEQUAL_39)  # the two pair checks
+        # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
+        first = squares_of(Word.from_text(EQUAL_17))[0]
+        second = dataclasses.replace(squares_of(Word.from_text("abaababaab"))[0], position=2)
+        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
+                            lambda word, roots: [first, second])
+        names |= emitted(EQUAL_17)  # pair_end_order
+        assert names == set(ALL_PROPERTIES)
