@@ -11,18 +11,23 @@ is recovered from the suffix of SQ of length |SQ| - |sq|: that suffix is
 (x1 x2)^p2, so its primitive root is x1 x2 exactly, which pins down every
 other component.  Recovery is unambiguous, unlike reading periods off sq.
 
-``Factorization`` alone validates this shape; three facts follow from it
-and are never tested.  Let u = x1 x2, l = |u| and r = |x1|, so 0 < r < l.
+An ``FsDoubleSquare`` is numbers over a word's bytes: the offset of SQ,
+|sq|, |SQ|, r = |x1|, l = |x1 x2|, p1 and p2.  ``_factor`` reads them off
+the census with one divisor scan of SQ[|sq|:] and one compare that rebuilds
+sq; a ``Word`` is built only when a root, the JSON or ``factorization`` is
+read.  ``Factorization`` validates hand-built input only: the found split
+skips its tests and any compare of SQ, by the lemma and three facts below.
+Let u = x1 x2, so 0 < r < l.
 Lemma: if u is primitive and s >= 2, then z = u^s x1 is primitive.  Proof: z
 has period l < |z|/2.  If z = v^k with k >= 2, then l + |v| < |z|, so by
 Fine and Wilf z has period gcd(l, |v|), which is l as u = z[:l] is
 primitive.  So l divides |v|, hence |z|, hence r: against 0 < r < l.
 1. The roots are primitive: sq is z with s = p1 when p1 >= 2, and SQ is a
    rotation of u^p2 sq = z with s = p1 + p2 (rotation keeps primitivity).
-2. ``canonical_factorization`` finds p1 >= p2: its balance check gives
-   p2 l = |SQ| - |sq| < |sq| = p1 l + r < (p1 + 1) l.
-3. There SQ rebuilds exactly when sq does: ``primitive_root`` gives
-   u^p2 = SQ[|sq|:], and the prefix check gives SQ[:|sq|] = sq.
+2. p1 >= p2 >= 1 and u is primitive: the balance check gives p2 l = |SQ| -
+   |sq| < |sq| = p1 l + r < (p1 + 1) l, and u is the root the scan finds.
+3. SQ rebuilds exactly when sq does: the scan gives u^p2 = SQ[|sq|:], and
+   both roots start at one offset of one word, so SQ[:|sq|] = sq.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import CounterexampleError, FactorizationError
-from .words import Word, is_primitive, lcp, primitive_root
+from .words import Word, is_primitive, lcp, root_length
 
 
 @dataclass(frozen=True)
@@ -66,58 +71,82 @@ class Factorization:
         return self.short_root + self.period * self.p2
 
 
+def _factor(codes: bytes, i: int, ns: int, nl: int) -> tuple[int, int, int, int]:
+    """(|x1|, |x1 x2|, p1, p2) of the roots codes[i:i+ns] and codes[i:i+nl]."""
+    if not ns < nl < 2 * ns:
+        raise FactorizationError(f"roots are not balanced: |sq|={ns}, |SQ|={nl}")
+    if i + nl > len(codes):
+        raise FactorizationError("the long root runs past the end of the word")
+    ell = root_length(codes[i + ns:i + nl])
+    p1, r = divmod(ns, ell)
+    if r == 0:
+        raise FactorizationError("no canonical factorization: x1 would be empty")
+    u = codes[i + ns:i + ns + ell]
+    if u * p1 + u[:r] != codes[i:i + ns]:  # then SQ rebuilds too (fact 3)
+        raise FactorizationError("roots do not reconstruct from the factorization")
+    return r, ell, p1, (nl - ns) // ell
+
+
 def canonical_factorization(sq: Word, SQ: Word) -> Factorization:
     """Recover (x1, x2, p1, p2) from the two roots of a double square.
 
     Requires sq to be a proper prefix of SQ with |sq| < |SQ| < 2|sq|.
     """
     ns, nl = len(sq), len(SQ)
-    if not ns < nl < 2 * ns:
-        raise FactorizationError(f"roots are not balanced: |sq|={ns}, |SQ|={nl}")
-    if SQ[:ns] != sq:
+    if ns < nl < 2 * ns and SQ[:ns] != sq:
         raise FactorizationError("short root is not a prefix of the long root")
-    period, p2 = primitive_root(SQ[ns:])
-    p1, r = divmod(ns, len(period))
-    if r == 0:
-        raise FactorizationError("no canonical factorization: x1 would be empty")
-    fact = Factorization(period[:r], period[r:], p1, p2)
-    if fact.short_root != sq:  # then long_root == SQ too (module docstring, fact 3)
-        raise FactorizationError("roots do not reconstruct from the factorization")
-    return fact
+    r, ell, p1, p2 = _factor(SQ.codes, 0, ns, nl)
+    return Factorization(SQ[:r], SQ[r:ell], p1, p2)
 
 
-@dataclass(frozen=True)
 class FsDoubleSquare:
-    """An FS-double square: position (1-based) where two rightmost distinct
-    squares start, and the factorization of their roots sq and SQ.  By the
-    module docstring's lemma, SQ is primitive, and so is sq when p1 > 1."""
+    """An FS-double square: the position (1-based) where two rightmost
+    distinct squares start, and the factorization of their roots sq and SQ
+    as numbers over the bytes ``codes``, where SQ starts at ``offset``.  By
+    the module docstring's lemma, SQ is primitive, and so is sq when p1 > 1."""
 
-    position: int
-    factorization: Factorization
+    __slots__ = ("codes", "offset", "position", "sq_len", "SQ_len", "x1_len", "period_len",
+                 "p1", "p2")
+
+    def __init__(self, position: int, factorization: Factorization) -> None:
+        f = factorization  # recovered exactly from its roots (module docstring)
+        self._set(f.long_root.codes, 0, position, len(f.short_root), len(f.long_root))
+
+    def _set(self, codes: bytes, offset: int, position: int, sq_len: int, SQ_len: int) -> None:
+        self.codes, self.offset, self.position, self.sq_len, self.SQ_len = (
+            codes, offset, position, sq_len, SQ_len)
+        self.x1_len, self.period_len, self.p1, self.p2 = _factor(codes, offset, sq_len, SQ_len)
+
+    def prefix(self, length: int) -> bytes:
+        """The first ``length`` letters of SQ: x1, x1 x2, sq or SQ."""
+        return self.codes[self.offset:self.offset + length]
 
     @property
-    def sq_len(self) -> int:
-        return len(self.factorization.short_root)
-
-    @property
-    def SQ_len(self) -> int:
-        return len(self.factorization.long_root)
+    def factorization(self) -> Factorization:
+        period = Word(self.prefix(self.period_len))
+        return Factorization(period[:self.x1_len], period[self.x1_len:], self.p1, self.p2)
 
     @property
     def end(self) -> int:
         """1-based last position covered by the long square."""
         return self.position + 2 * self.SQ_len - 1
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FsDoubleSquare) and self.to_json_dict() == other.to_json_dict()
+
+    def __repr__(self) -> str:
+        return f"FsDoubleSquare({self.position}, {self.factorization!r})"
+
     def to_json_dict(self) -> dict:
-        f = self.factorization
+        period = Word(self.prefix(self.period_len))
         return {
             "position": self.position,
             "sq_len": self.sq_len,
             "SQ_len": self.SQ_len,
-            "x1": f.x1.text,
-            "x2": f.x2.text,
-            "p1": f.p1,
-            "p2": f.p2,
+            "x1": period[:self.x1_len].text,
+            "x2": period[self.x1_len:].text,
+            "p1": self.p1,
+            "p2": self.p2,
         }
 
 
@@ -137,15 +166,14 @@ def find_fs_double_squares(w: Word, roots: dict[int, list[int]]) -> list[FsDoubl
             raise CounterexampleError(
                 f"position {pos} of {w.text!r} starts {len(ps)} rightmost squares; "
                 "at most two should be possible")
-        sq_len, SQ_len = ps
-        i = pos - 1
+        fs = FsDoubleSquare.__new__(FsDoubleSquare)
         try:
-            fact = canonical_factorization(w[i:i + sq_len], w[i:i + SQ_len])
-            out.append(FsDoubleSquare(pos, fact))
+            fs._set(w.codes, pos - 1, pos, *ps)
         except FactorizationError as exc:
             raise CounterexampleError(
                 f"position {pos} of {w.text!r} has two rightmost squares "
-                f"(roots {sq_len}, {SQ_len}) but no canonical factorization: {exc}") from exc
+                f"(roots {ps[0]}, {ps[1]}) but no canonical factorization: {exc}") from exc
+        out.append(fs)
     return out
 
 
@@ -163,6 +191,10 @@ class MateClassification:
     delta_rule: str | None = None
 
 
+# Shared: every mate but delta is its label alone.
+_MATE = {label: MateClassification(label) for label in MateLabel}
+
+
 def _delta_prefix_rule(first: FsDoubleSquare, second: FsDoubleSquare) -> str | None:
     """Which structural prefix condition makes ``second`` a delta mate.
 
@@ -174,28 +206,20 @@ def _delta_prefix_rule(first: FsDoubleSquare, second: FsDoubleSquare) -> str | N
     nonempty prefix of the second short root for some suffix s of x1 x2 and
     some i >= 1.
     """
-    f = first.factorization
-    x1, x2, period = f.x1, f.x2, f.period
-    sqk = second.factorization.short_root
-    nk = len(sqk)
-    tail = period * (f.p1 + f.p2 - 1) + x1
-
+    period = first.prefix(first.period_len)
+    x1, x2 = period[:first.x1_len], period[first.x1_len:]
+    sqk = second.prefix(second.sq_len)
+    tail = period * (first.p1 + first.p2 - 1) + x1
     core = x2 + x1 + tail
     for slen in range(len(x1), -1, -1):
-        cand = x1[len(x1) - slen:] + core
-        if len(cand) <= nk and sqk[:len(cand)] == cand:
+        if sqk.startswith(x1[len(x1) - slen:] + core):
             return "rotated_suffix" if slen else "rotated_suffix_empty"
-
     for slen in range(len(period) + 1):
-        s = period[len(period) - slen:]
-        i = 1
-        while True:
-            cand = s + period * i + x1 + tail
-            if len(cand) >= nk:
-                break
-            if sqk[:len(cand)] == cand:
+        # the candidate is shorter than sqk exactly for i up to this bound
+        top = (len(sqk) - slen - len(x1) - len(tail) - 1) // len(period)
+        for i in range(1, top + 1):
+            if sqk.startswith(period[len(period) - slen:] + period * i + x1 + tail):
                 return "power_prefix"
-            i += 1
     return None
 
 
@@ -211,18 +235,18 @@ def classify_mate_detail(first: FsDoubleSquare,
     k = second.position - first.position + 1
     if k <= 1:
         raise ValueError("second double square must start after the first")
-    f = first.factorization
-    ell = len(f.period)
-    if second.SQ_len == first.SQ_len and second.sq_len == first.sq_len:
-        return MateClassification(MateLabel.ALPHA)
-    if first.sq_len < second.sq_len and second.SQ_len == first.SQ_len:
-        return MateClassification(MateLabel.BETA)
-    if k < f.p1 * ell and second.sq_len == first.SQ_len:
-        return MateClassification(MateLabel.GAMMA)
-    if second.sq_len > first.SQ_len:
+    a, A, b, B = first.sq_len, first.SQ_len, second.sq_len, second.SQ_len
+    if B == A and b == a:
+        return _MATE[MateLabel.ALPHA]
+    if a < b and B == A:
+        return _MATE[MateLabel.BETA]
+    if k < first.p1 * first.period_len and b == A:
+        return _MATE[MateLabel.GAMMA]
+    if b > A:
         rule = _delta_prefix_rule(first, second)
         if rule is not None:
             return MateClassification(MateLabel.DELTA, delta_rule=rule)
-    if k >= (f.p1 - 1) * ell + lcp(f.period, f.x2 + f.x1):
-        return MateClassification(MateLabel.EPSILON)
+    f = first.factorization
+    if k >= (f.p1 - 1) * len(f.period) + lcp(f.period, f.x2 + f.x1):
+        return _MATE[MateLabel.EPSILON]
     return None

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .double_squares import FsDoubleSquare, MateClassification, classify_mate_detail
 from .words import are_conjugate
@@ -46,7 +47,13 @@ class Check:
     passed: bool
 
 
-@dataclass(frozen=True)
+@cache
+def _checks(*outcomes: tuple[str, bool]) -> tuple[Check, ...]:
+    """The checks of one outcome, built once and shared: a ``Check`` is frozen."""
+    return tuple(Check(name, passed) for name, passed in outcomes)
+
+
+@dataclass(slots=True)
 class PairClassification:
     """Two FS-double squares at adjacent positions, the ordering case of
     their root lengths, the checks of that case and the mate of ``second``
@@ -125,46 +132,44 @@ def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check,
     * One identity: with a the first letter of u, u a = a v gives
       u u a = u (a v) = (u a) v = (a v) v, the square form of the shift.
     * First letters: x1 and x2 are nonempty (``Factorization``), so their
-      common prefix is nonempty exactly when their first letters agree.
+      common prefix is nonempty exactly when their first letters, SQ[0] and
+      SQ[|x1|], agree.
     """
-    f, g = first.factorization, second.factorization
-    u, v, su, sv = f.long_root, g.long_root, f.short_root, g.short_root
-    a = su[:1]
-    return (
-        Check("longer_squares_conjugate", are_conjugate(u, v)),
-        Check("shorter_squares_conjugate", are_conjugate(su, sv)),
-        Check("single_letter_shift", u + a == a + v),
-        Check("x1_x2_common_prefix", f.x1[0] == f.x2[0]),
-        Check("second_ends_after_first", second.end > first.end),
+    u, v = first.prefix(first.SQ_len), second.prefix(second.SQ_len)
+    a = u[:1]
+    return _checks(
+        ("longer_squares_conjugate", are_conjugate(u, v)),
+        ("shorter_squares_conjugate", are_conjugate(u[:first.sq_len], v[:second.sq_len])),
+        ("single_letter_shift", u + a == a + v),
+        ("x1_x2_common_prefix", u[0] == u[first.x1_len]),
+        ("second_ends_after_first", second.end > first.end),
     )
 
 
 def _unequal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
     """Length relations an unequal adjacent pair must satisfy."""
-    f, g = first.factorization, second.factorization
-    floor = first.SQ_len + first.sq_len + (f.p2 - 1) * (len(f.x1) + len(f.x2))
-    return (
-        Check("short_root_floor", second.sq_len >= floor),
-        Check("period_strictly_grows", len(g.period) > len(f.period)),
-        Check("long_root_doubles", second.SQ_len > 2 * first.SQ_len),
-        Check("short_root_exceeds_sum", second.sq_len > first.SQ_len + first.sq_len),
-        Check("second_ends_after_first", second.end > first.end),
+    a, A, b, B = first.sq_len, first.SQ_len, second.sq_len, second.SQ_len
+    return _checks(
+        ("short_root_floor", b >= A + a + (first.p2 - 1) * first.period_len),
+        ("period_strictly_grows", second.period_len > first.period_len),
+        ("long_root_doubles", B > 2 * A),
+        ("short_root_exceeds_sum", b > A + a),
+        ("second_ends_after_first", second.end > first.end),
     )
 
 
 def find_double_square_pairs(squares: list[FsDoubleSquare]) -> list[PairClassification]:
     """Classify every pair at adjacent positions of ``squares``, the
-    FS-double squares of one word.
+    FS-double squares of one word by position, as ``find_fs_double_squares``
+    lists them.
 
     A pair matching neither feasible shape is classified ``INFEASIBLE``
     with its case label and no checks; ``sweep.check_word`` writes its
     ``pair_shapes`` finding.
     """
-    by_pos = {sq.position: sq for sq in squares}
     out: list[PairClassification] = []
-    for pos in sorted(by_pos):
-        first, second = by_pos[pos], by_pos.get(pos + 1)
-        if second is None:
+    for first, second in zip(squares, squares[1:]):
+        if second.position != first.position + 1:
             continue
         case = ordering_case(first.sq_len, first.SQ_len, second.sq_len, second.SQ_len)
         checks = (_equal_checks(first, second) if case == 12

@@ -516,10 +516,11 @@ def exhaustive_verify(alphabet_size: int, max_len: int, *, checkpoint_path: str 
 def _fold(blocks: list[str], done: dict, alphabet_size: int, max_len: int) -> SweepReport:
     per_length: dict[int, LengthStats] = {}
     findings: list[Finding] = []
-    for block_id in blocks:
-        partial = done[block_id]
+    for block_id in blocks:  # sum into each length's first record; drop blocks once merged
+        partial = done.pop(block_id)
         for n, st in partial["lengths"].items():
-            per_length.setdefault(n, LengthStats()).merge(st)
+            if (total := per_length.setdefault(n, st)) is not st:
+                total.merge(st)
         findings.extend(Finding(*f) for f in partial["findings"])
     findings.sort(key=lambda f: (len(f.word), f.word))
     for st in per_length.values():

@@ -87,34 +87,40 @@ def is_primitive(w: Word) -> bool:
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
-    """Shortest word u and maximal k with u**k == w; u is primitive.
+    """Shortest word u and maximal k with u**k == w; u is primitive."""
+    d = root_length(w.codes)
+    return w[:d], len(w) // d
 
-    u = w[:d] for d, the least divisor of n = |w| that is a period of w
-    (w[d:] == w[:n-d]); d = n always is.  A period d dividing n gives w =
-    (w[:d])^(n/d).  If w[:d] = v^j with j >= 2, then |v| is a period of w
-    that divides n and is smaller than d, so w[:d] is primitive.  If w =
-    v^j, |v| is a period dividing n, so d <= |v|: w[:d] is shortest.  The
-    divisors are tried in ascending order: those up to isqrt(n), then their
-    cofactors, with one slice compare each.
+
+def root_length(codes: bytes) -> int:
+    """Length of the primitive root of the nonempty word with these bytes.
+
+    It is d, the least divisor of n = |w| that is a period of w (w[d:] ==
+    w[:n-d]); d = n always is.  A period d dividing n gives w = (w[:d])^(n/d).
+    If w[:d] = v^j with j >= 2, then |v| is a period of w that divides n and
+    is smaller than d, so w[:d] is primitive.  If w = v^j, |v| is a period
+    dividing n, so d <= |v|: w[:d] is shortest.  The divisors are tried in
+    ascending order: those up to isqrt(n), then their cofactors, with one
+    slice compare each.
     """
-    n = len(w)
+    n = len(codes)
     if n == 0:
         raise ValueError("empty word has no primitive root")
-    codes = w.codes
     root = isqrt(n)
     for d in range(1, root + 1):
         if n % d == 0 and codes[d:] == codes[:n - d]:
-            return Word(codes[:d]), n // d
+            return d
     for k in range(root, 1, -1):
         d = n // k
         if n % k == 0 and codes[d:] == codes[:n - d]:
-            return Word(codes[:d]), k
-    return w, 1
+            return d
+    return n
 
 
-def are_conjugate(u: Word, v: Word) -> bool:
-    """True iff v is a cyclic rotation of u."""
-    if len(u) != len(v):
-        return False
-    return v.codes in u.codes + u.codes
-
+def are_conjugate(u: Word | bytes, v: Word | bytes) -> bool:
+    """True iff v is a cyclic rotation of u; u and v are words or their
+    bytes.  The rotation by one letter is tried first: by the slide fact of
+    ``pairs``, it is the rotation of every equal pair."""
+    a = u.codes if isinstance(u, Word) else u
+    b = v.codes if isinstance(v, Word) else v
+    return len(a) == len(b) and (b == a[1:] + a[:1] or b in a + a)

@@ -107,6 +107,26 @@ def oracle_is_primitive(text: str) -> bool:
     return True
 
 
+def oracle_factorization(sq: str, SQ: str) -> list[tuple[str, str, int, int]]:
+    """Every split (x1, x2, p1, p2) with sq = (x1 x2)^p1 x1, SQ = sq (x1 x2)^p2,
+    x1 and x2 nonempty, x1 x2 primitive and p1 >= p2 >= 1, by brute force
+    over every |x1|, |x2|, p1 and p2 that the lengths allow."""
+    out = []
+    for a in range(1, len(sq)):
+        for b in range(1, len(sq) - a + 1):
+            for p1 in range(1, len(sq) // (a + b) + 1):
+                if (a + b) * p1 + a != len(sq):
+                    continue
+                for p2 in range(1, p1 + 1):
+                    if len(sq) + (a + b) * p2 != len(SQ):
+                        continue
+                    x1, x2 = sq[:a], sq[a:a + b]
+                    u = x1 + x2
+                    if u * p1 + x1 == sq and sq + u * p2 == SQ and oracle_is_primitive(u):
+                        out.append((x1, x2, p1, p2))
+    return out
+
+
 def oracle_rotations(text: str) -> set[str]:
     return {text[k:] + text[:k] for k in range(max(len(text), 1))}
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +12,7 @@ import fsdsq.construct
 import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.cli import _build_parser, main
-from fsdsq.double_squares import MateClassification, MateLabel
+from fsdsq.double_squares import FsDoubleSquare, MateClassification, MateLabel
 from fsdsq.errors import CounterexampleError
 from fsdsq.pairs import Check
 from fsdsq.words import Word
@@ -290,8 +289,7 @@ class TestAnalyze:
     def test_infeasible_pair_gets_end_order_and_mate(self, capsys, monkeypatch):
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
         first = squares_of(Word.from_text(EQUAL_17))[0]
-        second = dataclasses.replace(
-            squares_of(Word.from_text("abaababaab"))[0], position=2)
+        second = FsDoubleSquare(2, squares_of(Word.from_text("abaababaab"))[0].factorization)
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
                             lambda word, roots: [first, second])
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")

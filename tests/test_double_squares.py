@@ -9,13 +9,15 @@ from fsdsq.construct import build_run
 from fsdsq.double_squares import (Factorization, FsDoubleSquare, MateLabel,
                                   canonical_factorization, classify_mate_detail,
                                   find_fs_double_squares)
-from fsdsq.errors import FactorizationError
+from fsdsq.errors import CounterexampleError, FactorizationError
 from fsdsq.words import is_primitive
 
 from named_words import (CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W, W1,
                          W2)
-from oracles import all_words, oracle_is_primitive, oracle_s
+from oracles import (all_words, canonical_words, oracle_factorization, oracle_is_primitive,
+                     oracle_s)
 from structure import squares_of
+from test_census import _fibonacci, periodic_with_mutations
 
 
 class TestCanonicalFactorization:
@@ -97,6 +99,11 @@ class TestDetection:
             {"position": 1, "sq_len": 4, "SQ_len": 7,
              "x1": "a", "x2": "ab", "p1": 1, "p2": 1}]
 
+    def test_roots_past_the_end_are_a_counterexample(self):
+        # a hand-made root map, not a census: the long root would run past the word
+        with pytest.raises(CounterexampleError, match="runs past the end"):
+            find_fs_double_squares(W("abaab"), {4: [2, 3]})
+
     def test_no_double_square(self):
         assert squares_of(W("ab")) == []
         assert squares_of(W("")) == []
@@ -163,20 +170,71 @@ class TestPrimitivityLemma:
                                        *SEEDS)]
         censuses = [(w, s_sequence(w).roots) for w in words]
         calls = 0
-        root = fsdsq.words.primitive_root
+        root = fsdsq.words.root_length
 
-        def counted(w):
+        def counted(codes):
             nonlocal calls
             calls += 1
-            return root(w)
+            return root(codes)
 
-        # ``is_primitive`` looks it up in ``words``
-        monkeypatch.setattr(fsdsq.words, "primitive_root", counted)
-        monkeypatch.setattr(fsdsq.double_squares, "primitive_root", counted)
+        # ``primitive_root`` looks it up in ``words``
+        monkeypatch.setattr(fsdsq.words, "root_length", counted)
+        monkeypatch.setattr(fsdsq.double_squares, "root_length", counted)
         squares = [fs for w, roots in censuses for fs in find_fs_double_squares(w, roots)]
         assert len(squares) > 200
-        assert any(fs.factorization.p1 > 1 for fs in squares)
-        assert calls <= 2 * len(squares)
+        assert any(fs.p1 > 1 for fs in squares)
+        # one divisor scan per double square, of SQ[|sq|:], and no primitivity test
+        assert calls == len(squares)
+
+
+def _check_against_oracle(text: str) -> int:
+    """One record per census-2 position of ``text``, split as the brute-force
+    ``oracle_factorization`` splits its roots, and that split alone; returns
+    the number of records."""
+    report = s_sequence(W(text))
+    found = find_fs_double_squares(report.word, report.roots)
+    assert [fs.position for fs in found] == [k for k, ps in report.roots.items() if len(ps) == 2]
+    for fs in found:
+        i = fs.position - 1
+        d = fs.to_json_dict()
+        x1, x2, p1, p2 = d["x1"], d["x2"], d["p1"], d["p2"]
+        assert oracle_factorization(text[i:i + fs.sq_len], text[i:i + fs.SQ_len]) == [
+            (x1, x2, p1, p2)]
+        assert (fs.x1_len, fs.period_len, fs.p1, fs.p2) == (len(x1), len(x1 + x2), p1, p2)
+        assert fs.prefix(fs.SQ_len) == W(text[i:i + fs.SQ_len]).codes
+    return len(found)
+
+
+closed_form_and_periodic_words = st.one_of(
+    st.integers(min_value=1, max_value=42).map(lambda t: build_run(t).word.text),
+    st.integers(min_value=0, max_value=300).map(_fibonacci),
+    periodic_with_mutations(),
+)
+
+
+class TestAgainstOracle:
+    def test_exhaustive_small(self):
+        # every binary word to 14 and canonical ternary word to 9
+        texts = [text for n in range(1, 15) for text in all_words(2, n)]
+        texts += [text for n in range(1, 10) for text in canonical_words(3, n)]
+        assert sum(map(_check_against_oracle, texts)) == 168
+
+    @given(closed_form_and_periodic_words)
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_and_periodic_words(self, text):
+        _check_against_oracle(text)
+
+    def test_hand_built_record_is_the_found_one(self):
+        texts = [EQUAL_17, W1, W2, CASE_10, UNEQUAL_39, UNEQUAL_67, *SEEDS]
+        found = [fs for text in texts for fs in squares_of(W(text))]
+        found += squares_of(build_run(12).word)
+        assert len(found) == 40
+        for fs in found:
+            hand = FsDoubleSquare(fs.position, fs.factorization)
+            assert hand == fs
+            assert hand.to_json_dict() == fs.to_json_dict()
+            assert (hand.sq_len, hand.SQ_len, hand.x1_len, hand.period_len, hand.end) == (
+                fs.sq_len, fs.SQ_len, fs.x1_len, fs.period_len, fs.end)
 
 
 @st.composite

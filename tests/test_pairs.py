@@ -1,16 +1,19 @@
+from os.path import commonprefix
+
 import pytest
 
 import fsdsq.sweep
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run
-from fsdsq.double_squares import Factorization, FsDoubleSquare
+from fsdsq.double_squares import Factorization, FsDoubleSquare, classify_mate_detail
 from fsdsq.pairs import (Check, PairKind, _equal_checks, _unequal_checks,
                          find_double_square_pairs, ordering_case)
 from fsdsq.sweep import exhaustive_verify
 from fsdsq.words import Word, are_conjugate, lcp
 
-from named_words import EQUAL_17, W, W1, W2
-from structure import pairs_of
+from named_words import CASE_10, EQUAL_17, UNEQUAL_39, UNEQUAL_67, W, W1, W2
+from oracles import oracle_factorization, oracle_rotations
+from structure import pairs_of, squares_of
 from test_census import _fibonacci
 
 
@@ -207,3 +210,143 @@ class TestUnequalChecks:
         assert pair.kind is PairKind.EQUAL
         assert pair.checks == _equal_checks(pair.first, pair.second)
         assert "short_root_floor" not in {c.name for c in pair.checks}
+
+
+def _reference_delta_rule(split: tuple[str, str, int, int], sv: str) -> str | None:
+    """The delta prefix rules of ``classify_mate_detail`` on strings, suffixes
+    longest first for the rotated rule and shortest first for the power rule."""
+    x1, x2, p1, p2 = split
+    period = x1 + x2
+    tail = period * (p1 + p2 - 1) + x1
+    for k in range(len(x1), -1, -1):
+        if sv.startswith(x1[len(x1) - k:] + x2 + x1 + tail):
+            return "rotated_suffix" if k else "rotated_suffix_empty"
+    for k in range(len(period) + 1):
+        for i in range(1, len(sv) + 1):
+            cand = period[len(period) - k:] + period * i + x1 + tail
+            if len(cand) < len(sv) and sv.startswith(cand):
+                return "power_prefix"
+    return None
+
+
+def _roots(text: str, fs: FsDoubleSquare) -> tuple[int, str, str]:
+    i = fs.position - 1
+    return fs.position, text[i:i + fs.sq_len], text[i:i + fs.SQ_len]
+
+
+def _reference_pair(first: tuple[int, str, str], second: tuple[int, str, str]):
+    """The case, checks and mate of two double squares, given as (position,
+    sq, SQ), each from its definition on the roots and squares: splits from
+    ``oracle_factorization``, conjugacy from ``oracle_rotations``."""
+    (pos1, su, u), (pos2, sv, v) = first, second
+    a, A, b, B = len(su), len(u), len(sv), len(v)
+    [(x1, x2, p1, p2)] = oracle_factorization(su, u)
+    [(y1, y2, _, _)] = oracle_factorization(sv, v)
+    ends = pos2 + 2 * B - 1 > pos1 + 2 * A - 1
+    case = ordering_case(a, A, b, B)
+    checks = {12: [
+        ("longer_squares_conjugate", v + v in oracle_rotations(u + u)),
+        ("shorter_squares_conjugate", sv + sv in oracle_rotations(su + su)),
+        ("single_letter_shift", u + u + u[0] == u[0] + v + v),
+        ("x1_x2_common_prefix", commonprefix([x1, x2]) != ""),
+        ("second_ends_after_first", ends),
+    ], 13: [
+        ("short_root_floor", b >= A + a + (p2 - 1) * len(x1 + x2)),
+        ("period_strictly_grows", len(y1 + y2) > len(x1 + x2)),
+        ("long_root_doubles", B > 2 * A),
+        ("short_root_exceeds_sum", b > A + a),
+        ("second_ends_after_first", ends),
+    ]}.get(case, [])
+    k = pos2 - pos1 + 1
+    ell = len(x1 + x2)
+    rule = _reference_delta_rule((x1, x2, p1, p2), sv) if b > A else None
+    if (b, B) == (a, A):
+        mate = ("alpha", None)
+    elif a < b and B == A:
+        mate = ("beta", None)
+    elif k < p1 * ell and b == A:
+        mate = ("gamma", None)
+    elif rule is not None:
+        mate = ("delta", rule)
+    elif k >= (p1 - 1) * ell + len(commonprefix([x1 + x2, x2 + x1])):
+        mate = ("epsilon", None)
+    else:
+        mate = None
+    return case, checks, mate
+
+
+class TestAgainstReference:
+    """The integer checks and mates against ``_reference_pair``."""
+
+    @staticmethod
+    def compare(text: str, pairs) -> None:
+        for pair in pairs:
+            case, checks, mate = _reference_pair(_roots(text, pair.first),
+                                                 _roots(text, pair.second))
+            assert pair.case == case, text
+            assert [(c.name, c.passed) for c in pair.checks] == checks, text
+            got = pair.mate and (pair.mate.label.value, pair.mate.delta_rule)
+            assert got == mate, text
+
+    def test_sweep_pairs(self, monkeypatch):
+        # every canonical binary word to 18, which holds every binary word to
+        # 14 (with no pair) up to renaming; the first pairs come at 17
+        seen = []
+
+        def collect(squares):
+            pairs = find_double_square_pairs(squares)
+            if pairs:
+                word = Word(squares[0].codes).text
+                seen.append(word)
+                self.compare(word, pairs)
+            return pairs
+
+        monkeypatch.setattr(fsdsq.sweep, "find_double_square_pairs", collect)
+        exhaustive_verify(alphabet_size=2, max_len=18)
+        assert len(seen) == 4
+
+    def test_named_and_closed_form_words(self):
+        texts = [EQUAL_17, W1, W2, CASE_10, UNEQUAL_39, UNEQUAL_67]
+        texts += [build_run(t).word.text for t in range(1, 41)]
+        counts = {}
+        for text in texts:
+            pairs = pairs_of(W(text))
+            self.compare(text, pairs)
+            for pair in pairs:
+                key = pair.mate and pair.mate.label.value
+                counts[key] = counts.get(key, 0) + 1
+        assert counts == {"alpha": 781, "delta": 4, "gamma": 1}
+
+    @pytest.mark.parametrize("first,second,mate", [
+        ((1, ("a", "bb", 1, 1)), (2, ("a", "b", 2, 1)), ("beta", None)),
+        ((1, ("a", "b", 3, 1)), (2, ("c", "d", 5, 1)), None),
+        ((1, ("a", "b", 1, 1)), (9, ("a", "bb", 1, 1)), ("epsilon", None)),
+        ((1, ("a", "b", 1, 1)), (2, ("abaabab", "b", 1, 1)), ("delta", "rotated_suffix")),
+        ((1, ("a", "bb", 1, 1)), (2, ("babbaabba", "a", 1, 1)), ("delta", "power_prefix")),
+        # the power candidate b abb a abba is the whole second short root, not a proper prefix
+        ((1, ("a", "bb", 1, 1)), (2, ("ba", "bbaab", 1, 1)), ("epsilon", None)),
+        # case 10 at distance 2 with p1 |x1 x2| = 2: gamma needs 2 < 2
+        ((1, ("a", "b", 1, 1)), (2, ("a", "b", 2, 1)), ("epsilon", None)),
+    ])
+    def test_hand_built_pairs(self, first, second, mate):
+        # the mates that no word above reaches, on records built from splits
+        records = [FsDoubleSquare(pos, Factorization(W(x1), W(x2), p1, p2))
+                   for pos, (x1, x2, p1, p2) in (first, second)]
+        roots = [(fs.position, fs.factorization.short_root.text,
+                  fs.factorization.long_root.text) for fs in records]
+        case, checks, ref_mate = _reference_pair(*roots)
+        got = classify_mate_detail(*records)
+        assert (got and (got.label.value, got.delta_rule)) == ref_mate == mate
+        for pair in find_double_square_pairs(records):
+            assert (pair.case, [(c.name, c.passed) for c in pair.checks]) == (case, checks)
+
+    def test_hand_built_pairs_match_found_pairs(self):
+        # records read off a word and records built from their splits, whose
+        # bytes are the long root alone, give the same pairs, checks and mates
+        for text in (EQUAL_17, W1, CASE_10, UNEQUAL_39, build_run(9).word.text):
+            found = pairs_of(W(text))
+            hand = find_double_square_pairs([FsDoubleSquare(q.position, q.factorization)
+                                             for q in squares_of(W(text))])
+            assert len(found) >= 1
+            assert [p.to_json_dict() for p in hand] == [p.to_json_dict() for p in found]
+            assert hand == found

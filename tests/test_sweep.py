@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import fsdsq.sweep
 from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
-from fsdsq.double_squares import find_fs_double_squares
+from fsdsq.double_squares import FsDoubleSquare, find_fs_double_squares
 from fsdsq.pairs import Check, PairKind, find_double_square_pairs
 from fsdsq.construct import build_run
 from fsdsq.sweep import (ALL_PROPERTIES, LengthStats, SweepReport, _length_counts,
@@ -275,6 +276,18 @@ class TestExhaustiveVerify:
     def test_ceiling_override_flag(self):
         report = exhaustive_verify(alphabet_size=4, max_len=5, allow_over_ceiling=True)
         assert report.findings == ()
+
+    def test_fold_peak_stays_near_the_report(self):
+        # the fold sums each length into its first block record and drops
+        # every block once merged, so no second copy of the report is held
+        tracemalloc.start()
+        try:
+            report = exhaustive_verify(alphabet_size=1, max_len=5000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.total_words == 5000 and len(report.per_length) == 5000
+        assert peak / held < 1.4
 
 
 class TestDeterminism:
@@ -742,7 +755,7 @@ class TestCheckWord:
         names |= emitted(EQUAL_17) | emitted(UNEQUAL_39)  # the two pair checks
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
         first = squares_of(Word.from_text(EQUAL_17))[0]
-        second = dataclasses.replace(squares_of(Word.from_text("abaababaab"))[0], position=2)
+        second = FsDoubleSquare(2, squares_of(Word.from_text("abaababaab"))[0].factorization)
         monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
                             lambda word, roots: [first, second])
         names |= emitted(EQUAL_17)  # pair_end_order

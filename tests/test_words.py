@@ -129,6 +129,19 @@ class TestConjugacy:
                 for v in words:
                     assert are_conjugate(W(u), W(v)) == (v in rot)
 
+    def test_all_equal_length_pairs_against_rotations(self):
+        # the one-letter rotation is tried first; every pair of binary words
+        # of one length up to 8 against the rotations the oracle lists
+        for n in range(1, 9):
+            words = list(all_words(2, n))
+            for u in words:
+                rot = oracle_rotations(u)
+                codes = W(u).codes
+                for v in words:
+                    expected = v in rot
+                    assert are_conjugate(W(u), W(v)) is expected
+                    assert are_conjugate(codes, W(v).codes) is expected
+
     @given(nonempty_texts, st.integers(min_value=0, max_value=30))
     def test_rotation_property(self, text, k):
         k %= len(text)
