@@ -5,7 +5,7 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Seven exact facts about m_i keep the
+array of Crochemore & Ilie, IPL 2008).  Eight exact facts about m_i keep the
 scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
@@ -71,11 +71,32 @@ scan cheap:
   within m_i or a miss, and no search is needed.  On periodic words such
   as the Fibonacci words most bounded searches miss, and most misses are
   followed by this case.
+* Periodic chain.  Let the step at i return m = m_i and its nearest
+  witness j = i + d > i, with m >= 2d - 3, and let K <= i be the length of
+  the longest common suffix of codes[:i] and codes[:j].  For t = 1..K,
+  position i - t takes the witness step, since codes[j-t] == codes[i-t]:
+  by induction on t, m_{i-t} = M = m + t and its nearest witness is j - t
+  (third fact), at the same distance d.  Its root window is empty: M >=
+  m + 1 >= 2d - 2 gives q = M//2 + 1 >= d, and d <= M (M >= 1, and
+  2d - 2 >= d for d >= 2) leaves only the roots p < d to the window.  So
+  the only root is the one multiple of d that the witness-period rule
+  allows, p in (M/2, (d+M)/2].  Write M = 2da + r with 0 <= r < 2d: p = da
+  has 2p <= M, and p = d(a+1) has 2p > M, with 2p <= d + M exactly when
+  r >= d.  So s_{i-t} = 1, with root (M//2d + 1)d, when M mod 2d >= d, and
+  s_{i-t} = 0 otherwise.  The step's bound p <= (n - (i-t))/2 always holds
+  here: the witness match fits in the word, so d + M <= n - (i-t), and
+  2p <= d + M.  After the chain the state (m + K, j - K) is what the step
+  returns at i - K, so the scan resumes with the step at i - K - 1, if
+  K < i, whose witness test fails as codes[j-K-1] != codes[i-K-1].  The
+  witness step never reads m_{i-t} from the automaton, so nothing inside
+  the chain needs it.
 
 ``_census_step`` is the one implementation of the witness step and the
 root window.  ``_census_scan`` takes every m_i from ``_later_matches``, the
 automaton, and passes it to the step, which then makes only the bounded
-witness search or, after a witness miss, one compare.  The sweep's walk
+witness search or, after a witness miss, one compare.  After each step the
+scan tests the premise of the periodic chain and crosses the chain in one
+loop, without the step: on a^n the step runs twice.  The sweep's walk
 prepends one letter at a time and backtracks, which an automaton built
 right to left cannot follow, so it runs the step with probes along the
 left extensions of a word.
@@ -259,6 +280,23 @@ def _later_matches(codes: bytes) -> list[int]:
     return later
 
 
+def _common_suffix(codes: bytes, i: int, j: int) -> int:
+    """Length of the longest common suffix of codes[:i] and codes[:j], for
+    i < j, by slice compares: gallop, then bisect."""
+    lo, hi = 0, 1  # a suffix of length lo is common; one of length hi is not, or hi > i
+    while hi <= i and codes[i - hi:i] == codes[j - hi:j]:
+        lo, hi = hi, 2 * hi
+    if hi > i:
+        hi = i + 1
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if codes[i - mid:i] == codes[j - mid:j]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     """Counts s_i plus, for positions with s_i > 0, the rightmost root
     lengths (1-based keys in ascending order, ascending root lengths)."""
@@ -268,11 +306,27 @@ def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
     later = _later_matches(codes)
     step = _census_step(codes)
     m, j = -1, n
-    for i in range(n - 1, -1, -1):
+    i = n - 1
+    while i >= 0:
         m, j, ps = step(i, m, j, later[i])
         if ps:
             s[i] = len(ps)
             found.append((i + 1, ps))
+        if j > i and 2 * (j - i) <= m + 3 and i and codes[i - 1] == codes[j - 1]:
+            # A periodic chain: positions i - 1 .. i - k take the witness
+            # step, and each has at most one root (the module docstring).
+            k = _common_suffix(codes, i, j)
+            d = j - i
+            dd = 2 * d
+            top = i + m  # m_{i-t} = m + t, so position i - t is top - m_{i-t}
+            for mt in range(m + 1, m + k + 1):
+                if mt % dd >= d:
+                    s[top - mt] = 1
+                    found.append((top - mt + 1, [(mt // dd + 1) * d]))
+            i -= k
+            m += k
+            j -= k
+        i -= 1
     return s, dict(reversed(found))
 
 

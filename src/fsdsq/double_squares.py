@@ -132,7 +132,15 @@ class FsDoubleSquare:
         return self.position + 2 * self.SQ_len - 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FsDoubleSquare) and self.to_json_dict() == other.to_json_dict()
+        """Same position and split: the numbers and the letters of x1 x2,
+        which is what ``to_json_dict`` holds.  Records stay unhashable."""
+        if not isinstance(other, FsDoubleSquare):
+            return False
+        return ((self.position, self.sq_len, self.SQ_len, self.x1_len, self.period_len,
+                 self.p1, self.p2) ==
+                (other.position, other.sq_len, other.SQ_len, other.x1_len, other.period_len,
+                 other.p1, other.p2)
+                and self.prefix(self.period_len) == other.prefix(other.period_len))
 
     def __repr__(self) -> str:
         return f"FsDoubleSquare({self.position}, {self.factorization!r})"

@@ -1,16 +1,18 @@
 import random
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.census import (_census_scan, _census_step, _later_matches, render_census_tsv,
-                          runs_of_two, s_sequence)
+import fsdsq.census
+from fsdsq.census import (_census_scan, _census_step, _common_suffix, _later_matches,
+                          render_census_tsv, runs_of_two, s_sequence)
 from fsdsq.construct import build_run
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, EQUAL_17_S, W
-from oracles import (all_words, canonical_words, oracle_later_match,
+from oracles import (all_words, canonical_words, oracle_is_primitive, oracle_later_match,
                      oracle_longest_run, oracle_rightmost, oracle_runs_of_two,
                      oracle_s, oracle_squares)
 
@@ -479,3 +481,165 @@ class TestStructuredWords:
         assert automaton_later_match_lengths(w.codes) == oracle_later_match(text)
         assert list(s_sequence(w).s) == oracle_s(text)
         assert rightmost_map(w) == oracle_rightmost(text)
+
+
+@pytest.fixture
+def census_steps(monkeypatch):
+    """``census_steps(text)``: how many times ``_census_scan`` of ``text``
+    calls the census step."""
+    make = fsdsq.census._census_step
+    calls = 0
+
+    def counting(codes):
+        step = make(codes)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        return counted
+
+    monkeypatch.setattr(fsdsq.census, "_census_step", counting)
+
+    def steps(text: str) -> int:
+        nonlocal calls
+        calls = 0
+        _census_scan(W(text).codes)
+        return calls
+
+    return steps
+
+
+def periodic_block(base: str, offset: int, length: int) -> str:
+    """``length`` letters of base base base ... from ``offset``."""
+    return (base * ((offset + length) // len(base) + 1))[offset:offset + length]
+
+
+@st.composite
+def chain_words(draw):
+    """A random prefix, a periodic block of period 1..12 that starts and
+    ends at any offset of its period, and a random suffix: up to 400
+    letters."""
+    base = draw(st.text(alphabet="abc", min_size=1, max_size=12))
+    offset = draw(st.integers(min_value=0, max_value=len(base) - 1))
+    prefix = draw(st.text(alphabet="abc", max_size=20))
+    suffix = draw(st.text(alphabet="abc", max_size=20))
+    length = draw(st.integers(min_value=0, max_value=400 - len(prefix) - len(suffix)))
+    return prefix + periodic_block(base, offset, length) + suffix
+
+
+class TestPeriodicChain:
+    """The scan crosses a periodic chain without the step (the module
+    docstring's chain fact): against the scan that runs the step at every
+    position and against the cubic oracle."""
+
+    @staticmethod
+    def check(text: str) -> None:
+        codes = W(text).codes
+        s, roots = _census_scan(codes)
+        assert (s, roots) == step_scan(codes)
+        rightmost = oracle_rightmost(text)
+        assert s == oracle_s(text, rightmost)
+        assert square_starts(text, roots) == rightmost
+
+    def test_every_period_and_offset(self, census_steps):
+        # Both ends of the block fall at every offset of its period; the
+        # random prefix ends the chain wherever its last letter breaks the
+        # period.
+        rng = random.Random(27)
+        for d in range(1, 13):
+            base = random_word("abc", d, rng.random())
+            while not oracle_is_primitive(base):
+                base = random_word("abc", d, rng.random())
+            crossed = 0
+            for offset in range(d):
+                for length in range(2 * d, 4 * d + 3):
+                    text = (random_word("abc", rng.randrange(4), rng.random())
+                            + periodic_block(base, offset, length)
+                            + random_word("abc", rng.randrange(4), rng.random()))
+                    self.check(text)
+                    crossed += len(text) - census_steps(text)
+            assert crossed > 0, d
+
+    @given(chain_words())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_words(self, text):
+        self.check(text)
+
+    def test_step_counts(self, census_steps):
+        # a^n: the step runs at the last two positions and one chain crosses
+        # the rest
+        assert census_steps("a" * 10_000) == 2
+        assert [census_steps("a" * n) for n in range(1, 6)] == [1, 2, 2, 2, 2]
+        # 703 and 2000 positions: 3 and 10 chains cross 200 and 411 of them
+        assert census_steps(build_run(100).word.text) == 503
+        assert census_steps(_fibonacci(2000)) == 1589
+
+    def test_common_suffix(self):
+        for n in range(1, 9):
+            for text in all_words(2, n):
+                codes = W(text).codes
+                for j in range(1, n + 1):
+                    for i in range(j):
+                        k = next((k for k in range(i) if text[i - k - 1] != text[j - k - 1]), i)
+                        assert _common_suffix(codes, i, j) == k
+
+
+def characteristic_prefix(exponents: list[int], n: int) -> str:
+    """The first ``n`` letters of the characteristic word with directive
+    ``exponents``, repeated: s_0 = b, s_1 = a and s_k = s_{k-1}^(a_k) s_{k-2}.
+    All exponents 1 give the Fibonacci words."""
+    prev, cur = "b", "a"
+    for a in cycle(exponents):
+        if len(cur) >= n:
+            return cur[:n]
+        prev, cur = cur, cur * a + prev
+
+
+def closed_form(target: int) -> str:
+    """The closed-form word of ``build_run(target)``, T >= 2, without its census."""
+    x1 = "a" * (target - 1) + "b"
+    root = x1 + "a" + x1 + x1 + "a"
+    return root + root + root[:target - 1]
+
+
+@st.composite
+def long_words(draw):
+    """Words of 10^3 to 10^4 letters: random, characteristic (Fibonacci-like),
+    the closed form (T <= 400, to keep its quadratic census cheap) and a^n,
+    the last two with up to four point mutations."""
+    kind = draw(st.sampled_from(["random", "characteristic", "closed form", "unary"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if kind == "random":
+        return random_word("abcd"[:draw(st.integers(min_value=2, max_value=4))],
+                           draw(st.integers(min_value=1000, max_value=10_000)), rng.random())
+    if kind == "characteristic":
+        exponents = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
+        return characteristic_prefix(exponents, draw(st.integers(min_value=1000, max_value=10_000)))
+    if kind == "closed form":
+        letters = list(closed_form(draw(st.integers(min_value=143, max_value=400))))
+    else:
+        letters = ["a"] * draw(st.integers(min_value=1000, max_value=10_000))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        letters[rng.randrange(len(letters))] = rng.choice("abc")
+    return "".join(letters)
+
+
+class TestMetamorphic:
+    """Relations between censuses that need no oracle, on long words: a
+    suffix's census is the word's census from there on, renaming letters
+    changes nothing, and reversal keeps the number of distinct squares."""
+
+    @given(long_words(), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_relations(self, text, data):
+        codes = W(text).codes
+        s, roots = _census_scan(codes)
+        # a square's last occurrence at i >= k is its last one in w[k:]
+        k = data.draw(st.integers(min_value=0, max_value=len(codes)), label="k")
+        assert _census_scan(codes[k:]) == (
+            s[k:], {pos - k: ps for pos, ps in roots.items() if pos > k})
+        renaming = bytes(data.draw(st.permutations(range(256)), label="renaming"))
+        assert _census_scan(codes.translate(renaming)) == (s, roots)
+        assert sum(_census_scan(codes[::-1])[0]) == sum(s)

@@ -237,6 +237,48 @@ class TestAgainstOracle:
                 fs.sq_len, fs.SQ_len, fs.x1_len, fs.period_len, fs.end)
 
 
+class TestEquality:
+    """Records are equal when their position, numbers and the letters of
+    x1 x2 are, whichever word they were read from."""
+
+    def test_equal_records_from_different_words(self):
+        # "c" starts no later copy of a square, so position 1 keeps roots 3 and 5
+        (first,), (second,) = squares_of(W("abaababaab")), squares_of(W("abaababaabc"))
+        assert first.codes != second.codes
+        assert first == second
+        assert first.to_json_dict() == second.to_json_dict()
+
+    def test_equal_records_at_different_offsets(self):
+        # position 2 of the 17-letter pair word against the same split read
+        # off a word that starts with its long root
+        fs = squares_of(W(EQUAL_17))[1]
+        hand = FsDoubleSquare(2, fs.factorization)
+        assert (hand.offset, fs.offset) == (0, 1)
+        assert hand == fs
+
+    def test_unequal_records(self):
+        (fs,) = squares_of(W("abaababaab"))
+        (renamed,) = squares_of(W("babbababba"))
+        # the same numbers over other letters
+        assert (renamed.sq_len, renamed.SQ_len, renamed.x1_len, renamed.period_len) == (
+            fs.sq_len, fs.SQ_len, fs.x1_len, fs.period_len)
+        assert renamed != fs
+        # the same split at another position
+        (moved,) = squares_of(W("c" + "abaababaab"))
+        assert moved.position == 2 and moved != fs
+        # another split at the same position
+        (other,) = squares_of(W("aabaaabaabaaab"))
+        assert other.position == fs.position and other != fs
+        first, second = squares_of(W(EQUAL_17))
+        assert first != second
+        assert fs != fs.to_json_dict()
+
+    def test_records_stay_unhashable(self):
+        (fs,) = squares_of(W("abaababaab"))
+        with pytest.raises(TypeError):
+            hash(fs)
+
+
 @st.composite
 def factorizations(draw):
     x1 = draw(st.text(alphabet="abc", min_size=1, max_size=4))
