@@ -8,10 +8,9 @@ from .double_squares import (Factorization, FsDoubleSquare, MateClassification,
                              classify_mate_detail, find_fs_double_squares)
 from .errors import (CostCeilingError, CounterexampleError, FactorizationError,
                      NoExtensionError)
-from .pairs import (Check, PairClassification, PairKind,
+from .pairs import (ALL_PROPERTIES, Check, PairClassification, PairKind,
                     find_double_square_pairs, ordering_case)
-from .sweep import (ALL_PROPERTIES, Finding, LengthStats, SweepReport,
-                    exhaustive_verify)
+from .sweep import Finding, LengthStats, SweepReport, exhaustive_verify
 from .words import Word, are_conjugate, is_primitive, lcp, primitive_root
 
 __version__ = "0.1.0"

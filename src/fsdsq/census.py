@@ -213,7 +213,8 @@ def _census_step(codes: bytes | bytearray):
             # Roots p >= d: the one multiple of d in [max(q, d), (d + m) / 2], if any.
             extra = q if q > d else d
             extra += -extra % d
-            if extra > pmax or extra > (d + m) >> 1:
+            # (d + m) / 2 <= pmax: d <= m, and the witness's m letters fit, so i + d + m <= n.
+            if extra > (d + m) >> 1:
                 extra = 0
             if pmax >= d:
                 pmax = d - 1

@@ -3,7 +3,7 @@
 Structured results (including findings) go to stdout; diagnostics go to
 stderr.  Exit codes: 0 clean, 1 usage or I/O error, 2 mathematical finding.
 ``analyze``, ``generate`` and ``verify`` decide findings by the same
-check, ``sweep.check_word``, so a word gets the same property names and
+check, ``pairs.check_word``, so a word gets the same property names and
 details from each.  JSON output carries a top-level ``schema_version`` and is
 byte-stable for identical invocations; only ``verify`` reports a timing
 field, the time it measures around the sweep, which its ``--deterministic``
@@ -21,8 +21,8 @@ import time
 from .census import CensusReport, render_census_tsv, s_sequence
 from .construct import RunReport, build_run, extend_equal_run, extend_unequal
 from .errors import CounterexampleError
-from .sweep import (MAX_SWEEP_WORDS, WORDS_PER_WORKER, SweepReport, check_word,
-                    exhaustive_verify)
+from .pairs import check_word
+from .sweep import MAX_SWEEP_WORDS, WORDS_PER_WORKER, SweepReport, exhaustive_verify
 from .words import Word
 
 SCHEMA_VERSION = 1

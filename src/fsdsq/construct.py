@@ -20,7 +20,7 @@ Two extensions grow a given word that ends in an FS-double square
   position right of the frontier, roughly quadrupling the word.
 
 Every returned word is re-verified by a full census and its findings are
-those of ``sweep.check_word``; construction metadata is advisory only.
+those of ``pairs.check_word``; construction metadata is advisory only.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from itertools import zip_longest
 from .census import CensusReport, s_sequence
 from .double_squares import FsDoubleSquare, find_fs_double_squares
 from .errors import CounterexampleError, NoExtensionError
-from .pairs import PairKind
-from .sweep import WordCheck, check_word
+from .pairs import PairKind, WordCheck, check_word
 from .words import Word
 
 

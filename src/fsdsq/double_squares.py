@@ -254,7 +254,7 @@ def classify_mate_detail(first: FsDoubleSquare,
         rule = _delta_prefix_rule(first, second)
         if rule is not None:
             return MateClassification(MateLabel.DELTA, delta_rule=rule)
-    f = first.factorization
-    if k >= (f.p1 - 1) * len(f.period) + lcp(f.period, f.x2 + f.x1):
+    period, r = first.prefix(first.period_len), first.x1_len
+    if k >= (first.p1 - 1) * first.period_len + lcp(period, period[r:] + period[:r]):
         return _MATE[MateLabel.EPSILON]
     return None

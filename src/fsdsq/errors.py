@@ -4,7 +4,7 @@
 construction seed with a census-2 position that does not factor, or a
 closed-form word whose census disagrees with its formula.  The CLI prints
 it as a ``structure`` finding and exits 2.  Other findings are data that
-``sweep.check_word`` reports; the other types are ``ValueError``s.
+``pairs.check_word`` reports; the other types are ``ValueError``s.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Classification of FS-double squares at adjacent positions.
+"""Classification of FS-double squares at adjacent positions, and a word's findings.
 
 Writing a = |sq_1|, A = |SQ_1|, b = |sq_2|, B = |SQ_2| for the root lengths
 of two double squares one position apart, the thirteen possible orderings
@@ -10,8 +10,13 @@ reduce to exactly two feasible shapes:
 Everything else (cases 1-11) contradicts the structure of double squares.
 Such a pair is listed as ``INFEASIBLE`` with its case and no checks.  A
 feasible pair carries its relation checks, evaluated and reported, not
-asserted.  Every pair carries its mate.  Nothing here makes a finding:
-``sweep.check_word`` writes every finding text.
+asserted.  Every pair carries its mate.
+
+``check_word`` is the one definition of a word's findings: it checks every
+property of ``ALL_PROPERTIES`` and writes every finding text, for
+``fsdsq verify``, ``fsdsq analyze`` and the constructions of ``fsdsq
+generate`` alike.  The sweep calls it only on words with a position where
+s_i >= 2, since no other word can raise a finding.
 
 The long square slides right exactly when one more letter agrees.  With
 SQ_1^2 = w[i:i+2A] (0-based), w[j] = w[j+A] for i <= j < i+A; a square of
@@ -31,8 +36,23 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .double_squares import FsDoubleSquare, MateClassification, classify_mate_detail
-from .words import are_conjugate
+from .census import runs_of_two
+from .double_squares import (FsDoubleSquare, MateClassification, MateLabel,
+                             classify_mate_detail, find_fs_double_squares)
+from .errors import CounterexampleError
+from .words import Word, are_conjugate
+
+ALL_PROPERTIES = (
+    "census_max_two",
+    "distinct_below_twice_length",
+    "factorization_roundtrip",
+    "pair_shapes",
+    "equal_pair_checks",
+    "unequal_pair_checks",
+    "adjacent_mates",
+    "pair_end_order",
+    "run_length_bound",
+)
 
 
 class PairKind(Enum):
@@ -164,7 +184,7 @@ def find_double_square_pairs(squares: list[FsDoubleSquare]) -> list[PairClassifi
     lists them.
 
     A pair matching neither feasible shape is classified ``INFEASIBLE``
-    with its case label and no checks; ``sweep.check_word`` writes its
+    with its case label and no checks; ``check_word`` writes its
     ``pair_shapes`` finding.
     """
     out: list[PairClassification] = []
@@ -178,3 +198,69 @@ def find_double_square_pairs(squares: list[FsDoubleSquare]) -> list[PairClassifi
                                       classify_mate_detail(first, second)))
     return out
 
+
+@dataclass(frozen=True, slots=True)
+class WordCheck:
+    """What ``check_word`` found: the FS-double squares, the adjacent pairs
+    with their mates, the longest run of 2's and the findings as (property,
+    detail) pairs."""
+
+    squares: tuple[FsDoubleSquare, ...]
+    pairs: tuple[PairClassification, ...]
+    run: int
+    findings: tuple[tuple[str, str], ...]
+
+
+def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
+    """Check every property of ``ALL_PROPERTIES`` on ``word``, given its
+    distinct-square count and a rightmost-root map (1-based positions) with
+    every position where s_i >= 2, which gives the largest s_i and the runs
+    of 2's.  A position that does not factor is a finding that leaves no
+    squares and no pairs; otherwise every adjacent pair, infeasible ones
+    included, gets its checks, end order and mate.  A case-10 pair (b = A)
+    is a gamma mate unless p1 = 1 and |x1 x2| = 2 (gamma needs 2 < p1 |x1 x2|
+    at distance 2), and then epsilon, as x1 and x2 are distinct letters.  So
+    ``pair_shapes`` and ``adjacent_mates`` report the same pair twice, and
+    both findings stay: each claim is checked on its own.  Every check
+    reads only the positions with s_i >= 2: the largest s_i is tested
+    against 2, runs count only 2's, and only those positions factor."""
+    n = len(word)
+    roots = {k: ps for k, ps in roots.items() if len(ps) >= 2}
+    max_s = max(map(len, roots.values()), default=0)
+    run = max((length for _, length in runs_of_two(roots)), default=0)
+    findings: list[tuple[str, str]] = []
+    if max_s > 2:
+        findings.append(("census_max_two", f"max s_i = {max_s}"))
+    if n and distinct >= 2 * n:
+        findings.append(("distinct_below_twice_length",
+                         f"{distinct} distinct squares at length {n}"))
+    if n and 7 * run >= n:
+        findings.append(("run_length_bound", f"7*{run} >= {n}"))
+    squares: list[FsDoubleSquare] = []
+    try:
+        squares = find_fs_double_squares(word, roots)
+    except CounterexampleError as exc:
+        findings.append(("factorization_roundtrip", str(exc)))
+    pairs = find_double_square_pairs(squares)
+    for pair in pairs:
+        first, second = pair.first, pair.second
+        if pair.kind is PairKind.INFEASIBLE:
+            findings.append(("pair_shapes", f"adjacent double squares at position {pair.position} "
+                             f"of {word.text!r} realise infeasible length ordering case {pair.case}: "
+                             f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})"))
+        elif not pair.all_checks_pass:
+            failed = [c.name for c in pair.checks if not c.passed]
+            findings.append((f"{pair.kind.value}_pair_checks",
+                             f"position {pair.position}: failed {failed}"))
+        if second.end <= first.end:
+            findings.append(("pair_end_order",
+                             f"position {pair.position}: second square does not end after first"))
+        if pair.mate is None:
+            findings.append(("adjacent_mates",
+                             f"double squares at positions {first.position} and "
+                             f"{second.position} (roots {first.sq_len}/{first.SQ_len} and "
+                             f"{second.sq_len}/{second.SQ_len}) fit no mate category"))
+        elif pair.mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
+            findings.append(("adjacent_mates",
+                             f"position {pair.position}: mate {pair.mate.label.value}"))
+    return WordCheck(tuple(squares), tuple(pairs), run, tuple(findings))

@@ -12,13 +12,8 @@ every old s_i and m_i exact: both depend only on letters at i and to its
 right.  So a word costs one call of the census step of ``census.py`` for
 its new first position.  The rest is carried down the depth-first search
 in O(1) per word: the distinct-square count and the rightmost roots of
-every position with s_i >= 2, off which the runs of 2's, the largest s_i
-and the structure analysis are read without rescanning.
-
-``check_word`` is the one definition of a word's findings: it checks every
-property of ``ALL_PROPERTIES`` and is shared with ``fsdsq analyze`` and the
-constructions of ``fsdsq generate``.  The sweep calls it only on words with
-a position where s_i >= 2, since no other word can raise a finding.
+every position with s_i >= 2, off which ``pairs.check_word`` reads the
+runs of 2's, the largest s_i and the structure without rescanning.
 
 One count measures what a sweep costs: its number of canonical words of
 each length, from ``_length_counts``.  It alone decides whether a sweep is
@@ -57,10 +52,9 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .census import _census_step, runs_of_two
-from .double_squares import FsDoubleSquare, MateLabel, find_fs_double_squares
-from .errors import CostCeilingError, CounterexampleError
-from .pairs import PairClassification, PairKind, find_double_square_pairs
+from .census import _census_step
+from .errors import CostCeilingError
+from .pairs import ALL_PROPERTIES, PairKind, check_word
 from .words import Word
 
 # A sweep of more canonical words than this is refused unless overridden.
@@ -77,19 +71,6 @@ BLOCK_SUFFIX_LEN = 7
 WORDS_PER_WORKER = 10_000
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
-
-ALL_PROPERTIES = (
-    "census_max_two",
-    "distinct_below_twice_length",
-    "factorization_roundtrip",
-    "pair_shapes",
-    "equal_pair_checks",
-    "unequal_pair_checks",
-    "adjacent_mates",
-    "pair_end_order",
-    "run_length_bound",
-)
-
 
 @dataclass(slots=True)
 class LengthStats:
@@ -319,75 +300,6 @@ def _process_block(args: tuple) -> tuple[str, dict]:
     elif b > 1:
         _walk(alphabet_size, b - 1, b"", visit)
     return block_id, {"lengths": lengths, "findings": findings}
-
-
-# ----------------------------------------------------------------- findings
-
-@dataclass(frozen=True, slots=True)
-class WordCheck:
-    """What ``check_word`` found: the FS-double squares, the adjacent pairs
-    with their mates, the longest run of 2's and the findings as (property,
-    detail) pairs."""
-
-    squares: tuple[FsDoubleSquare, ...]
-    pairs: tuple[PairClassification, ...]
-    run: int
-    findings: tuple[tuple[str, str], ...]
-
-
-def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
-    """Check every property of ``ALL_PROPERTIES`` on ``word``, given its
-    distinct-square count and a rightmost-root map (1-based positions) with
-    every position where s_i >= 2, which gives the largest s_i and the runs
-    of 2's.  A position that does not factor is a finding that leaves no
-    squares and no pairs; otherwise every adjacent pair, infeasible ones
-    included, gets its checks, end order and mate.  A case-10 pair (b = A)
-    is a gamma mate unless p1 = 1 and |x1 x2| = 2 (gamma needs 2 < p1 |x1 x2|
-    at distance 2), and then epsilon, as x1 and x2 are distinct letters.  So
-    ``pair_shapes`` and ``adjacent_mates`` report the same pair twice, and
-    both findings stay: each claim is checked on its own.  Every check
-    reads only the positions with s_i >= 2: the largest s_i is tested
-    against 2, runs count only 2's, and only those positions factor."""
-    n = len(word)
-    roots = {k: ps for k, ps in roots.items() if len(ps) >= 2}
-    max_s = max(map(len, roots.values()), default=0)
-    run = max((length for _, length in runs_of_two(roots)), default=0)
-    findings: list[tuple[str, str]] = []
-    if max_s > 2:
-        findings.append(("census_max_two", f"max s_i = {max_s}"))
-    if n and distinct >= 2 * n:
-        findings.append(("distinct_below_twice_length",
-                         f"{distinct} distinct squares at length {n}"))
-    if n and 7 * run >= n:
-        findings.append(("run_length_bound", f"7*{run} >= {n}"))
-    squares: list[FsDoubleSquare] = []
-    try:
-        squares = find_fs_double_squares(word, roots)
-    except CounterexampleError as exc:
-        findings.append(("factorization_roundtrip", str(exc)))
-    pairs = find_double_square_pairs(squares)
-    for pair in pairs:
-        first, second = pair.first, pair.second
-        if pair.kind is PairKind.INFEASIBLE:
-            findings.append(("pair_shapes", f"adjacent double squares at position {pair.position} "
-                             f"of {word.text!r} realise infeasible length ordering case {pair.case}: "
-                             f"({first.sq_len}, {first.SQ_len}, {second.sq_len}, {second.SQ_len})"))
-        elif not pair.all_checks_pass:
-            failed = [c.name for c in pair.checks if not c.passed]
-            findings.append((f"{pair.kind.value}_pair_checks",
-                             f"position {pair.position}: failed {failed}"))
-        if second.end <= first.end:
-            findings.append(("pair_end_order",
-                             f"position {pair.position}: second square does not end after first"))
-        if pair.mate is None:
-            findings.append(("adjacent_mates",
-                             f"double squares at positions {first.position} and "
-                             f"{second.position} (roots {first.sq_len}/{first.SQ_len} and "
-                             f"{second.sq_len}/{second.SQ_len}) fit no mate category"))
-        elif pair.mate.label not in (MateLabel.ALPHA, MateLabel.DELTA):
-            findings.append(("adjacent_mates",
-                             f"position {pair.position}: mate {pair.mate.label.value}"))
-    return WordCheck(tuple(squares), tuple(pairs), run, tuple(findings))
 
 
 # --------------------------------------------------------------- checkpoint

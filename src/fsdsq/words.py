@@ -72,9 +72,10 @@ class Word:
             return f"Word({list(self.codes)!r})"
 
 
-def lcp(u: Word, v: Word) -> int:
-    """Length of the longest common prefix of two words."""
-    a, b = u.codes, v.codes
+def lcp(u: Word | bytes, v: Word | bytes) -> int:
+    """Length of the longest common prefix of two words or their bytes."""
+    a = u.codes if isinstance(u, Word) else u
+    b = v.codes if isinstance(v, Word) else v
     m = min(len(a), len(b))
     if a[:m] == b[:m]:
         return m

@@ -290,7 +290,7 @@ class TestAnalyze:
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
         first = squares_of(Word.from_text(EQUAL_17))[0]
         second = FsDoubleSquare(2, squares_of(Word.from_text("abaababaab"))[0].factorization)
-        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
+        monkeypatch.setattr(fsdsq.pairs, "find_fs_double_squares",
                             lambda word, roots: [first, second])
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert code == 2
@@ -315,7 +315,7 @@ class TestAnalyze:
         def planted(word, roots):
             raise CounterexampleError("planted")
 
-        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
+        monkeypatch.setattr(fsdsq.pairs, "find_fs_double_squares", planted)
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert code == 2
         payload = json.loads(out)
@@ -641,7 +641,7 @@ class TestCensusCounts:
     def test_check_word_runs_none(self, census_calls):
         report = fsdsq.census.s_sequence(Word.from_text(EQUAL_17))
         census_calls.clear()
-        check = fsdsq.sweep.check_word(report.word, report.roots,
+        check = fsdsq.pairs.check_word(report.word, report.roots,
                                        report.distinct_square_count)
         assert check.findings == ()
         assert census_calls == []

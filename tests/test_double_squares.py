@@ -279,6 +279,16 @@ class TestEquality:
             hash(fs)
 
 
+class TestRepr:
+    def test_found_and_hand_built_records(self):
+        (fs,) = squares_of(W("abaababaab"))
+        assert repr(fs) == (
+            "FsDoubleSquare(1, Factorization(x1=Word('a'), x2=Word('b'), p1=1, p2=1))")
+        hand = FsDoubleSquare(2, Factorization(W("ab"), W("b"), 1, 1))
+        assert repr(hand) == (
+            "FsDoubleSquare(2, Factorization(x1=Word('ab'), x2=Word('b'), p1=1, p2=1))")
+
+
 @st.composite
 def factorizations(draw):
     x1 = draw(st.text(alphabet="abc", min_size=1, max_size=4))
@@ -338,6 +348,18 @@ class TestMates:
         assert (first.sq_len, first.SQ_len, second.sq_len) == (7, 9, 11)
         assert fsdsq.double_squares._delta_prefix_rule(first, second) is None
         assert classify_mate_detail(first, second) is None
+
+    @pytest.mark.parametrize("k,label", [(3, None), (4, MateLabel.EPSILON),
+                                         (5, MateLabel.EPSILON)])
+    def test_epsilon_threshold_counts_the_lcp(self, k, label):
+        # roots 8/11 split as (ab, a, 2, 1): epsilon needs k >= (2 - 1)*3 +
+        # lcp(aba, aab) = 4; the second square over other letters has a
+        # short root of 13 letters, past 11, and matches no delta rule
+        first = FsDoubleSquare(1, Factorization(W("ab"), W("a"), 2, 1))
+        second = FsDoubleSquare(k, Factorization(W("c"), W("d"), 6, 1))
+        assert (first.sq_len, first.SQ_len, second.sq_len) == (8, 11, 13)
+        mate = classify_mate_detail(first, second)
+        assert (mate and mate.label) is label
 
     def test_order_precondition(self):
         first, second = squares_of(W(EQUAL_17))

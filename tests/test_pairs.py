@@ -2,7 +2,7 @@ from os.path import commonprefix
 
 import pytest
 
-import fsdsq.sweep
+import fsdsq.pairs
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run
 from fsdsq.double_squares import Factorization, FsDoubleSquare, classify_mate_detail
@@ -143,7 +143,7 @@ class TestEqualChecks:
             return pairs
 
         with monkeypatch.context() as patch:
-            patch.setattr(fsdsq.sweep, "find_double_square_pairs", collect)
+            patch.setattr(fsdsq.pairs, "find_double_square_pairs", collect)
             exhaustive_verify(alphabet_size=2, max_len=14)
             exhaustive_verify(alphabet_size=3, max_len=9)
         closed = [p for t in range(1, 61) for p in _equal_pairs(build_run(t).word)]
@@ -301,7 +301,7 @@ class TestAgainstReference:
                 self.compare(word, pairs)
             return pairs
 
-        monkeypatch.setattr(fsdsq.sweep, "find_double_square_pairs", collect)
+        monkeypatch.setattr(fsdsq.pairs, "find_double_square_pairs", collect)
         exhaustive_verify(alphabet_size=2, max_len=18)
         assert len(seen) == 4
 

@@ -9,15 +9,16 @@ from pathlib import Path
 import pytest
 
 import fsdsq
+import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.double_squares import FsDoubleSquare, find_fs_double_squares
-from fsdsq.pairs import Check, PairKind, find_double_square_pairs
+from fsdsq.pairs import ALL_PROPERTIES, Check, PairKind, check_word, find_double_square_pairs
 from fsdsq.construct import build_run
-from fsdsq.sweep import (ALL_PROPERTIES, LengthStats, SweepReport, _length_counts,
-                         _plan_blocks, _process_block, check_word, exhaustive_verify)
+from fsdsq.sweep import (LengthStats, SweepReport, _length_counts, _plan_blocks, _process_block,
+                         exhaustive_verify)
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
@@ -564,7 +565,7 @@ class TestLeftExtensionSweep:
         def planted(word, roots):
             raise CounterexampleError("planted")
 
-        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares", planted)
+        monkeypatch.setattr(fsdsq.pairs, "find_fs_double_squares", planted)
         monkeypatch.setattr(fsdsq.sweep, "WORDS_PER_WORKER", 1)  # a real pool at jobs=2
         expected = [text for n in range(1, 13) for text in canonical_words(2, n)
                     if max(s_sequence(Word.from_text(text)).s, default=0) >= 2]
@@ -756,7 +757,7 @@ class TestCheckWord:
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
         first = squares_of(Word.from_text(EQUAL_17))[0]
         second = FsDoubleSquare(2, squares_of(Word.from_text("abaababaab"))[0].factorization)
-        monkeypatch.setattr(fsdsq.sweep, "find_fs_double_squares",
+        monkeypatch.setattr(fsdsq.pairs, "find_fs_double_squares",
                             lambda word, roots: [first, second])
         names |= emitted(EQUAL_17)  # pair_end_order
         assert names == set(ALL_PROPERTIES)

@@ -157,6 +157,7 @@ class TestLcp:
     ])
     def test_examples(self, u, v, expected):
         assert lcp(W(u), W(v)) == expected
+        assert lcp(W(u).codes, W(v).codes) == lcp(W(u), W(v).codes) == expected
 
     @given(texts, texts)
     def test_symmetric_and_bounded(self, a, b):
