@@ -13,7 +13,10 @@ right.  So a word costs one call of the census step of ``census.py`` for
 its new first position.  The rest is carried down the depth-first search
 in O(1) per word: the distinct-square count and the rightmost roots of
 every position with s_i >= 2, off which ``pairs.check_word`` reads the
-runs of 2's, the largest s_i and the structure without rescanning.
+runs of 2's, the largest s_i and the structure without rescanning.  The
+words of the last length, half or more of a sweep over two or more
+letters, skip the walk's stack: a loop visits them right after their
+parent, and their visit results are not read.
 
 One count measures what a sweep costs: its number of canonical words of
 each length, from ``_length_counts``.  It alone decides whether a sweep is
@@ -40,7 +43,8 @@ order or checkpoint resume points.  The checkpoint file is line-oriented
 text: a header that records b, then one ``block`` line appended and flushed
 per completed block.  A resume drops a trailing line that a crash cut short
 and recomputes that block.  A checkpoint of another sweep or block plan, or
-one naming a block outside the plan, is refused before it is written.
+one with a record of a block outside the plan or of other lengths or word
+counts than its block's, is refused before it is written.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from .pairs import ALL_PROPERTIES, PairKind, check_word
 from .words import Word
 
 # A sweep of more canonical words than this is refused unless overridden.
-# It is the binary count to length 18.  A word costs 2 to 3 us of one CPU on
-# any alphabet from 2 to 26 letters, so every sweep under it takes less than
-# a second (the measured table is in CHANGES.md).
+# It is the binary count to length 18.  A word costs 1.5 to 2.5 us of one CPU
+# on any alphabet from 2 to 26 letters, so every sweep under it takes less
+# than a second (the measured table is in CHANGES.md).
 MAX_SWEEP_WORDS = 262_143
 # The longest block suffix; ``_plan_blocks`` picks the one used, which the
 # checkpoint header records as ``block_prefix_len``.
@@ -75,7 +79,8 @@ CHECKPOINT_VERSION = 2
 @dataclass(slots=True)
 class LengthStats:
     """Aggregates over the words of one length; ``run_hist`` counts them by longest run
-    of 2's.  The sweep updates it word by word and ``merge`` adds another block's."""
+    of 2's.  A block's walk updates it for each word with a double square, its
+    counts are completed when the walk ends, and ``merge`` adds another block's."""
 
     max_distinct_squares: int = 0
     run_hist: dict = field(default_factory=dict)
@@ -183,7 +188,10 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     largest s_i.  The walk descends below a word only if ``visit`` returns
     true.  The words still to visit wait on a stack of its own, children
     pushed last letter first, so at any length the visit order is a
-    recursion's: pre-order, letters ascending.
+    recursion's: pre-order, letters ascending.  The words of the last
+    level, at index 0, skip the stack: a loop visits them right after their
+    parent, and their visit results are not read, since they have no
+    children.
     """
     L = max_len
     buf = bytearray(L)
@@ -210,31 +218,51 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
         if i > first:
             c = buf[i - 1]
             stack.append((i - 1, c, c if c > used else used, m, j, distinct))
-        elif visit(buf, i, distinct, doubles) and i:
-            for c in range(min(used + 1, top), -1, -1):
-                stack.append((i - 1, c, c if c > used else used, m, j, distinct))
+        elif visit(buf, i, distinct, doubles):
+            if i > 1:
+                for c in range(min(used + 1, top), -1, -1):
+                    stack.append((i - 1, c, c if c > used else used, m, j, distinct))
+            elif i:  # children at index 0 have none: visit them here, letters ascending
+                for c in range(min(used + 1, top) + 1):
+                    buf[0] = c
+                    ps = step(0, m, j)[2]
+                    if len(ps) < 2:
+                        visit(buf, 0, distinct + len(ps), doubles)
+                    else:
+                        doubles[0] = ps
+                        visit(buf, 0, distinct + len(ps), doubles)
+                        del doubles[0]
 
 
 # ------------------------------------------------------------------- counts
 
-def _length_counts(alphabet_size: int, max_len: int):
+def _length_counts(alphabet_size: int, max_len: int, used: int = 1):
     """Yield the number of right-canonical words of each length 1, ...,
     ``max_len``.  Let g(k, u) be the number of ways to prepend k letters to
     a right-canonical word that uses u distinct letters and keep it
     right-canonical.  The letter next to the word is one of its u letters
     or, while u < a, the next new one, so g(0, u) = 1 and g(k, u) =
     u g(k-1, u) + [u < a] g(k-1, u+1).  A word of length k + 1 is "a" with
-    k letters prepended, so there are g(k, 1) of them.  A word of at most
-    ``max_len`` letters uses at most ``max_len`` of them, so a is capped
-    there; that leaves every g(k, u) with u + k <= ``max_len`` exact, and
-    g(k, 1) for k < ``max_len`` are among them.  Summed, the counts give the
-    words up to renaming: sums of Stirling numbers of the second kind."""
-    a = min(alphabet_size, max_len)
+    k letters prepended, so there are g(k, 1) of them.  With ``used`` = u
+    the counts are g(0, u), ..., g(``max_len`` - 1, u) instead: the words
+    of each length from that of a suffix over u letters on, that end in it.
+    g(k, u) reads no g(k', u') with u' + k' > u + k, so a is capped at
+    ``max_len`` + u - 1; that leaves every count yielded exact.  Summed,
+    the counts from u = 1 give the words up to renaming: sums of Stirling
+    numbers of the second kind."""
+    a = min(alphabet_size, max_len + used - 1)
     row = [1] * (a + 1)
-    yield 1
-    for _ in range(max_len - 1):
+    for _ in range(max_len):
+        yield row[used]
         row = [u * row[u] + (row[u + 1] if u < a else 0) for u in range(a + 1)]
-        yield row[1]
+
+
+def _block_counts(alphabet_size: int, max_len: int, b: int, block_id: str) -> dict[int, int]:
+    """The exact number of words of each length in a block: lengths 1 to
+    b - 1 for the block "", and b to ``max_len`` for a suffix."""
+    if not block_id:
+        return dict(enumerate(_length_counts(alphabet_size, b - 1), 1))
+    return dict(enumerate(_length_counts(alphabet_size, max_len - b + 1, len(set(block_id))), b))
 
 
 # ------------------------------------------------------------------- blocks
@@ -270,35 +298,44 @@ def _usable_cpus() -> int:
 
 def _process_block(args: tuple) -> tuple[str, dict]:
     alphabet_size, max_len, b, block_id = args
-    lengths: dict[int, LengthStats] = {}
+    size = max_len if block_id else b - 1  # the walk's buffer; index i is length size - i
+    words = [0] * size  # by buffer index: the words, and the largest distinct count
+    most = [0] * size
+    stats: dict[int, LengthStats] = {}  # by buffer index, for the words with doubles
     findings: list[tuple[str, str, str]] = []
 
     def visit(buf, i, distinct, doubles):
-        n = len(buf) - i
-        st = lengths.get(n)
-        if st is None:
-            st = lengths[n] = LengthStats()
-        if distinct > st.max_distinct_squares:
-            st.max_distinct_squares = distinct
-        st.double_square_positions += len(doubles)
-        run = 0
+        words[i] += 1
+        if distinct > most[i]:
+            most[i] = distinct
         # s_i > 2, a run and distinct >= 2n need some s_i >= 2: else distinct <= n.
         if doubles:
+            st = stats.get(i)
+            if st is None:
+                st = stats[i] = LengthStats()
+            st.double_square_positions += len(doubles)
             word = Word(_left_canonical(buf[i:]))
             roots = {k - i + 1: ps for k, ps in doubles.items()}
             checked = check_word(word, roots, distinct)
-            run = checked.run
             kinds = [pair.kind for pair in checked.pairs]
             st.pairs_equal += kinds.count(PairKind.EQUAL)
             st.pairs_unequal += kinds.count(PairKind.UNEQUAL)
             findings.extend((prop, word.text, detail) for prop, detail in checked.findings)
-        st.run_hist[run] = st.run_hist.get(run, 0) + 1
+            st.run_hist[checked.run] = st.run_hist.get(checked.run, 0) + 1
         return True
 
     if block_id:
         _walk(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
-    elif b > 1:
-        _walk(alphabet_size, b - 1, b"", visit)
+    elif size:
+        _walk(alphabet_size, size, b"", visit)
+    lengths: dict[int, LengthStats] = {}
+    for i in range(size - 1, -1, -1):
+        if words[i]:
+            st = lengths[size - i] = stats.get(i) or LengthStats()
+            st.max_distinct_squares = most[i]
+            # a run of 0 is every word without doubles and those with doubles but no run
+            if zero := words[i] - sum(c for t, c in st.run_hist.items() if t):
+                st.run_hist[0] = zero
     return block_id, {"lengths": lengths, "findings": findings}
 
 
@@ -323,13 +360,15 @@ def _block_line(block_id: str, partial: dict) -> str:
     return f"block\t{block_id or '-'}\t{json.dumps(payload, sort_keys=True)}\n"
 
 
-def _open_checkpoint(path: str, header: str, blocks: list[str]):
+def _open_checkpoint(path: str, alphabet_size: int, max_len: int, b: int, blocks: list[str]):
     """The blocks the checkpoint at ``path`` records, and the file opened
-    for appending.  A missing file, or a start of ``header`` with no
+    for appending.  A missing file, or a start of the sweep's header with no
     newline, starts fresh.  A trailing line without its newline was cut
     short: it is cut off and its block recomputed.  A first line that is not
-    ``header``, or a later line that is no record of a block in ``blocks``,
-    is refused before the file is written."""
+    the header, or a later line that is no record of a block in ``blocks``,
+    is refused before the file is written.  So is a record whose lengths or
+    word counts are not exactly its block's, from ``_block_counts``."""
+    header = _checkpoint_header(alphabet_size, max_len, b)
     data = b""
     if os.path.exists(path):
         with open(path, "rb") as fh:
@@ -362,9 +401,13 @@ def _open_checkpoint(path: str, header: str, blocks: list[str]):
             if kind != "block" or block_id not in blocks:
                 raise ValueError(kind, block_id)
             record = json.loads(payload)
+            lengths = {int(n): LengthStats.from_json_dict(st)
+                       for n, st in record["lengths"].items()}
+            if ({n: st.words for n, st in lengths.items()}
+                    != _block_counts(alphabet_size, max_len, b, block_id)):
+                raise ValueError(block_id, "word counts")
             done[block_id] = {
-                "lengths": {int(n): LengthStats.from_json_dict(st)
-                            for n, st in record["lengths"].items()},
+                "lengths": lengths,
                 "findings": [tuple(f) for f in record["findings"]],
             }
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -397,7 +440,7 @@ def exhaustive_verify(alphabet_size: int, max_len: int, *, checkpoint_path: str 
     done: dict[str, dict] = {}
     checkpoint = None
     if checkpoint_path is not None:
-        done, checkpoint = _open_checkpoint(checkpoint_path, _checkpoint_header(a, n, b), blocks)
+        done, checkpoint = _open_checkpoint(checkpoint_path, a, n, b, blocks)
     args = [(a, n, b, block_id) for block_id in blocks if block_id not in done]
     workers = min(parallelism, len(args), _usable_cpus())
     if workers > 1:  # at most one worker per WORDS_PER_WORKER words still to sweep

@@ -530,6 +530,9 @@ class TestVerify:
     @pytest.mark.parametrize("alphabet_size,max_len,digest", [
         ("2", "14", "f94fba626c22c1d537c34471a74fe9f5e664d95ca93ae363e7b4a62885cbf285"),
         ("3", "10", "5262bee081b656e38230e8a8387f474bd35158b6ed88566e9e710a1854c09613"),
+        # 14,822 and 4,977 words, about 3/4 of each at the last length
+        ("4", "9", "2106c213e1d535d0f2cdcca26853933ede5544f848fb1e546ef782afe5da6a79"),
+        ("5", "8", "9f184a9cc7d677317f6e99390b0da390445dcbefc46a59d97f0bc732a75e3912"),
     ])
     def test_deterministic_json_is_pinned(self, capsys, alphabet_size, max_len, digest,
                                           jobs):

@@ -17,8 +17,8 @@ from fsdsq.errors import CostCeilingError, CounterexampleError
 from fsdsq.double_squares import FsDoubleSquare, find_fs_double_squares
 from fsdsq.pairs import ALL_PROPERTIES, Check, PairKind, check_word, find_double_square_pairs
 from fsdsq.construct import build_run
-from fsdsq.sweep import (LengthStats, SweepReport, _length_counts, _plan_blocks, _process_block,
-                         exhaustive_verify)
+from fsdsq.sweep import (LengthStats, SweepReport, _block_counts, _block_line, _left_canonical,
+                         _length_counts, _plan_blocks, _process_block, exhaustive_verify)
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
@@ -136,13 +136,16 @@ class TestWordCount:
     def test_block_words_match_walk(self, alphabet_size, max_len, block_len, monkeypatch):
         # a resumed sweep's pending words are the count less the words its
         # checkpoint's blocks record, exact because the blocks' stats sum
-        # to the count under every plan
+        # to the count under every plan; a loaded record must give each
+        # length of its block the count that _block_counts gives
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
         b, blocks = _plan_blocks(alphabet_size, max_len)
         recorded = 0
         for block_id in blocks:
             _, partial = _process_block((alphabet_size, max_len, b, block_id))
-            recorded += sum(st.words for st in partial["lengths"].values())
+            counts = {n: st.words for n, st in partial["lengths"].items()}
+            assert counts == _block_counts(alphabet_size, max_len, b, block_id)
+            recorded += sum(counts.values())
         assert recorded == sum(_length_counts(alphabet_size, max_len))
 
 
@@ -438,6 +441,33 @@ class TestDeterminism:
             f"error: checkpoint {ck} line 2 is not a block record\n")
         assert ck.read_bytes() == data
 
+    @pytest.mark.parametrize("line", [2, 3], ids=["shorter", "suffix"])
+    @pytest.mark.parametrize("edit", ["count", "missing", "extra"])
+    def test_forged_word_counts_refused(self, tmp_path, capsys, line, edit):
+        # a record that parses but does not count its block's words exactly
+        ck = tmp_path / "sweep.ck"
+        argv = ["verify", "--alphabet-size", "3", "--max-len", "8", "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        lines = ck.read_bytes().split(b"\n")
+        kind, block_id, payload = lines[line - 1].split(b"\t", 2)
+        record = json.loads(payload)
+        lengths = record["lengths"]
+        first, last = min(lengths, key=int), max(lengths, key=int)
+        if edit == "count":
+            lengths[first]["run_hist"]["0"] += 90
+        elif edit == "missing":
+            del lengths[first]
+        else:
+            lengths[str(int(last) + 1)] = lengths[last]
+        lines[line - 1] = b"\t".join([kind, block_id, json.dumps(record).encode()])
+        data = b"\n".join(lines)
+        ck.write_bytes(data)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ck} line {line} is not a block record\n")
+        assert ck.read_bytes() == data
+
     def test_checkpoint_is_appended_not_rewritten(self, tmp_path, monkeypatch, crash_after):
         monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", 4)
         ck = tmp_path / "sweep.ck"
@@ -467,6 +497,55 @@ def _reference_per_length(alphabet_size, max_len):
                 elif pair.kind is PairKind.UNEQUAL:
                     st.pairs_unequal += 1
     return out
+
+
+def _reference_process_block(args):
+    """``_process_block`` with one ``LengthStats`` per length, updated word by
+    word, and a ``check_word`` run on every word with a double square."""
+    alphabet_size, max_len, b, block_id = args
+    lengths = {}
+    findings = []
+
+    def visit(buf, i, distinct, doubles):
+        st = lengths.setdefault(len(buf) - i, LengthStats())
+        st.max_distinct_squares = max(st.max_distinct_squares, distinct)
+        st.double_square_positions += len(doubles)
+        run = 0
+        if doubles:
+            word = Word(_left_canonical(buf[i:]))
+            checked = check_word(word, {k - i + 1: ps for k, ps in doubles.items()}, distinct)
+            run = checked.run
+            kinds = [pair.kind for pair in checked.pairs]
+            st.pairs_equal += kinds.count(PairKind.EQUAL)
+            st.pairs_unequal += kinds.count(PairKind.UNEQUAL)
+            findings.extend((prop, word.text, detail) for prop, detail in checked.findings)
+        st.run_hist[run] = st.run_hist.get(run, 0) + 1
+        return True
+
+    if block_id:
+        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
+    elif b > 1:
+        fsdsq.sweep._walk(alphabet_size, b - 1, b"", visit)
+    return block_id, {"lengths": lengths, "findings": findings}
+
+
+class TestBlockRecords:
+    """A block's record, counted by buffer index, against a visitor that
+    keeps one record per length word by word."""
+
+    @pytest.mark.parametrize("alphabet_size,max_len", [
+        (1, 40), (2, 14), (3, 10), (4, 9), (5, 8),
+        *[(a, n) for a in (1, 2, 3) for n in (1, 2, 3)],  # the empty and b == 1 blocks
+    ])
+    @pytest.mark.parametrize("block_len", [1, 3, 7])
+    def test_block_lines_match_the_per_word_visitor(self, alphabet_size, max_len, block_len,
+                                                      monkeypatch):
+        monkeypatch.setattr(fsdsq.sweep, "BLOCK_SUFFIX_LEN", block_len)
+        b, blocks = _plan_blocks(alphabet_size, max_len)
+        for block_id in blocks:
+            args = (alphabet_size, max_len, b, block_id)
+            assert _block_line(*_process_block(args)) == _block_line(
+                *_reference_process_block(args))
 
 
 def _read_off(doubles):
@@ -677,9 +756,15 @@ class TestWalk:
     @pytest.mark.parametrize("alphabet_size,max_len,suffix,prune", [
         (2, 10, "", False), (3, 7, "", False),
         (2, 12, "abbababbabbababba"[-7:], False), (3, 7, "", True),
+        # at the next-to-last length, whose children the walk visits in a loop
+        (3, 7, "", "next-to-last"), (2, 10, "", "next-to-last b"),
     ])
     def test_visit_order_matches_a_recursion(self, alphabet_size, max_len, suffix, prune):
         def keep(text):
+            if prune == "next-to-last":
+                return len(text) != max_len - 1
+            if prune == "next-to-last b":
+                return len(text) != max_len - 1 or not text.startswith("b")
             return not (prune and text.startswith("b"))
 
         seen = []
@@ -690,7 +775,11 @@ class TestWalk:
 
         fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
         assert seen == _reference_order(alphabet_size, max_len, suffix, keep)
-        assert not prune or any(t.startswith("b") and len(t) < max_len for t in seen)
+        rejected = {t for t in seen if not keep(t)}
+        assert not prune or any(len(t) < max_len for t in rejected)
+        assert not any(t[1:] in rejected for t in seen)  # no child of a rejected word
+        if prune == "next-to-last b":
+            assert any(len(t) == max_len for t in seen)
 
 
 class TestExtremalRatio:
