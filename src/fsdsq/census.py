@@ -89,37 +89,56 @@ scan cheap:
   returns at i - K, so the scan resumes with the step at i - K - 1, if
   K < i, whose witness test fails as codes[j-K-1] != codes[i-K-1].  The
   witness step never reads m_{i-t} from the automaton, so nothing inside
-  the chain needs it.
+  the chain needs it.  The chain's writes split by the residue r of M mod
+  2d: the M of one residue are 2d apart, so their positions i - t = i + m
+  - M are 2d apart too, and their roots (M//2d + 1)d are d apart.  So each
+  r in [d, 2d) is one extended slice of positions with stride 2d, s = 1 and
+  the roots a descending ``range`` with step d; the r < d keep s = 0.
 
 ``_census_step`` is the one implementation of the witness step and the
 root window.  ``_census_scan`` takes every m_i from ``_later_matches``, the
 automaton, and passes it to the step, which then makes only the bounded
 witness search or, after a witness miss, one compare.  After each step the
-scan tests the premise of the periodic chain and crosses the chain in one
-loop, without the step: on a^n the step runs twice.  The sweep's walk
+scan tests the premise of the periodic chain and crosses the chain with
+one slice write per residue class, without the step: on a^n the step runs
+twice.  The automaton is a generator that consumes one letter per m_i it
+yields, right to left.  The scan draws m_i for each position it runs the
+step at, and over a chain draws the K letters it crosses only when a step
+follows, at i - K - 1 >= 0; a chain that reaches position 0 ends the scan.
+So the automaton reads exactly the letters from the leftmost stepped
+position on: 2 on a^n, |v| and a few periods of u on u^k v, and all of
+v u^k.  The scan keeps s, the smallest root of each position (0 for none)
+and the roots of the positions with s_i >= 2 alone, so it makes no Python
+object per crossed position; ``CensusReport.roots`` rebuilds the map of
+every position with s_i > 0 from them on first read.  The sweep's walk
 prepends one letter at a time and backtracks, which an automaton built
 right to left cannot follow, so it runs the step with probes along the
 left extensions of a word.
-``runs_of_two`` reads the runs of 2's off the roots, for the census and the
-sweep alike.
+``runs_of_two`` reads the runs of 2's off the positions with s_i >= 2, for
+the census and the sweep alike.
 
 All equality decisions are exact byte comparisons, never hashes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from .words import Word
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CensusReport:
     """Full rightmost-square census of one word.
 
-    ``roots`` maps each 1-based position with s_i > 0 to the ascending root
-    lengths of the squares whose last occurrence starts there; it lets
+    ``doubles`` maps each 1-based position with s_i >= 2 to the ascending
+    root lengths of the squares whose last occurrence starts there; it lets
     structure analysis reuse the census instead of rescanning the word.
+    ``min_roots[i]`` is the smallest rightmost root length at position
+    i + 1, 0 when s_{i+1} = 0.
     """
 
     word: Word
@@ -127,7 +146,16 @@ class CensusReport:
     runs_of_two: tuple[tuple[int, int], ...]
     # Derived from ``word`` like ``s``; kept out of comparison so the report
     # stays hashable.
-    roots: dict[int, list[int]] = field(compare=False, repr=False)
+    doubles: dict[int, list[int]] = field(compare=False, repr=False)
+    min_roots: list[int] = field(compare=False, repr=False)
+
+    @cached_property
+    def roots(self) -> dict[int, list[int]]:
+        """Each 1-based position with s_i > 0 mapped to its ascending root
+        lengths, built from ``min_roots`` and ``doubles`` on first read."""
+        doubles = self.doubles
+        return {pos: doubles[pos] if count > 1 else [p]
+                for pos, (count, p) in enumerate(zip(self.s, self.min_roots), 1) if count}
 
     @property
     def distinct_square_count(self) -> int:
@@ -234,9 +262,11 @@ def _census_step(codes: bytes | bytearray):
     return step
 
 
-def _later_matches(codes: bytes) -> list[int]:
-    """m_0, ..., m_{n-1} of ``codes``, by the suffix automaton of the
-    reversed word, extended by codes[i] for i = n - 1 down to 0.
+def _later_matches(codes: bytes) -> Iterator[int]:
+    """m_{n-1}, m_{n-2}, ..., m_0 of ``codes``, one per letter consumed, by
+    the suffix automaton of the reversed word, extended by codes[i] for
+    i = n - 1 down to 0.  A generator: the automaton reads no letter left
+    of the last position its reader asks for.
 
     State 0 is a bottom state of length -1 with a transition by every letter
     to the root, state 1, so every suffix-link path meets a transition.
@@ -247,23 +277,23 @@ def _later_matches(codes: bytes) -> list[int]:
     """
     n = len(codes)
     size = 2 * n + 2
-    length = list(range(-1, n + 1)) + [0] * n
+    length = [0] * size  # length[k + 1] = k is set as letter k arrives
+    length[0] = -1
     link = [0] * size
     tables: list[list[int] | None] = [None] * 256
     every = []
     for c in set(codes):
         tables[c] = [1] + [0] * (size - 1)
         every.append(tables[c])
-    later = []
     clone = n + 1
     for cur, c in enumerate(reversed(codes), 2):
+        length[cur] = cur - 1
         t = tables[c]
         p = cur - 1
         while not t[p]:
             t[p] = cur
             p = link[p]
         m = length[p] + 1
-        later.append(m)
         q = t[p]
         if length[q] == m:
             link[cur] = q
@@ -277,8 +307,7 @@ def _later_matches(codes: bytes) -> list[int]:
                 t[p] = clone
                 p = link[p]
             link[q] = link[cur] = clone
-    later.reverse()
-    return later
+        yield m
 
 
 def _common_suffix(codes: bytes, i: int, j: int) -> int:
@@ -298,21 +327,26 @@ def _common_suffix(codes: bytes, i: int, j: int) -> int:
     return lo
 
 
-def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
-    """Counts s_i plus, for positions with s_i > 0, the rightmost root
-    lengths (1-based keys in ascending order, ascending root lengths)."""
+def _census_scan(codes: bytes) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """Counts s_i, the smallest rightmost root length at each position (0
+    for none) and, for the positions with s_i >= 2, the ascending rightmost
+    root lengths (1-based keys in ascending order)."""
     n = len(codes)
     s = [0] * n
-    found: list[tuple[int, list[int]]] = []
+    min_roots = [0] * n
+    doubles: list[tuple[int, list[int]]] = []
     later = _later_matches(codes)
     step = _census_step(codes)
     m, j = -1, n
-    i = n - 1
-    while i >= 0:
-        m, j, ps = step(i, m, j, later[i])
+    i = n
+    for mi in later:
+        i -= 1
+        m, j, ps = step(i, m, j, mi)
         if ps:
             s[i] = len(ps)
-            found.append((i + 1, ps))
+            min_roots[i] = ps[0]
+            if len(ps) > 1:
+                doubles.append((i + 1, ps))
         if j > i and 2 * (j - i) <= m + 3 and i and codes[i - 1] == codes[j - 1]:
             # A periodic chain: positions i - 1 .. i - k take the witness
             # step, and each has at most one root (the module docstring).
@@ -320,15 +354,20 @@ def _census_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
             d = j - i
             dd = 2 * d
             top = i + m  # m_{i-t} = m + t, so position i - t is top - m_{i-t}
-            for mt in range(m + 1, m + k + 1):
-                if mt % dd >= d:
-                    s[top - mt] = 1
-                    found.append((top - mt + 1, [(mt // dd + 1) * d]))
+            for low in range(m + 1, m + 1 + min(k, dd)):
+                if low % dd >= d:
+                    # the class of low mod 2d: positions top - high .. top - low
+                    high = low + (m + k - low) // dd * dd
+                    s[top - high:top - low + 1:dd] = [1] * ((high - low) // dd + 1)
+                    min_roots[top - high:top - low + 1:dd] = range(
+                        (high // dd + 1) * d, low // dd * d, -d)
+            if k == i:  # the chain reached position 0: no step follows
+                break
+            next(islice(later, k, k), None)  # m_{i-1} .. m_{i-k}, unread
             i -= k
             m += k
             j -= k
-        i -= 1
-    return s, dict(reversed(found))
+    return s, min_roots, dict(reversed(doubles))
 
 
 def runs_of_two(roots: dict[int, list[int]]) -> tuple[tuple[int, int], ...]:
@@ -347,8 +386,8 @@ def runs_of_two(roots: dict[int, list[int]]) -> tuple[tuple[int, int], ...]:
 def s_sequence(w: Word) -> CensusReport:
     """Census of ``w``: the s_i sequence, the runs of 2's and the rightmost
     roots at each position."""
-    s, roots = _census_scan(w.codes)
-    return CensusReport(w, tuple(s), runs_of_two(roots), roots)
+    s, min_roots, doubles = _census_scan(w.codes)
+    return CensusReport(w, tuple(s), runs_of_two(doubles), doubles, min_roots)
 
 
 def render_census_tsv(report: CensusReport) -> str:

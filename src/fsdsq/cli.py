@@ -1,8 +1,10 @@
 """Command-line front end: census, analyze, generate, verify.
 
 Structured results (including findings) go to stdout; diagnostics go to
-stderr.  Exit codes: 0 clean, 1 usage or I/O error, 2 mathematical finding.
-``analyze``, ``generate`` and ``verify`` decide findings by the same
+stderr.  Exit codes: 0 clean, 1 usage, I/O or out-of-memory error, 2
+mathematical finding.  ``census`` and ``analyze`` read ``@path`` as a file
+of words, one per line, for words longer than one command-line argument
+may be.  ``analyze``, ``generate`` and ``verify`` decide findings by the same
 check, ``pairs.check_word``, so a word gets the same property names and
 details from each.  JSON output carries a top-level ``schema_version`` and is
 byte-stable for identical invocations; only ``verify`` reports a timing
@@ -94,7 +96,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def _analysis_payload(word: Word) -> dict:
     report = s_sequence(word)
-    checked = check_word(word, report.roots, report.distinct_square_count)
+    checked = check_word(word, report.doubles, report.distinct_square_count)
     return {
         "word": word.text,
         "n": len(word),
@@ -106,27 +108,35 @@ def _analysis_payload(word: Word) -> dict:
     }
 
 
+def _analysis_plain(payload: dict) -> None:
+    print(f"word: {payload['word']}")
+    if not payload["double_squares"]:
+        print("no FS-double squares")
+    for sq in payload["double_squares"]:
+        print(f"FS-double square at {sq['position']}: |sq|={sq['sq_len']} "
+              f"|SQ|={sq['SQ_len']} x1={sq['x1']} x2={sq['x2']} "
+              f"p1={sq['p1']} p2={sq['p2']}")
+    for pair in payload["pairs"]:
+        checks = " ".join(f"{c['name']}={'ok' if c['pass'] else 'FAIL'}"
+                          for c in pair["checks"])
+        rule = f" ({pair['mate_rule']})" if "mate_rule" in pair else ""
+        print(f"adjacent pair at {pair['position']}: {pair['kind']} "
+              f"(case {pair['case']}), mate {pair['mate']}{rule}; {checks}".rstrip("; "))
+    for finding in payload["findings"]:
+        print(f"FINDING {finding['property']}: {finding['detail']}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    payload = _analysis_payload(Word.from_text(args.word))
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(f"word: {payload['word']}")
-        if not payload["double_squares"]:
-            print("no FS-double squares")
-        for sq in payload["double_squares"]:
-            print(f"FS-double square at {sq['position']}: |sq|={sq['sq_len']} "
-                  f"|SQ|={sq['SQ_len']} x1={sq['x1']} x2={sq['x2']} "
-                  f"p1={sq['p1']} p2={sq['p2']}")
-        for pair in payload["pairs"]:
-            checks = " ".join(f"{c['name']}={'ok' if c['pass'] else 'FAIL'}"
-                              for c in pair["checks"])
-            rule = f" ({pair['mate_rule']})" if "mate_rule" in pair else ""
-            print(f"adjacent pair at {pair['position']}: {pair['kind']} "
-                  f"(case {pair['case']}), mate {pair['mate']}{rule}; {checks}".rstrip("; "))
-        for finding in payload["findings"]:
-            print(f"FINDING {finding['property']}: {finding['detail']}")
-    return EXIT_FINDING if payload["findings"] else EXIT_OK
+    code = EXIT_OK
+    for word in _read_words_arg(args.word):
+        payload = _analysis_payload(word)
+        if args.format == "json":
+            _print_json(payload)
+        else:
+            _analysis_plain(payload)
+        if payload["findings"]:
+            code = EXIT_FINDING
+    return code
 
 
 # ----------------------------------------------------------------- generate
@@ -227,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("analyze", help="FS-double squares, adjacent pairs, mates")
-    p.add_argument("word")
+    p.add_argument("word", help="word text, or @path for a file with one word per line")
     p.add_argument("-f", "--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_analyze)
 
@@ -268,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FINDING
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory for this input", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -76,7 +76,7 @@ def _run_report(report: CensusReport, steps: list[BuildStep] | tuple[BuildStep, 
     """The report of a census-verified word, with the findings of
     ``checked``, its ``check_word`` result, computed here when not given."""
     if checked is None:
-        checked = check_word(report.word, report.roots, report.distinct_square_count)
+        checked = check_word(report.word, report.doubles, report.distinct_square_count)
     return RunReport(word=report.word, T=checked.run, steps=tuple(steps),
                      findings=checked.findings)
 
@@ -105,7 +105,7 @@ def extend_equal_run(seed: Word) -> RunReport:
     Raises NoExtensionError when no appended letter lengthens the run.
     """
     seed_report = s_sequence(seed)
-    squares = find_fs_double_squares(seed, seed_report.roots)
+    squares = find_fs_double_squares(seed, seed_report.doubles)
     fs = next((q for q in squares if q.position == 1), None)
     if fs is None or 2 * fs.SQ_len != len(seed):
         raise ValueError("seed is not exactly the square of an FS-double-square root")
@@ -128,7 +128,7 @@ def _accepts_unequal(candidate: Word, frontier: int) -> tuple[CensusReport, Word
     s = report.s
     if s[frontier - 1] != 2 or s[frontier] != 2:  # a candidate runs past its frontier
         return None
-    checked = check_word(candidate, report.roots, report.distinct_square_count)
+    checked = check_word(candidate, report.doubles, report.distinct_square_count)
     pair = next((p for p in checked.pairs if p.position == frontier), None)
     if checked.findings or pair.kind is PairKind.UNEQUAL:
         return report, checked
@@ -163,7 +163,7 @@ def extend_unequal(w: Word, variant: str = "short") -> RunReport:
         raise ValueError(f"unknown variant {variant!r}")
     if max(w.codes, default=0) == 0:
         raise ValueError("unequal extension needs at least two letters")
-    squares = find_fs_double_squares(w, s_sequence(w).roots)
+    squares = find_fs_double_squares(w, s_sequence(w).doubles)
     enders = [q for q in squares if q.end == len(w)]
     if not enders:
         raise ValueError("word does not end in an FS-double square")

@@ -161,7 +161,8 @@ class FsDoubleSquare:
 def find_fs_double_squares(w: Word, roots: dict[int, list[int]]) -> list[FsDoubleSquare]:
     """All FS-double squares of ``w``, by position.
 
-    ``roots`` is the rightmost-root map of ``w`` (``CensusReport.roots``).
+    ``roots`` is a rightmost-root map of ``w`` with every position where
+    s_i >= 2, such as ``CensusReport.doubles``; other positions are skipped.
     Any census-2 position that fails to factor, or carries more than two
     rightmost squares, is surfaced as a counterexample, never swallowed.
     """

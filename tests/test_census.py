@@ -2,7 +2,7 @@ import random
 from itertools import cycle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fsdsq.census
@@ -28,10 +28,23 @@ def rightmost_map(w: Word) -> dict[str, int]:
     return square_starts(w.text, s_sequence(w).roots)
 
 
+def root_map(s: list[int], min_roots: list[int],
+             doubles: dict[int, list[int]]) -> dict[int, list[int]]:
+    """The roots of every position with s_i > 0, from the three lists of
+    ``_census_scan``, which must agree with each other."""
+    assert list(doubles) == [pos for pos, count in enumerate(s, 1) if count >= 2]
+    assert all(len(ps) == s[pos - 1] and ps[0] == min_roots[pos - 1]
+               for pos, ps in doubles.items())
+    assert all((count == 0) == (p == 0) for count, p in zip(s, min_roots))
+    return {pos: doubles[pos] if count > 1 else [p]
+            for pos, (count, p) in enumerate(zip(s, min_roots), 1) if count}
+
+
 def assert_scan_matches_oracles(text: str) -> None:
     """``_census_scan`` of ``text`` against the cubic oracles: s and the
     rightmost start of every distinct square."""
-    s, roots = _census_scan(W(text).codes)
+    s, min_roots, doubles = _census_scan(W(text).codes)
+    roots = root_map(s, min_roots, doubles)
     rightmost = oracle_rightmost(text)
     assert s == oracle_s(text, rightmost)
     assert square_starts(text, roots) == rightmost
@@ -50,31 +63,36 @@ def later_match_lengths(codes: bytes) -> list[int]:
 
 
 def automaton_later_match_lengths(codes: bytes) -> list[int]:
-    """m_0 .. m_n from the census's suffix automaton."""
-    return _later_matches(codes) + [0]
+    """m_0 .. m_n from the census's suffix automaton, which yields them
+    right to left."""
+    return list(_later_matches(codes))[::-1] + [0]
 
 
-def step_scan(codes: bytes) -> tuple[list[int], dict[int, list[int]]]:
+def step_scan(codes: bytes) -> tuple[list[int], list[int], dict[int, list[int]]]:
     """``_census_scan`` with m_i from the step's own probes, as the sweep's
-    walk finds it, in place of the automaton."""
+    walk finds it, in place of the automaton, and the step at every
+    position."""
     n = len(codes)
     s = [0] * n
-    roots: dict[int, list[int]] = {}
+    min_roots = [0] * n
+    doubles: dict[int, list[int]] = {}
     step = _census_step(codes)
     m, j = -1, n
     for i in range(n - 1, -1, -1):
         m, j, ps = step(i, m, j)
         if ps:
             s[i] = len(ps)
-            roots[i + 1] = ps
-    return s, dict(sorted(roots.items()))
+            min_roots[i] = ps[0]
+            if len(ps) >= 2:
+                doubles[i + 1] = ps
+    return s, min_roots, dict(sorted(doubles.items()))
 
 
 def scan_states(codes: bytes) -> list[tuple[int, int]]:
     """(m_i, j_i) of every position as ``_census_scan`` drives the step,
     with m_i from the automaton."""
     n = len(codes)
-    later = _later_matches(codes)
+    later = list(_later_matches(codes))[::-1]
     step = _census_step(codes)
     states = [(0, 0)] * n
     m, j = -1, n
@@ -511,6 +529,43 @@ def census_steps(monkeypatch):
     return steps
 
 
+@pytest.fixture
+def automaton_letters(monkeypatch):
+    """``automaton_letters(text)``: how many letters of ``text`` the suffix
+    automaton of ``_census_scan`` consumes, and the leftmost position that
+    the scan runs the step at (n if none)."""
+    later, make = fsdsq.census._later_matches, fsdsq.census._census_step
+    letters = leftmost = 0
+
+    def counted_later(codes):
+        nonlocal letters
+        for m in later(codes):
+            letters += 1
+            yield m
+
+    def recorded_step(codes):
+        step = make(codes)
+
+        def recorded(i, *args):
+            nonlocal leftmost
+            leftmost = min(leftmost, i)
+            return step(i, *args)
+
+        return recorded
+
+    monkeypatch.setattr(fsdsq.census, "_later_matches", counted_later)
+    monkeypatch.setattr(fsdsq.census, "_census_step", recorded_step)
+
+    def count(text: str) -> tuple[int, int]:
+        nonlocal letters, leftmost
+        letters, leftmost = 0, len(text)
+        codes = W(text).codes
+        assert _census_scan(codes) == step_scan(codes)
+        return letters, leftmost
+
+    return count
+
+
 def periodic_block(base: str, offset: int, length: int) -> str:
     """``length`` letters of base base base ... from ``offset``."""
     return (base * ((offset + length) // len(base) + 1))[offset:offset + length]
@@ -537,8 +592,9 @@ class TestPeriodicChain:
     @staticmethod
     def check(text: str) -> None:
         codes = W(text).codes
-        s, roots = _census_scan(codes)
-        assert (s, roots) == step_scan(codes)
+        s, min_roots, doubles = _census_scan(codes)
+        assert (s, min_roots, doubles) == step_scan(codes)
+        roots = root_map(s, min_roots, doubles)
         rightmost = oracle_rightmost(text)
         assert s == oracle_s(text, rightmost)
         assert square_starts(text, roots) == rightmost
@@ -575,6 +631,28 @@ class TestPeriodicChain:
         # 703 and 2000 positions: 3 and 10 chains cross 200 and 411 of them
         assert census_steps(build_run(100).word.text) == 503
         assert census_steps(_fibonacci(2000)) == 1589
+
+    def test_automaton_letters(self, automaton_letters):
+        # a count, not a timing: the automaton stops at the last position
+        # the step reads, so a chain that reaches position 0 leaves the
+        # letters left of the step to no one
+        assert automaton_letters("a" * 10_000) == (2, 9_998)
+        assert [automaton_letters("a" * n)[0] for n in range(1, 6)] == [1, 2, 2, 2, 2]
+        assert automaton_letters("ab" * 5_000) == (4, 9_996)
+        u, v = "abaab", "bba"
+        for k in (10, 100, 2_000):
+            # |v| letters, then u^k to its first crossed position
+            assert automaton_letters(u * k + v) == (15, 5 * k - 12)
+            # the chain stops at v, so the step reads position 0
+            assert automaton_letters(v + u * k) == (5 * k + 3, 0)
+
+    # ``automaton_letters`` resets its counts on every call
+    @given(chain_words())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_automaton_stops_at_the_last_step(self, automaton_letters, text):
+        letters, leftmost = automaton_letters(text)
+        assert letters == len(text) - leftmost
 
     def test_common_suffix(self):
         for n in range(1, 9):
@@ -626,6 +704,19 @@ def long_words(draw):
     return "".join(letters)
 
 
+def assert_relations(codes: bytes, ks: list[int], renaming: bytes) -> None:
+    """The census of ``codes[k:]`` is that of ``codes`` from k on for each k
+    of ``ks``, renaming the letters by ``renaming`` changes no census, and
+    the reverse has as many distinct squares."""
+    s, min_roots, doubles = _census_scan(codes)
+    # a square's last occurrence at i >= k is its last one in w[k:]
+    for k in ks:
+        assert _census_scan(codes[k:]) == (
+            s[k:], min_roots[k:], {pos - k: ps for pos, ps in doubles.items() if pos > k})
+    assert _census_scan(codes.translate(renaming)) == (s, min_roots, doubles)
+    assert sum(_census_scan(codes[::-1])[0]) == sum(s)
+
+
 class TestMetamorphic:
     """Relations between censuses that need no oracle, on long words: a
     suffix's census is the word's census from there on, renaming letters
@@ -635,11 +726,19 @@ class TestMetamorphic:
     @settings(max_examples=12, deadline=None)
     def test_relations(self, text, data):
         codes = W(text).codes
-        s, roots = _census_scan(codes)
-        # a square's last occurrence at i >= k is its last one in w[k:]
         k = data.draw(st.integers(min_value=0, max_value=len(codes)), label="k")
-        assert _census_scan(codes[k:]) == (
-            s[k:], {pos - k: ps for pos, ps in roots.items() if pos > k})
         renaming = bytes(data.draw(st.permutations(range(256)), label="renaming"))
-        assert _census_scan(codes.translate(renaming)) == (s, roots)
-        assert sum(_census_scan(codes[::-1])[0]) == sum(s)
+        assert_relations(codes, [k], renaming)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["a^n", "(ab)^n", "u^k v", "v u^k"])
+    def test_relations_at_a_million_letters(self, kind):
+        # u = abaab and v = bbaba; the reverse of u^k v is a v u^k word,
+        # whose automaton reads every letter
+        n = 10**6
+        u, v = "abaab", "bbaba"
+        text = {"a^n": "a" * n, "(ab)^n": "ab" * (n // 2),
+                "u^k v": u * (n // 5 - 1) + v, "v u^k": v + u * (n // 5 - 1)}[kind]
+        assert len(text) == n
+        assert_relations(W(text).codes, [1, 3, 4, n // 2 + 1, n - 7],
+                         bytes(range(255, -1, -1)))

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fsdsq.census
+import fsdsq.cli
 import fsdsq.construct
 import fsdsq.pairs
 import fsdsq.sweep
@@ -198,6 +199,43 @@ class TestAnalyze:
         _, out1, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         _, out2, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")
         assert out1 == out2
+
+    def test_file_input(self, capsys, tmp_path):
+        # one JSON object per word, each as the word alone gives it
+        path = tmp_path / "words.txt"
+        path.write_text(EQUAL_17 + "\n\nabaababaab\n")
+        code, out, err = run(capsys, "analyze", "@" + str(path), "-f", "json")
+        alone = [run(capsys, "analyze", text, "-f", "json") for text in (EQUAL_17, "abaababaab")]
+        assert (code, err) == (0, "")
+        assert out == alone[0][1] + alone[1][1]
+        code, out, _ = run(capsys, "analyze", "@" + str(path))
+        assert code == 0
+        assert out == (run(capsys, "analyze", EQUAL_17)[1]
+                       + run(capsys, "analyze", "abaababaab")[1])
+
+    def test_file_with_a_finding_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text(EQUAL_17 + "\n" + CASE_10 + "\n")
+        code, out, _ = run(capsys, "analyze", "@" + str(path), "-f", "json")
+        assert code == 2
+        first, second = map(json.loads, out.splitlines())
+        assert (first["word"], first["findings"]) == (EQUAL_17, [])
+        assert second["word"] == CASE_10
+        assert {f["property"] for f in second["findings"]} == {"pair_shapes", "adjacent_mates"}
+
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "none.txt"
+        code, out, err = run(capsys, "analyze", "@" + str(path), "-f", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_word_named_like_a_file_is_a_word(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "abab").write_text(EQUAL_17 + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "analyze", "abab", "-f", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["word"], payload["s"]) == ("abab", [1, 0, 0, 0])
 
     def test_mate_finding_matches_verify(self, capsys, monkeypatch):
         monkeypatch.setattr(fsdsq.pairs, "classify_mate_detail",
@@ -415,6 +453,15 @@ class TestGenerate:
         assert (code, err) == (2, "")
         assert out == ('{"findings": [{"detail": "planted", "property": "structure"}], '
                        '"schema_version": 1}\n')
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        # as a huge --target ends; no real allocation here
+        def huge(target):
+            raise MemoryError
+
+        monkeypatch.setattr(fsdsq.cli, "build_run", huge)
+        code, out, err = run(capsys, "generate", "--kind", "run", "--target", "100000000000")
+        assert (code, out, err) == (1, "", "error: out of memory for this input\n")
 
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kind", "equal")

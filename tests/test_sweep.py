@@ -689,8 +689,10 @@ def test_public_names():
     assert [f.name for f in dataclasses.fields(LengthStats)] == [
         "max_distinct_squares", "run_hist", "pairs_equal", "pairs_unequal",
         "double_square_positions"]
+    # the census keeps its roots in two arrays; ``roots`` is built from them
     assert [f.name for f in dataclasses.fields(CensusReport)] == [
-        "word", "s", "runs_of_two", "roots"]
+        "word", "s", "runs_of_two", "doubles", "min_roots"]
+    assert "roots" in dir(CensusReport)
 
 
 class TestMinimalPairLength:
