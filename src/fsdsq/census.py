@@ -5,7 +5,7 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Eight exact facts about m_i keep the
+array of Crochemore & Ilie, IPL 2008).  Nine exact facts about m_i keep the
 scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
@@ -39,10 +39,18 @@ scan cheap:
   it period g = gcd(p, d).  As g divides d, all of codes[i:i+d+m] has
   period g, so if g < d the suffix at i+g matches d+m-g > m letters, which
   m = m_i forbids; so d divides p.  Conversely every multiple p of d with
-  2p <= d+m is a square of period d.  The interval [q, (d+m)/2] is shorter
-  than d, so it holds at most one such multiple, and the find window
-  shrinks to the roots p < d.  This needs only that j is a witness; the
+  2p <= d+m is a square of period d.  With m = 2da + r, 0 <= r < 2d,
+  p = da has 2p <= m, and p = d(a+1) has 2p > m and 2p <= d+m exactly when
+  r >= d: the one root p >= d is (m//2d + 1)d if m mod 2d >= d, and the
+  window shrinks to the p < d.  This needs only that j is a witness; the
   nearest one gives the smallest d, which applies the rule most often.
+* Window ends.  Let d be the distance of the nearest witness.  If d <= m,
+  no root p < d has d-p dividing d: else gcd(p, d) = d-p, so codes[i:i+2p]
+  has length p+d-gcd(p, d) and, by Fine-Wilf, period d-p; as 2p > m >= d,
+  codes[i:i+d+m] then has period d-p < d, which m = m_i forbids as above.
+  So the window ends at d-c, c the least non-divisor of d.  If d > m, m is
+  no root, as its square would put a witness at distance m: the window
+  ends at m-1.  A window of one candidate is one slice compare.
 * m_i from a suffix automaton.  Let R be codes[i+1:] reversed and c =
   codes[i].  A prefix of length L of the suffix at i occurs at a start > i
   exactly when its reverse, the suffix of length L of Rc, is a factor of R.
@@ -71,29 +79,25 @@ scan cheap:
   within m_i or a miss, and no search is needed.  On periodic words such
   as the Fibonacci words most bounded searches miss, and most misses are
   followed by this case.
-* Periodic chain.  Let the step at i return m = m_i and its nearest
-  witness j = i + d > i, with m >= 2d - 3, and let K <= i be the length of
-  the longest common suffix of codes[:i] and codes[:j].  For t = 1..K,
-  position i - t takes the witness step, since codes[j-t] == codes[i-t]:
-  by induction on t, m_{i-t} = M = m + t and its nearest witness is j - t
-  (third fact), at the same distance d.  Its root window is empty: M >=
-  m + 1 >= 2d - 2 gives q = M//2 + 1 >= d, and d <= M (M >= 1, and
-  2d - 2 >= d for d >= 2) leaves only the roots p < d to the window.  So
-  the only root is the one multiple of d that the witness-period rule
-  allows, p in (M/2, (d+M)/2].  Write M = 2da + r with 0 <= r < 2d: p = da
-  has 2p <= M, and p = d(a+1) has 2p > M, with 2p <= d + M exactly when
-  r >= d.  So s_{i-t} = 1, with root (M//2d + 1)d, when M mod 2d >= d, and
-  s_{i-t} = 0 otherwise.  The step's bound p <= (n - (i-t))/2 always holds
-  here: the witness match fits in the word, so d + M <= n - (i-t), and
-  2p <= d + M.  After the chain the state (m + K, j - K) is what the step
-  returns at i - K, so the scan resumes with the step at i - K - 1, if
+* Periodic chain.  Let the step at i return m = m_i and its nearest witness
+  j = i + d > i, with m >= 2d - 3, and let K <= i be the length of the
+  longest common suffix of codes[:i] and codes[:j].  For t = 1..K, position
+  i - t takes the witness step, since codes[j-t] == codes[i-t]: by induction
+  on t, m_{i-t} = M = m + t and its nearest witness is j - t (third fact),
+  at the same distance d.  Its root window is empty: M >= m + 1 >= 2d - 2
+  gives q = M//2 + 1 >= d, and d <= M (M >= 1, and 2d - 2 >= d for d >= 2)
+  leaves only the roots p < d to the window.  So by the witness-period rule
+  s_{i-t} = 1, with root (M//2d + 1)d, when M mod 2d >= d, and s_{i-t} = 0
+  otherwise.  That square fits in the word: the witness match does, so 2p <=
+  d + M <= n - (i-t).  After the chain the state (m + K, j - K) is what the
+  step returns at i - K, so the scan resumes with the step at i - K - 1, if
   K < i, whose witness test fails as codes[j-K-1] != codes[i-K-1].  The
-  witness step never reads m_{i-t} from the automaton, so nothing inside
-  the chain needs it.  The chain's writes split by the residue r of M mod
-  2d: the M of one residue are 2d apart, so their positions i - t = i + m
-  - M are 2d apart too, and their roots (M//2d + 1)d are d apart.  So each
-  r in [d, 2d) is one extended slice of positions with stride 2d, s = 1 and
-  the roots a descending ``range`` with step d; the r < d keep s = 0.
+  witness step never reads m_{i-t} from the automaton, so nothing inside the
+  chain needs it.  The chain's writes split by the residue r of M mod 2d:
+  the M of one residue are 2d apart, so their positions i - t = i + m - M
+  are 2d apart too, and their roots (M//2d + 1)d are d apart.  So each r in
+  [d, 2d) is one extended slice of positions with stride 2d, s = 1 and the
+  roots a descending ``range`` with step d; the r < d keep s = 0.
 
 ``_census_step`` is the one implementation of the witness step and the
 root window.  ``_census_scan`` takes every m_i from ``_later_matches``, the
@@ -200,14 +204,16 @@ def _census_step(codes: bytes | bytearray):
     then searches a witness only within distance m_i and returns j = -1
     when there is none there, so the next step skips the witness test.
     After such a miss, if m_i = m_{i+1} + 1, the step compares the one
-    start at distance m_i instead of searching.
+    start at distance m_i instead of searching.  The root window ends at
+    d - c for a witness at distance d <= m_i, and at m_i - 1 for a farther
+    one (the window ends); a rootless position returns the empty tuple.
     ``codes`` may be a buffer that the caller rewrites left of i between
     calls: the step reads only positions i and right of it.
     """
     n = len(codes)
     find = codes.find
 
-    def step(i: int, m: int, j: int, later: int = -1) -> tuple[int, int, list[int]]:
+    def step(i: int, m: int, j: int, later: int = -1) -> tuple[int, int, list[int] | tuple[()]]:
         m += 1
         if j - 1 > i and codes[j - 1] == codes[i]:
             j -= 1
@@ -231,32 +237,35 @@ def _census_step(codes: bytes | bytearray):
             else:
                 j = i + 1  # the empty match
             d = j - i
-        ps: list[int] = []
-        pmax = (n - i) >> 1
-        if m < pmax:
-            pmax = m
+        ps = ()  # no list for a rootless position
         q = (m >> 1) + 1
-        extra = 0
         if d <= m:
-            # Roots p >= d: the one multiple of d in [max(q, d), (d + m) / 2], if any.
-            extra = q if q > d else d
-            extra += -extra % d
-            # (d + m) / 2 <= pmax: d <= m, and the witness's m letters fit, so i + d + m <= n.
-            if extra > (d + m) >> 1:
-                extra = 0
-            if pmax >= d:
-                pmax = d - 1
-        if q <= pmax:
+            # Roots p >= d: the one multiple of d (the witness-period rule).
+            extra = (m // (2 * d) + 1) * d if m % (2 * d) >= d else 0
+            # Roots p < d end at d - c, c the least non-divisor of d (window
+            # ends); d - c < (n - i) / 2, as the witness's m letters fit.
+            c = 2
+            while not d % c:
+                c += 1
+            pmax = d - c
+        else:
+            extra = 0
+            pmax = (n - i) >> 1
+            if pmax >= m:
+                pmax = m - 1  # no witness within m, so m is no root (window ends)
+        if q < pmax:
             # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
             u = codes[i:i + q]
             end = i + pmax + q
             k = find(u, i + q, end)
             while k != -1:
                 if codes[i + q:k] == codes[k + q:2 * k - i]:
-                    ps.append(k - i)
+                    ps = [*ps, k - i]
                 k = find(u, k + 1, end)
+        elif q == pmax and codes[i:i + q] == codes[i + q:i + 2 * q]:
+            ps = [q]
         if extra:
-            ps.append(extra)
+            ps = [*ps, extra]
         return m, j, ps
 
     return step

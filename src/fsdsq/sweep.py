@@ -62,7 +62,7 @@ from .pairs import ALL_PROPERTIES, PairKind, check_word
 from .words import Word
 
 # A sweep of more canonical words than this is refused unless overridden.
-# It is the binary count to length 18.  A word costs 1.5 to 2.5 us of one CPU
+# It is the binary count to length 18.  A word costs 1.0 to 2.1 us of one CPU
 # on any alphabet from 2 to 26 letters, so every sweep under it takes less
 # than a second (the measured table is in CHANGES.md).
 MAX_SWEEP_WORDS = 262_143

@@ -102,6 +102,19 @@ def scan_states(codes: bytes) -> list[tuple[int, int]]:
     return states
 
 
+def probe_states(codes: bytes) -> list[tuple[int, int]]:
+    """(m_i, j_i) of every position as the sweep's walk drives the step,
+    with m_i from its probes: j_i is the nearest start of a later match of
+    length m_i, at any distance."""
+    step = _census_step(codes)
+    states = [(0, 0)] * len(codes)
+    m, j = -1, len(codes)
+    for i in range(len(codes) - 1, -1, -1):
+        m, j, _ = step(i, m, j)
+        states[i] = (m, j)
+    return states
+
+
 def oracle_witnesses(text: str) -> list[tuple[int, int]]:
     """(m_i, j_i) by brute force: j_i is the nearest start k in
     (i, i + m_i] of a copy of text[i:i+m_i], or -1 if there is none."""
@@ -251,8 +264,9 @@ class TestSSequence:
 
     def test_root_below_witness_distance(self):
         # At position 1 the nearest later match of length m = 5 starts at
-        # d = 5: root 3 < d comes from the find window, root 5 = d is the
-        # one multiple of d.
+        # d = 5: root 3 = d - 2 is the one candidate of the window, which
+        # ends there as 2 does not divide 5, and root 5 = d is the one
+        # multiple of d.
         codes = W("abaababaab").codes
         step = _census_step(codes)
         m, j = -1, len(codes)
@@ -431,6 +445,53 @@ class TestWitnessMiss:
         self.check(text)
 
 
+class TestWindowEnds:
+    """The window ends of the module docstring, checked with the step's
+    (m_i, j_i) and the cubic oracle's rightmost roots, not with the step's
+    window: with the nearest witness at d <= m_i no root p < d has d - p
+    dividing d, and with a farther one m_i is no root."""
+
+    @staticmethod
+    def check(text: str) -> None:
+        roots: list[list[int]] = [[] for _ in text]
+        for value, start in oracle_rightmost(text).items():
+            roots[start - 1].append(len(value) // 2)
+        codes = W(text).codes
+        for states in (scan_states(codes), probe_states(codes)):
+            for i, (m, j) in enumerate(states):
+                d = j - i if j >= 0 else m + 1  # the scan's miss: d > m
+                if d <= m:
+                    assert not [p for p in roots[i] if p < d and d % (d - p) == 0]
+                else:
+                    assert m not in roots[i]
+
+    def test_exhaustive(self):
+        for n in range(1, 15):
+            for text in all_words(2, n):
+                self.check(text)
+        for n in range(1, 10):
+            for text in canonical_words(3, n):
+                self.check(text)
+
+    def test_even_distance(self):
+        # At position 1, m = 8 and the nearest witness is at d = 8: of the
+        # candidates 5, 6 and 7, the window keeps 5 = d - 3 alone, as 1 and
+        # 2 divide 8 and 3 does not.  5 is a root, and so is 8 = d.
+        text = "abaababaabaababa"
+        assert scan_states(W(text).codes)[0] == (8, 8)
+        assert s_sequence(W(text)).roots[1] == [5, 8]
+        self.check(text)
+
+    def test_miss(self):
+        # At position 1, m = 4 and the nearest copy of abaa is at distance
+        # 5: the window ends at m - 1 = 3, which is the one root.
+        text = "abaababaa"
+        assert scan_states(W(text).codes)[0] == (4, -1)
+        assert probe_states(W(text).codes)[0] == (4, 5)
+        assert s_sequence(W(text)).roots[1] == [3]
+        self.check(text)
+
+
 class TestScanMatchesStep:
     """``_census_scan``, with m_i from the automaton, against the scan that
     takes m_i from the step's probes, on long words."""
@@ -483,9 +544,10 @@ class TestFindCost:
 
     def test_find_counts_on_periodic_words(self):
         # A witness miss followed by m_i = m_{i+1} + 1 costs a compare, not
-        # a find: 2,924 and 1,105 finds without that step.
-        assert len(self.recorded_finds(_fibonacci(2000))) == 2244
-        assert len(self.recorded_finds(build_run(100).word.text)) == 803
+        # a find: 2,924 and 1,105 finds without that step.  So does a window
+        # of one candidate (the module docstring's window ends).
+        assert len(self.recorded_finds(_fibonacci(2000))) == 2201
+        assert len(self.recorded_finds(build_run(100).word.text)) == 792
 
 
 class TestStructuredWords:
