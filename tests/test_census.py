@@ -52,14 +52,7 @@ def assert_scan_matches_oracles(text: str) -> None:
 
 def later_match_lengths(codes: bytes) -> list[int]:
     """m_0 .. m_n by driving the census step right to left."""
-    n = len(codes)
-    m = [0] * (n + 1)
-    step = _census_step(codes)
-    later, j = -1, n
-    for i in range(n - 1, -1, -1):
-        later, j, _ = step(i, later, j)
-        m[i] = later
-    return m
+    return [m for m, _ in probe_states(codes)] + [0]
 
 
 def automaton_later_match_lengths(codes: bytes) -> list[int]:
