@@ -5,7 +5,7 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Nine exact facts about m_i keep the
+array of Crochemore & Ilie, IPL 2008).  Eight exact facts about m_i keep the
 scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
@@ -19,16 +19,11 @@ scan cheap:
   match of the suffix at i+1 starts again at some j > i+1 and
   codes[j-1] == codes[i], the letter before it extends that occurrence to
   one of length m_{i+1} + 1 at j-1 > i, so the bound is met and no search
-  is needed.  Otherwise the step without an automaton probes lengths
-  m_{i+1} + 1, m_{i+1}, ..., and the index the successful search returns
-  becomes the next witness.
-* Bounded first probe.  Let j be the nearest witness of position i+1 and
-  the witness test fail.  A hit k of the probe of length m_{i+1} + 1 puts
-  codes[i+1:i+1+m_{i+1}] at k+1 > i+1, so k+1 >= j; and k = j-1 is what
-  the witness test ruled out.  So that probe searches from j, not i+1, and
-  its hit is again the nearest witness; so is j-1 after a witness step, and
-  the leftmost hit of a shorter probe.  Every witness the step returns is
-  the nearest one.
+  is needed.  If j is the nearest witness of i+1, j-1 is the nearest of i:
+  a match at some k in (i, j-1) would put one of the suffix at i+1 at k+1
+  < j.  Otherwise the step without an automaton probes lengths m_{i+1} + 1,
+  m_{i+1}, ... from i+1, and the leftmost hit of the first probe that hits
+  is the next witness, the nearest one by definition.
 * Witness-period rule.  Let m = m_i, j its witness and d = j - i <= m.
   Then codes[i:i+d+m] has period d, and the period breaks at e = i+d+m
   (codes[e] != codes[e-d], or e is the end of the word), since otherwise
@@ -50,7 +45,10 @@ scan cheap:
   codes[i:i+d+m] then has period d-p < d, which m = m_i forbids as above.
   So the window ends at d-c, c the least non-divisor of d.  If d > m, m is
   no root, as its square would put a witness at distance m: the window
-  ends at m-1.  A window of one candidate is one slice compare.
+  ends at m-1.  That end needs no test against the word's end: for m >= 1
+  the nearest later match starts more than m letters right of i and fits
+  in the word, so n-i >= 2m+1.  A window of one candidate is one slice
+  compare.
 * m_i from a suffix automaton.  Let R be codes[i+1:] reversed and c =
   codes[i].  A prefix of length L of the suffix at i occurs at a start > i
   exactly when its reverse, the suffix of length L of Rc, is a factor of R.
@@ -83,7 +81,7 @@ scan cheap:
   j = i + d > i, with m >= 2d - 3, and let K <= i be the length of the
   longest common suffix of codes[:i] and codes[:j].  For t = 1..K, position
   i - t takes the witness step, since codes[j-t] == codes[i-t]: by induction
-  on t, m_{i-t} = M = m + t and its nearest witness is j - t (third fact),
+  on t, m_{i-t} = M = m + t and its nearest witness is j - t (witness step),
   at the same distance d.  Its root window is empty: M >= m + 1 >= 2d - 2
   gives q = M//2 + 1 >= d, and d <= M (M >= 1, and 2d - 2 >= d for d >= 2)
   leaves only the roots p < d to the window.  So by the witness-period rule
@@ -194,21 +192,15 @@ def _census_step(codes: bytes | bytearray):
     From the state of position i + 1 (m = m_{i+1}, and j, the nearest start
     > i + 1 of a later match of that length; m = -1 and j = len(codes) past
     the end) it returns m_i, the nearest such start for position i, and the
-    ascending rightmost root lengths at i, by the facts of the module
-    docstring.  Without ``later`` the step finds m_i by probes, so the
-    sweep's walk can take one position at a time.  No probe is longer than
-    the n - i - 1 letters right of i: a later match of the suffix at i + 1
-    starts at i + 2 or later, so m_{i+1} <= n - i - 2 and the first probe
-    has length m_{i+1} + 1 <= n - i - 1; at i = n - 1 the base state gives
-    0.  ``_census_scan`` passes ``later`` = m_i from its automaton; the step
+    ascending rightmost root lengths at i (the empty tuple for none), by the
+    facts of the module docstring.  Without ``later`` the step finds m_i by
+    probes, so the sweep's walk can take one position at a time.
+    ``_census_scan`` passes ``later`` = m_i from its automaton; the step
     then searches a witness only within distance m_i and returns j = -1
-    when there is none there, so the next step skips the witness test.
-    After such a miss, if m_i = m_{i+1} + 1, the step compares the one
-    start at distance m_i instead of searching.  The root window ends at
-    d - c for a witness at distance d <= m_i, and at m_i - 1 for a farther
-    one (the window ends); a rootless position returns the empty tuple.
-    ``codes`` may be a buffer that the caller rewrites left of i between
-    calls: the step reads only positions i and right of it.
+    when there is none there, so the next step skips the witness test and
+    applies the witness miss.  ``codes`` may be a buffer that the caller
+    rewrites left of i between calls: the step reads only positions i and
+    right of it.
     """
     n = len(codes)
     find = codes.find
@@ -226,14 +218,12 @@ def _census_step(codes: bytes | bytearray):
                 j = find(codes[i:i + m], i + 1, i + 2 * m)
             d = j - i if j >= 0 else n  # a miss means d > m
         else:
-            start = j  # a match of length m_{i+1} + 1 starts at j or later
             while m > 0:
-                k = find(codes[i:i + m], start)
+                k = find(codes[i:i + m], i + 1)
                 if k != -1:
                     j = k
                     break
                 m -= 1
-                start = i + 1
             else:
                 j = i + 1  # the empty match
             d = j - i
@@ -250,9 +240,7 @@ def _census_step(codes: bytes | bytearray):
             pmax = d - c
         else:
             extra = 0
-            pmax = (n - i) >> 1
-            if pmax >= m:
-                pmax = m - 1  # no witness within m, so m is no root (window ends)
+            pmax = m - 1  # no witness within m, so m is no root (window ends)
         if q < pmax:
             # A root p in [q, pmax] puts u at i + p; confirm the other p - q letters.
             u = codes[i:i + q]

@@ -141,18 +141,18 @@ def _unequal_candidates(w: Word, fs: FsDoubleSquare, variant: str):
     With a the frontier letter, b the breaking letter and v = (frontier
     square minus a) + b, each candidate is  prefix + a + (v m v)^2  where the
     middle m is a prefix v[:j] of v (short variant) or v + v[:j] (long).
+    The frontier square ends the word, so prefix + a is w[:i] and the
+    square minus a is w[i:].
     Any prefix middle makes (v m)^2 occur one position right of the
     frontier; the choice of j only decides whether older squares collide
     with the new tail, which the census acceptance test settles.
     """
     i = fs.position
-    a = w[i - 1:i]
     b = Word([1 if w[i - 1] == 0 else 0])
-    core = w[i - 1:]
-    v = core[1:] + b
+    v = w[i:] + b
     for j in range(1, len(v) + 1):
         middle = v[:j] if variant == "short" else v + v[:j]
-        yield w[:i - 1] + a + (v + middle + v) * 2
+        yield w[:i] + (v + middle + v) * 2
 
 
 def extend_unequal(w: Word, variant: str = "short") -> RunReport:

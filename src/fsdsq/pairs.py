@@ -222,10 +222,10 @@ def check_word(word: Word, roots: dict, distinct: int) -> WordCheck:
     at distance 2), and then epsilon, as x1 and x2 are distinct letters.  So
     ``pair_shapes`` and ``adjacent_mates`` report the same pair twice, and
     both findings stay: each claim is checked on its own.  Every check
-    reads only the positions with s_i >= 2: the largest s_i is tested
-    against 2, runs count only 2's, and only those positions factor."""
+    reads only the positions with s_i >= 2, so ``roots`` may hold others:
+    the largest s_i is tested against 2, runs count only 2's, and
+    ``find_fs_double_squares`` skips the positions with fewer roots."""
     n = len(word)
-    roots = {k: ps for k, ps in roots.items() if len(ps) >= 2}
     max_s = max(map(len, roots.values()), default=0)
     run = max((length for _, length in runs_of_two(roots)), default=0)
     findings: list[tuple[str, str]] = []

@@ -37,14 +37,16 @@ take them in chunks to save per-task round trips.  The parallelism asked
 for is an upper bound: at most one worker per usable CPU and per
 ``WORDS_PER_WORKER`` words of the blocks still to run, and one worker runs
 them in-process.
-Partial aggregates merge by sums and maxima, and findings are sorted by
-(length, word), so the report does not depend on worker count, completion
-order or checkpoint resume points.  The checkpoint file is line-oriented
+Partial aggregates merge by sums and maxima, findings are sorted by
+(length, word), and the JSON report sorts each ``run_hist``, whose order
+nothing else reads, so the report does not depend on worker count,
+completion order or checkpoint resume points.  The checkpoint file is line-oriented
 text: a header that records b, then one ``block`` line appended and flushed
 per completed block.  A resume drops a trailing line that a crash cut short
 and recomputes that block.  A checkpoint of another sweep or block plan, or
-one with a record of a block outside the plan or of other lengths or word
-counts than its block's, is refused before it is written.
+one with a record of a block outside the plan, of other lengths or word
+counts than its block's, or with a ``words`` or ``max_run`` that its
+``run_hist`` does not give, is refused before it is written.
 """
 
 from __future__ import annotations
@@ -117,10 +119,15 @@ class LengthStats:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LengthStats":
-        return cls(max_distinct_squares=d["max_distinct_squares"],
-                   run_hist={int(t): c for t, c in d["run_hist"].items()},
-                   pairs_equal=d["pairs_equal"], pairs_unequal=d["pairs_unequal"],
-                   double_square_positions=d["double_square_positions"])
+        """The stats of ``to_json_dict``'s record ``d``; a ValueError if its
+        ``words`` or ``max_run`` is not what its ``run_hist`` gives."""
+        st = cls(max_distinct_squares=d["max_distinct_squares"],
+                 run_hist={int(t): c for t, c in d["run_hist"].items()},
+                 pairs_equal=d["pairs_equal"], pairs_unequal=d["pairs_unequal"],
+                 double_square_positions=d["double_square_positions"])
+        if (d["words"], d["max_run"]) != (st.words, st.max_run):
+            raise ValueError("words or max_run disagree with run_hist")
+        return st
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,10 +331,8 @@ def _process_block(args: tuple) -> tuple[str, dict]:
             st.run_hist[checked.run] = st.run_hist.get(checked.run, 0) + 1
         return True
 
-    if block_id:
-        _walk(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
-    elif size:
-        _walk(alphabet_size, size, b"", visit)
+    if size:  # the block "" of b = 1 has no words
+        _walk(alphabet_size, size, Word.from_text(block_id).codes, visit)
     lengths: dict[int, LengthStats] = {}
     for i in range(size - 1, -1, -1):
         if words[i]:
@@ -367,7 +372,8 @@ def _open_checkpoint(path: str, alphabet_size: int, max_len: int, b: int, blocks
     short: it is cut off and its block recomputed.  A first line that is not
     the header, or a later line that is no record of a block in ``blocks``,
     is refused before the file is written.  So is a record whose lengths or
-    word counts are not exactly its block's, from ``_block_counts``."""
+    word counts are not exactly its block's, from ``_block_counts``, or
+    whose ``words`` or ``max_run`` disagree with its ``run_hist``."""
     header = _checkpoint_header(alphabet_size, max_len, b)
     data = b""
     if os.path.exists(path):
@@ -478,8 +484,6 @@ def _fold(blocks: list[str], done: dict, alphabet_size: int, max_len: int) -> Sw
                 total.merge(st)
         findings.extend(Finding(*f) for f in partial["findings"])
     findings.sort(key=lambda f: (len(f.word), f.word))
-    for st in per_length.values():
-        st.run_hist = dict(sorted(st.run_hist.items()))
     return SweepReport(
         alphabet_size=alphabet_size,
         max_len=max_len,

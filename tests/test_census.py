@@ -485,6 +485,42 @@ class TestWindowEnds:
         self.check(text)
 
 
+class TestFitBound:
+    """The fit bound of the window ends, from the quadratic oracle's m_i and
+    a brute-force nearest later match, not from the step: when that match
+    starts farther than m_i >= 1 right of i, n - i >= 2m_i + 1, so the
+    window end m_i - 1 needs no test against the end of the word."""
+
+    @staticmethod
+    def misses(text: str) -> list[tuple[int, int]]:
+        """(m_i, n - i) of each position of ``text`` whose nearest later
+        match is farther than m_i >= 1, each checked against the bound."""
+        n = len(text)
+        out = []
+        for i, m in enumerate(oracle_later_match(text)[:n]):
+            if m:
+                k = next(k for k in range(i + 1, n) if text[k:k + m] == text[i:i + m])
+                if k - i > m:
+                    assert n - i >= 2 * m + 1
+                    out.append((m, n - i))
+        return out
+
+    def test_exhaustive(self):
+        found = []
+        for n in range(1, 15):
+            for text in all_words(2, n):
+                found += self.misses(text)
+        for n in range(1, 10):
+            for text in canonical_words(3, n):
+                found += self.misses(text)
+        assert any(rest == 2 * m + 1 for m, rest in found)  # the bound is met
+
+    def test_tight(self):
+        # At position 1, m = 4 and the nearest copy of abaa is at distance
+        # 5, the farthest that fits: n - i = 9 = 2m + 1.
+        assert self.misses("abaababaa")[0] == (4, 9)
+
+
 class TestScanMatchesStep:
     """``_census_scan``, with m_i from the automaton, against the scan that
     takes m_i from the step's probes, on long words."""

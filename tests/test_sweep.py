@@ -18,7 +18,7 @@ from fsdsq.double_squares import FsDoubleSquare, find_fs_double_squares
 from fsdsq.pairs import ALL_PROPERTIES, Check, PairKind, check_word, find_double_square_pairs
 from fsdsq.construct import build_run
 from fsdsq.sweep import (LengthStats, SweepReport, _block_counts, _block_line, _left_canonical,
-                         _length_counts, _plan_blocks, _process_block, exhaustive_verify)
+                         _fold, _length_counts, _plan_blocks, _process_block, exhaustive_verify)
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
@@ -281,6 +281,20 @@ class TestExhaustiveVerify:
         report = exhaustive_verify(alphabet_size=4, max_len=5, allow_over_ceiling=True)
         assert report.findings == ()
 
+    @pytest.mark.parametrize("alphabet_size, max_len", [(2, 12), (3, 8)])
+    def test_fold_order_does_not_change_report(self, alphabet_size, max_len):
+        # the JSON report sorts each run_hist itself, and no other field
+        # reads the order of a run_hist, so the fold needs no re-sort
+        b, blocks = _plan_blocks(alphabet_size, max_len)
+
+        def fold(order):
+            done = dict(_process_block((alphabet_size, max_len, b, block_id))
+                        for block_id in blocks)
+            report = _fold(order, done, alphabet_size, max_len)
+            return json.dumps(report.to_json_dict(), sort_keys=True)
+
+        assert fold(blocks[::-1]) == fold(blocks)
+
     def test_fold_peak_stays_near_the_report(self):
         # the fold sums each length into its first block record and drops
         # every block once merged, so no second copy of the report is held
@@ -459,6 +473,33 @@ class TestDeterminism:
             del lengths[first]
         else:
             lengths[str(int(last) + 1)] = lengths[last]
+        lines[line - 1] = b"\t".join([kind, block_id, json.dumps(record).encode()])
+        data = b"\n".join(lines)
+        ck.write_bytes(data)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ck} line {line} is not a block record\n")
+        assert ck.read_bytes() == data
+
+    @pytest.mark.parametrize("edit", ["run", "words"])
+    def test_forged_stats_refused(self, tmp_path, capsys, edit):
+        # a record that counts its block's words exactly but whose stored
+        # max_run or words is not what its run_hist gives
+        ck = tmp_path / "sweep.ck"
+        argv = ["verify", "--alphabet-size", "3", "--max-len", "8", "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        lines = ck.read_bytes().split(b"\n")
+        line = next(number for number, text in enumerate(lines, 1)
+                    if text.startswith(b"block\taaaaa\t"))
+        kind, block_id, payload = lines[line - 1].split(b"\t", 2)
+        record = json.loads(payload)
+        st = record["lengths"]["8"]
+        if edit == "run":  # one word moved from run 0 to run 3; max_run stays 0
+            st["run_hist"]["0"] -= 1
+            st["run_hist"]["3"] = 1
+        else:
+            st["words"] += 1
         lines[line - 1] = b"\t".join([kind, block_id, json.dumps(record).encode()])
         data = b"\n".join(lines)
         ck.write_bytes(data)
