@@ -40,9 +40,9 @@ them in-process.
 Partial aggregates merge by sums and maxima, findings are sorted by
 (length, word), and the JSON report sorts each ``run_hist``, whose order
 nothing else reads, so the report does not depend on worker count,
-completion order or checkpoint resume points.  The checkpoint file is line-oriented
-text: a header that records b, then one ``block`` line appended and flushed
-per completed block.  A resume drops a trailing line that a crash cut short
+completion order or checkpoint resume points.  The checkpoint file is
+line-oriented text: a header that records b, then one ``block`` line
+appended and flushed per completed block.  A resume drops a trailing line that a crash cut short
 and recomputes that block.  A checkpoint of another sweep or block plan, or
 one with a record of a block outside the plan, of other lengths or word
 counts than its block's, or with a ``words`` or ``max_run`` that its
