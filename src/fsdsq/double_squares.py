@@ -12,11 +12,12 @@ is recovered from the suffix of SQ of length |SQ| - |sq|: that suffix is
 other component.  Recovery is unambiguous, unlike reading periods off sq.
 
 An ``FsDoubleSquare`` is numbers over a word's bytes: the offset of SQ,
-|sq|, |SQ|, r = |x1|, l = |x1 x2|, p1 and p2.  ``_factor`` reads them off
-the census with one divisor scan of SQ[|sq|:] and one compare that rebuilds
-sq; a ``Word`` is built only when a root, the JSON or ``factorization`` is
-read.  ``Factorization`` validates hand-built input only: the found split
-skips its tests and any compare of SQ, by the lemma and three facts below.
+|sq|, |SQ|, r = |x1|, l = |x1 x2|, p1 and p2.  Its constructor, the one
+way to build a record, reads them off the two root lengths with one divisor
+scan of SQ[|sq|:] and one compare that rebuilds sq; a ``Word`` is built only
+when x1, x2 or the JSON is read.  Found and hand-built records take this one
+path, which needs no primitivity test and no compare of SQ, by the lemma
+and three facts below.
 Let u = x1 x2, so 0 < r < l.
 Lemma: if u is primitive and s >= 2, then z = u^s x1 is primitive.  Proof: z
 has period l < |z|/2.  If z = v^k with k >= 2, then l + |v| < |z|, so by
@@ -34,69 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import CounterexampleError, FactorizationError
-from .words import Word, is_primitive, lcp, root_length
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical (x1, x2, p1, p2) split of a double-square pair of roots."""
-
-    x1: Word
-    x2: Word
-    p1: int
-    p2: int
-
-    def __post_init__(self) -> None:
-        if not self.x1 or not self.x2:
-            raise FactorizationError("x1 and x2 must be nonempty")
-        if not self.p1 >= self.p2 >= 1:
-            raise FactorizationError(f"exponents must satisfy p1 >= p2 >= 1, got ({self.p1}, {self.p2})")
-        if not is_primitive(self.x1 + self.x2):
-            raise FactorizationError("x1 x2 must be primitive")
-
-    # Built once per instance; equality, hash and repr still use the fields.
-    @cached_property
-    def period(self) -> Word:
-        return self.x1 + self.x2
-
-    @cached_property
-    def short_root(self) -> Word:
-        return self.period * self.p1 + self.x1
-
-    @cached_property
-    def long_root(self) -> Word:
-        return self.short_root + self.period * self.p2
-
-
-def _factor(codes: bytes, i: int, ns: int, nl: int) -> tuple[int, int, int, int]:
-    """(|x1|, |x1 x2|, p1, p2) of the roots codes[i:i+ns] and codes[i:i+nl]."""
-    if not ns < nl < 2 * ns:
-        raise FactorizationError(f"roots are not balanced: |sq|={ns}, |SQ|={nl}")
-    if i + nl > len(codes):
-        raise FactorizationError("the long root runs past the end of the word")
-    ell = root_length(codes[i + ns:i + nl])
-    p1, r = divmod(ns, ell)
-    if r == 0:
-        raise FactorizationError("no canonical factorization: x1 would be empty")
-    u = codes[i + ns:i + ns + ell]
-    if u * p1 + u[:r] != codes[i:i + ns]:  # then SQ rebuilds too (fact 3)
-        raise FactorizationError("roots do not reconstruct from the factorization")
-    return r, ell, p1, (nl - ns) // ell
-
-
-def canonical_factorization(sq: Word, SQ: Word) -> Factorization:
-    """Recover (x1, x2, p1, p2) from the two roots of a double square.
-
-    Requires sq to be a proper prefix of SQ with |sq| < |SQ| < 2|sq|.
-    """
-    ns, nl = len(sq), len(SQ)
-    if ns < nl < 2 * ns and SQ[:ns] != sq:
-        raise FactorizationError("short root is not a prefix of the long root")
-    r, ell, p1, p2 = _factor(SQ.codes, 0, ns, nl)
-    return Factorization(SQ[:r], SQ[r:ell], p1, p2)
+from .words import Word, lcp, root_length
 
 
 class FsDoubleSquare:
@@ -108,23 +49,36 @@ class FsDoubleSquare:
     __slots__ = ("codes", "offset", "position", "sq_len", "SQ_len", "x1_len", "period_len",
                  "p1", "p2")
 
-    def __init__(self, position: int, factorization: Factorization) -> None:
-        f = factorization  # recovered exactly from its roots (module docstring)
-        self._set(f.long_root.codes, 0, position, len(f.short_root), len(f.long_root))
-
-    def _set(self, codes: bytes, offset: int, position: int, sq_len: int, SQ_len: int) -> None:
+    def __init__(self, codes: bytes, offset: int, position: int, sq_len: int,
+                 SQ_len: int) -> None:
+        """Factor the roots codes[offset:offset+sq_len] and
+        codes[offset:offset+SQ_len], or raise ``FactorizationError``."""
+        if not sq_len < SQ_len < 2 * sq_len:
+            raise FactorizationError(f"roots are not balanced: |sq|={sq_len}, |SQ|={SQ_len}")
+        if offset + SQ_len > len(codes):
+            raise FactorizationError("the long root runs past the end of the word")
+        ell = root_length(codes[offset + sq_len:offset + SQ_len])
+        p1, r = divmod(sq_len, ell)
+        if r == 0:
+            raise FactorizationError("no canonical factorization: x1 would be empty")
+        u = codes[offset + sq_len:offset + sq_len + ell]
+        if u * p1 + u[:r] != codes[offset:offset + sq_len]:  # then SQ rebuilds too (fact 3)
+            raise FactorizationError("roots do not reconstruct from the factorization")
         self.codes, self.offset, self.position, self.sq_len, self.SQ_len = (
             codes, offset, position, sq_len, SQ_len)
-        self.x1_len, self.period_len, self.p1, self.p2 = _factor(codes, offset, sq_len, SQ_len)
+        self.x1_len, self.period_len, self.p1, self.p2 = r, ell, p1, (SQ_len - sq_len) // ell
 
     def prefix(self, length: int) -> bytes:
         """The first ``length`` letters of SQ: x1, x1 x2, sq or SQ."""
         return self.codes[self.offset:self.offset + length]
 
     @property
-    def factorization(self) -> Factorization:
-        period = Word(self.prefix(self.period_len))
-        return Factorization(period[:self.x1_len], period[self.x1_len:], self.p1, self.p2)
+    def x1(self) -> Word:
+        return Word(self.prefix(self.x1_len))
+
+    @property
+    def x2(self) -> Word:
+        return Word(self.codes[self.offset + self.x1_len:self.offset + self.period_len])
 
     @property
     def end(self) -> int:
@@ -143,16 +97,16 @@ class FsDoubleSquare:
                 and self.prefix(self.period_len) == other.prefix(other.period_len))
 
     def __repr__(self) -> str:
-        return f"FsDoubleSquare({self.position}, {self.factorization!r})"
+        return (f"FsDoubleSquare({self.position}, x1={self.x1!r}, x2={self.x2!r}, "
+                f"p1={self.p1}, p2={self.p2})")
 
     def to_json_dict(self) -> dict:
-        period = Word(self.prefix(self.period_len))
         return {
             "position": self.position,
             "sq_len": self.sq_len,
             "SQ_len": self.SQ_len,
-            "x1": period[:self.x1_len].text,
-            "x2": period[self.x1_len:].text,
+            "x1": self.x1.text,
+            "x2": self.x2.text,
             "p1": self.p1,
             "p2": self.p2,
         }
@@ -175,14 +129,12 @@ def find_fs_double_squares(w: Word, roots: dict[int, list[int]]) -> list[FsDoubl
             raise CounterexampleError(
                 f"position {pos} of {w.text!r} starts {len(ps)} rightmost squares; "
                 "at most two should be possible")
-        fs = FsDoubleSquare.__new__(FsDoubleSquare)
         try:
-            fs._set(w.codes, pos - 1, pos, *ps)
+            out.append(FsDoubleSquare(w.codes, pos - 1, pos, *ps))
         except FactorizationError as exc:
             raise CounterexampleError(
                 f"position {pos} of {w.text!r} has two rightmost squares "
                 f"(roots {ps[0]}, {ps[1]}) but no canonical factorization: {exc}") from exc
-        out.append(fs)
     return out
 
 

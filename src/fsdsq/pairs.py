@@ -151,9 +151,9 @@ def _equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check,
       holds for the short roots.
     * One identity: with a the first letter of u, u a = a v gives
       u u a = u (a v) = (u a) v = (a v) v, the square form of the shift.
-    * First letters: x1 and x2 are nonempty (``Factorization``), so their
-      common prefix is nonempty exactly when their first letters, SQ[0] and
-      SQ[|x1|], agree.
+    * First letters: x1 and x2 are nonempty (the ``FsDoubleSquare``
+      constructor gives 0 < |x1| < |x1 x2|), so their common prefix is
+      nonempty exactly when their first letters, SQ[0] and SQ[|x1|], agree.
     """
     u, v = first.prefix(first.SQ_len), second.prefix(second.SQ_len)
     a = u[:1]

@@ -82,17 +82,6 @@ def lcp(u: Word | bytes, v: Word | bytes) -> int:
     return next(i for i in range(m) if a[i] != b[i])  # some i differs: the slices did
 
 
-def is_primitive(w: Word) -> bool:
-    """True iff w is not a proper integer power of a shorter word."""
-    return primitive_root(w)[1] == 1
-
-
-def primitive_root(w: Word) -> tuple[Word, int]:
-    """Shortest word u and maximal k with u**k == w; u is primitive."""
-    d = root_length(w.codes)
-    return w[:d], len(w) // d
-
-
 def root_length(codes: bytes) -> int:
     """Length of the primitive root of the nonempty word with these bytes.
 

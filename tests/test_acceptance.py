@@ -133,10 +133,9 @@ def test_criterion_07_unequal_inequalities():
             assert unequal
             for pair in unequal:
                 f, g = pair.first, pair.second
-                fx = f.factorization
                 assert g.SQ_len > 2 * f.SQ_len
-                assert len(g.factorization.period) > len(fx.period)
-                assert g.sq_len >= f.SQ_len + f.sq_len + (fx.p2 - 1) * len(fx.period)
+                assert g.period_len > f.period_len
+                assert g.sq_len >= f.SQ_len + f.sq_len + (f.p2 - 1) * f.period_len
                 assert pair.all_checks_pass
     assert instances >= 20
     print(f"ACCEPTANCE 7 PASS: length inequalities hold on w1, w2 and "

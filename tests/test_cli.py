@@ -13,13 +13,13 @@ import fsdsq.construct
 import fsdsq.pairs
 import fsdsq.sweep
 from fsdsq.cli import _build_parser, main
-from fsdsq.double_squares import FsDoubleSquare, MateClassification, MateLabel
+from fsdsq.double_squares import MateClassification, MateLabel
 from fsdsq.errors import CounterexampleError
 from fsdsq.pairs import Check
 from fsdsq.words import Word
 from named_words import (CASE_10, EQUAL_17, EQUAL_17_S, SEEDS, UNEQUAL_39,
                          UNEQUAL_67, W1, W2)
-from structure import squares_of
+from structure import double_square, squares_of
 from test_census import _fibonacci, random_word
 
 
@@ -327,7 +327,7 @@ class TestAnalyze:
     def test_infeasible_pair_gets_end_order_and_mate(self, capsys, monkeypatch):
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
         first = squares_of(Word.from_text(EQUAL_17))[0]
-        second = FsDoubleSquare(2, squares_of(Word.from_text("abaababaab"))[0].factorization)
+        second = double_square(2, "a", "b", 1, 1)  # the split of abaababaab
         monkeypatch.setattr(fsdsq.pairs, "find_fs_double_squares",
                             lambda word, roots: [first, second])
         code, out, _ = run(capsys, "analyze", EQUAL_17, "-f", "json")

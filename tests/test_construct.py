@@ -77,9 +77,8 @@ class TestExtendEqualRun:
         # capped by |x1| when p1 == p2
         for text in SEEDS:
             seed = W(text)
-            fs = squares_of(seed)[0]
-            f = fs.factorization
-            ell = lcp(f.period, f.x2 + f.x1)
+            f = squares_of(seed)[0]
+            ell = lcp(f.x1 + f.x2, f.x2 + f.x1)
             ceiling = min(ell + 1, len(f.x1)) if f.p1 == f.p2 else ell + 1
             try:
                 rep = extend_equal_run(seed)
@@ -97,10 +96,9 @@ class TestExtendEqualRun:
 
     def test_ceiling_tight_for_equal_17_seed(self):
         seed = W("abaababaabaababa")
-        fs = squares_of(seed)[0]
-        f = fs.factorization
+        f = squares_of(seed)[0]
         assert (f.x1.text, f.x2.text, f.p1, f.p2) == ("ab", "a", 1, 1)
-        ell = lcp(f.period, f.x2 + f.x1)
+        ell = lcp(f.x1 + f.x2, f.x2 + f.x1)
         assert ell == 1
         rep = extend_equal_run(seed)
         measured = s_sequence(rep.word).longest_run[1]

@@ -6,18 +6,22 @@ import fsdsq.double_squares
 import fsdsq.words
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run
-from fsdsq.double_squares import (Factorization, FsDoubleSquare, MateLabel,
-                                  canonical_factorization, classify_mate_detail,
+from fsdsq.double_squares import (FsDoubleSquare, MateLabel, classify_mate_detail,
                                   find_fs_double_squares)
 from fsdsq.errors import CounterexampleError, FactorizationError
-from fsdsq.words import is_primitive
 
 from named_words import (CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W, W1,
                          W2)
 from oracles import (all_words, canonical_words, oracle_factorization, oracle_is_primitive,
                      oracle_s)
-from structure import squares_of
+from structure import double_square, squares_of
 from test_census import _fibonacci, periodic_with_mutations
+
+
+def _record(sq: str, SQ: str) -> FsDoubleSquare:
+    """The record at position 1 of the roots sq and SQ, read off SQ's bytes."""
+    assert SQ.startswith(sq)
+    return FsDoubleSquare(W(SQ).codes, 0, 1, len(sq), len(SQ))
 
 
 class TestCanonicalFactorization:
@@ -27,63 +31,59 @@ class TestCanonicalFactorization:
         ("aabaaba", "aabaabaaab", ("a", "ab", 2, 1)),
     ])
     def test_examples(self, sq, SQ, expected):
-        f = canonical_factorization(W(sq), W(SQ))
-        assert (f.x1.text, f.x2.text, f.p1, f.p2) == expected
-        assert f.short_root == W(sq)
-        assert f.long_root == W(SQ)
-        assert is_primitive(f.period)
+        fs = _record(sq, SQ)
+        assert (fs.x1.text, fs.x2.text, fs.p1, fs.p2) == expected
+        assert (fs.sq_len, fs.SQ_len) == (len(sq), len(SQ))
+        assert fs.prefix(fs.SQ_len) == W(SQ).codes
+        assert oracle_is_primitive(fs.x1.text + fs.x2.text)
 
     def test_unbalanced_rejected(self):
         with pytest.raises(FactorizationError, match="balanced"):
-            canonical_factorization(W("ab"), W("abab"))
+            _record("ab", "abab")
         with pytest.raises(FactorizationError, match="balanced"):
-            canonical_factorization(W("abaab"), W("abaab"))
-
-    def test_non_prefix_rejected(self):
-        with pytest.raises(FactorizationError, match="prefix"):
-            canonical_factorization(W("abb"), W("abab"))
+            _record("abaab", "abaab")
 
     def test_empty_x1_rejected(self):
         # |sq| a multiple of the recovered period leaves nothing for x1
         with pytest.raises(FactorizationError, match="x1 would be empty"):
-            canonical_factorization(W("abab"), W("ababab"))
+            _record("abab", "ababab")
+
+    def test_unreconstructable_rejected(self):
+        # SQ[3:] = ab has root ab, which rebuilds sq as aba, not abb
+        with pytest.raises(FactorizationError, match="do not reconstruct"):
+            _record("abb", "abbab")
 
     def test_validation_in_type(self):
-        with pytest.raises(FactorizationError):
-            Factorization(W(""), W("b"), 1, 1)
-        with pytest.raises(FactorizationError):
-            Factorization(W("a"), W("b"), 1, 2)
-        with pytest.raises(FactorizationError):
-            Factorization(W("a"), W("a"), 1, 1)  # x1x2 = "aa" not primitive
-
+        # splits that break the canonical form give roots the constructor refuses
+        with pytest.raises(FactorizationError, match="balanced"):
+            double_square(1, "", "b", 1, 1)  # roots b, bb
+        with pytest.raises(FactorizationError, match="balanced"):
+            double_square(1, "a", "b", 1, 2)  # p1 < p2: roots aba, abaabab
+        with pytest.raises(FactorizationError, match="x1 would be empty"):
+            double_square(1, "a", "a", 1, 1)  # x1 x2 = aa: roots aa, aaa
 
     def test_outcome_exhaustive_small(self):
-        # the exponent order and the long root are never tested: every
-        # balanced binary prefix pair either factors with both facts or is
-        # refused by a check that stays
-        outcomes = {"factored": 0, "refused": 0}
-        for nl in range(3, 13):
-            for text in all_words(2, nl):
-                SQ = W(text)
-                for ns in range(nl // 2 + 1, nl):
-                    try:
-                        f = canonical_factorization(SQ[:ns], SQ)
-                    except FactorizationError:
-                        outcomes["refused"] += 1
-                        continue
-                    outcomes["factored"] += 1
-                    assert f.p1 >= f.p2
-                    assert f.short_root == SQ[:ns]
-                    assert f.long_root == SQ
-        assert outcomes["factored"] > 0 and outcomes["refused"] > 0
-
-    def test_roots_built_once_and_outside_equality(self):
-        f = Factorization(W("a"), W("ab"), 2, 1)
-        fresh = Factorization(W("a"), W("ab"), 2, 1)
-        assert f.long_root is f.long_root
-        assert (f.period.text, f.short_root.text, f.long_root.text) == (
-            "aab", "aabaaba", "aabaabaaab")
-        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+        # every balanced prefix pair of every binary word of 3 to 12 letters
+        # and canonical ternary word of 3 to 8: the constructor refuses
+        # exactly the pairs the brute-force oracle cannot split, and factors
+        # the others as the oracle's one split
+        outcomes = {"factored": 0, "x1 would be empty": 0, "do not reconstruct": 0}
+        texts = [text for nl in range(3, 13) for text in all_words(2, nl)]
+        texts += [text for nl in range(3, 9) for text in canonical_words(3, nl)]
+        for text in texts:
+            codes, nl = W(text).codes, len(text)
+            for ns in range(nl // 2 + 1, nl):
+                splits = oracle_factorization(text[:ns], text)
+                try:
+                    fs = FsDoubleSquare(codes, 0, 1, ns, nl)
+                except FactorizationError as exc:
+                    assert splits == []
+                    outcomes[next(m for m in outcomes if m in str(exc))] += 1
+                    continue
+                outcomes["factored"] += 1
+                assert splits == [(fs.x1.text, fs.x2.text, fs.p1, fs.p2)]
+        assert outcomes == {"factored": 142, "x1 would be empty": 28_668,
+                            "do not reconstruct": 14_144}
 
 
 class TestDetection:
@@ -134,14 +134,16 @@ class TestDetection:
             for text in all_words(2, n):
                 for fs in squares_of(W(text)):
                     hits += 1
-                    f = fs.factorization
-                    assert f.short_root == W(text)[fs.position - 1:fs.position - 1 + fs.sq_len]
-                    assert f.long_root == W(text)[fs.position - 1:fs.position - 1 + fs.SQ_len]
-                    assert is_primitive(f.period)
-                    assert f.p1 >= f.p2 >= 1
-                    assert is_primitive(f.long_root)
-                    if f.p1 > 1:
-                        assert is_primitive(f.short_root)
+                    i = fs.position - 1
+                    x1, x2 = fs.x1.text, fs.x2.text
+                    sq = (x1 + x2) * fs.p1 + x1
+                    SQ = sq + (x1 + x2) * fs.p2
+                    assert (sq, SQ) == (text[i:i + fs.sq_len], text[i:i + fs.SQ_len])
+                    assert oracle_is_primitive(x1 + x2)
+                    assert fs.p1 >= fs.p2 >= 1
+                    assert oracle_is_primitive(SQ)
+                    if fs.p1 > 1:
+                        assert oracle_is_primitive(sq)
         assert hits > 50
 
 
@@ -156,10 +158,10 @@ class TestPrimitivityLemma:
                     for r in range(1, ell):
                         for p1 in range(1, 4):
                             for p2 in range(1, p1 + 1):
-                                f = Factorization(W(u[:r]), W(u[r:]), p1, p2)
-                                assert oracle_is_primitive(f.long_root.text)
+                                sq = u * p1 + u[:r]
+                                assert oracle_is_primitive(sq + u * p2)
                                 if p1 >= 2:
-                                    assert oracle_is_primitive(f.short_root.text)
+                                    assert oracle_is_primitive(sq)
                                 cases += 1
         assert cases == 69_708
 
@@ -177,7 +179,7 @@ class TestPrimitivityLemma:
             calls += 1
             return root(codes)
 
-        # ``primitive_root`` looks it up in ``words``
+        # a caller that looked it up in ``words`` would count too
         monkeypatch.setattr(fsdsq.words, "root_length", counted)
         monkeypatch.setattr(fsdsq.double_squares, "root_length", counted)
         squares = [fs for w, roots in censuses for fs in find_fs_double_squares(w, roots)]
@@ -230,7 +232,7 @@ class TestAgainstOracle:
         found += squares_of(build_run(12).word)
         assert len(found) == 40
         for fs in found:
-            hand = FsDoubleSquare(fs.position, fs.factorization)
+            hand = double_square(fs.position, fs.x1.text, fs.x2.text, fs.p1, fs.p2)
             assert hand == fs
             assert hand.to_json_dict() == fs.to_json_dict()
             assert (hand.sq_len, hand.SQ_len, hand.x1_len, hand.period_len, hand.end) == (
@@ -252,7 +254,7 @@ class TestEquality:
         # position 2 of the 17-letter pair word against the same split read
         # off a word that starts with its long root
         fs = squares_of(W(EQUAL_17))[1]
-        hand = FsDoubleSquare(2, fs.factorization)
+        hand = double_square(2, fs.x1.text, fs.x2.text, fs.p1, fs.p2)
         assert (hand.offset, fs.offset) == (0, 1)
         assert hand == fs
 
@@ -282,32 +284,29 @@ class TestEquality:
 class TestRepr:
     def test_found_and_hand_built_records(self):
         (fs,) = squares_of(W("abaababaab"))
-        assert repr(fs) == (
-            "FsDoubleSquare(1, Factorization(x1=Word('a'), x2=Word('b'), p1=1, p2=1))")
-        hand = FsDoubleSquare(2, Factorization(W("ab"), W("b"), 1, 1))
-        assert repr(hand) == (
-            "FsDoubleSquare(2, Factorization(x1=Word('ab'), x2=Word('b'), p1=1, p2=1))")
+        assert repr(fs) == "FsDoubleSquare(1, x1=Word('a'), x2=Word('b'), p1=1, p2=1)"
+        hand = double_square(2, "ab", "b", 1, 1)
+        assert repr(hand) == "FsDoubleSquare(2, x1=Word('ab'), x2=Word('b'), p1=1, p2=1)"
 
 
 @st.composite
 def factorizations(draw):
     x1 = draw(st.text(alphabet="abc", min_size=1, max_size=4))
     x2 = draw(st.text(alphabet="abc", min_size=1, max_size=4))
-    if not is_primitive(W(x1 + x2)):
+    if not oracle_is_primitive(x1 + x2):
         x2 = x2 + ("b" if (x1 + x2)[-1] != "b" else "c")
     p2 = draw(st.integers(min_value=1, max_value=3))
     p1 = draw(st.integers(min_value=p2, max_value=4))
-    return Factorization(W(x1), W(x2), p1, p2)
+    return x1, x2, p1, p2
 
 
 class TestRecoveryRoundTrip:
     @given(factorizations())
     @settings(max_examples=150)
-    def test_recovery_inverts_construction(self, fact):
+    def test_recovery_inverts_construction(self, split):
         # building the two roots from any valid split and recovering must
         # give back the identical split: the recovery is unambiguous
-        recovered = canonical_factorization(fact.short_root, fact.long_root)
-        assert recovered == fact
+        double_square(1, *split)
 
 
 def _fs(word_text: str, position: int) -> FsDoubleSquare:
@@ -335,16 +334,16 @@ class TestMates:
 
     def test_longer_short_root_same_long_root_is_beta(self):
         # roots 4/7 (abba/abbaabb) at 1 and 5/7 (ababa/ababaab) at 2
-        first = FsDoubleSquare(1, Factorization(W("a"), W("bb"), 1, 1))
-        second = FsDoubleSquare(2, Factorization(W("a"), W("b"), 2, 1))
+        first = double_square(1, "a", "bb", 1, 1)
+        second = double_square(2, "a", "b", 2, 1)
         assert (first.sq_len, first.SQ_len, second.sq_len, second.SQ_len) == (4, 7, 5, 7)
         assert classify_mate_detail(first, second).label is MateLabel.BETA
 
     def test_hand_built_pair_fits_no_mate(self):
         # roots 7/9 at 1: epsilon needs k >= (3 - 1)*2 + lcp(ab, ba) = 4, and k = 2;
         # the second short root has 11 letters, past 9, and matches no delta rule
-        first = FsDoubleSquare(1, Factorization(W("a"), W("b"), 3, 1))
-        second = FsDoubleSquare(2, Factorization(W("c"), W("d"), 5, 1))
+        first = double_square(1, "a", "b", 3, 1)
+        second = double_square(2, "c", "d", 5, 1)
         assert (first.sq_len, first.SQ_len, second.sq_len) == (7, 9, 11)
         assert fsdsq.double_squares._delta_prefix_rule(first, second) is None
         assert classify_mate_detail(first, second) is None
@@ -355,8 +354,8 @@ class TestMates:
         # roots 8/11 split as (ab, a, 2, 1): epsilon needs k >= (2 - 1)*3 +
         # lcp(aba, aab) = 4; the second square over other letters has a
         # short root of 13 letters, past 11, and matches no delta rule
-        first = FsDoubleSquare(1, Factorization(W("ab"), W("a"), 2, 1))
-        second = FsDoubleSquare(k, Factorization(W("c"), W("d"), 6, 1))
+        first = double_square(1, "ab", "a", 2, 1)
+        second = double_square(k, "c", "d", 6, 1)
         assert (first.sq_len, first.SQ_len, second.sq_len) == (8, 11, 13)
         mate = classify_mate_detail(first, second)
         assert (mate and mate.label) is label

@@ -1,8 +1,11 @@
 """The package's layers, read from its source with ``ast``: which module
-defines the findings check and which modules import which."""
+defines the findings check and which modules import which; and the names
+the package exports."""
 
 import ast
 from pathlib import Path
+
+import fsdsq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fsdsq"
 # each module of the structure stack imports none of those after it
@@ -62,3 +65,19 @@ def test_the_structure_stack_imports_downwards():
     for k, mod in enumerate(STACK):
         above = set(STACK[k + 1:]) | set(UPPER)
         assert not _imported(modules[mod]) & above, mod
+
+
+def test_public_api_is_pinned():
+    # a name joins or leaves the public API only with this list
+    assert sorted(fsdsq.__all__) == [
+        "ALL_PROPERTIES", "BuildStep", "CensusReport", "Check", "CostCeilingError",
+        "CounterexampleError", "FactorizationError", "Finding", "FsDoubleSquare",
+        "LengthStats", "MateClassification", "MateLabel", "NoExtensionError",
+        "PairClassification", "PairKind", "RunReport", "SweepReport", "Word",
+        "are_conjugate", "build_run", "classify_mate_detail", "exhaustive_verify",
+        "extend_equal_run", "extend_unequal", "find_double_square_pairs",
+        "find_fs_double_squares", "lcp", "ordering_case", "render_census_tsv",
+        "s_sequence",
+    ]
+    for name in fsdsq.__all__:
+        assert getattr(fsdsq, name) is not None, name

@@ -5,7 +5,7 @@ import pytest
 import fsdsq.pairs
 from fsdsq.census import s_sequence
 from fsdsq.construct import build_run
-from fsdsq.double_squares import Factorization, FsDoubleSquare, classify_mate_detail
+from fsdsq.double_squares import FsDoubleSquare, classify_mate_detail
 from fsdsq.pairs import (Check, PairKind, _equal_checks, _unequal_checks,
                          find_double_square_pairs, ordering_case)
 from fsdsq.sweep import exhaustive_verify
@@ -13,21 +13,21 @@ from fsdsq.words import Word, are_conjugate, lcp
 
 from named_words import CASE_10, EQUAL_17, UNEQUAL_39, UNEQUAL_67, W, W1, W2
 from oracles import oracle_factorization, oracle_rotations
-from structure import pairs_of, squares_of
+from structure import double_square, pairs_of, squares_of
 from test_census import _fibonacci
 
 
 def _square_equal_checks(first: FsDoubleSquare, second: FsDoubleSquare) -> tuple[Check, ...]:
     """The equal checks decided on the squares themselves: the reference
     for ``_equal_checks``, which decides each on the roots."""
-    f, g = first.factorization, second.factorization
-    u, v, su, sv = f.long_root, g.long_root, f.short_root, g.short_root
+    u, v = Word(first.prefix(first.SQ_len)), Word(second.prefix(second.SQ_len))
+    su, sv = Word(first.prefix(first.sq_len)), Word(second.prefix(second.sq_len))
     a = su[:1]
     return (
         Check("longer_squares_conjugate", are_conjugate(u + u, v + v)),
         Check("shorter_squares_conjugate", are_conjugate(su + su, sv + sv)),
         Check("single_letter_shift", u + a == a + v and u + u + a == a + v + v),
-        Check("x1_x2_common_prefix", lcp(f.x1, f.x2) >= 1),
+        Check("x1_x2_common_prefix", lcp(first.x1, first.x2) >= 1),
         Check("second_ends_after_first", second.end > first.end),
     )
 
@@ -125,8 +125,7 @@ class TestEqualChecks:
         # same root lengths, but the second square is not a rotation of the
         # first: the conjugacy checks must come back false
         real = pairs_of(W(EQUAL_17))[0]
-        fake_second = FsDoubleSquare(
-            position=2, factorization=Factorization(W("ab"), W("b"), 1, 1))
+        fake_second = double_square(2, "ab", "b", 1, 1)
         results = {c.name: c.passed for c in _equal_checks(real.first, fake_second)}
         assert results["longer_squares_conjugate"] is False
         assert results["shorter_squares_conjugate"] is False
@@ -157,12 +156,11 @@ class TestEqualChecks:
         # and one rotated by two letters: the first square of the closed form
         # at T = 4, factored (aaab, a, 1, 1), against the third, (abaa, a, 1, 1)
         real = pairs_of(W(EQUAL_17))[0]
-        fake = Factorization(W("ab"), W("b"), 1, 1)
         run = pairs_of(build_run(4).word)[0]
         pairs = [
-            (real.first, FsDoubleSquare(2, fake)),
-            (FsDoubleSquare(1, fake), real.second),
-            (run.first, FsDoubleSquare(2, Factorization(W("abaa"), W("a"), 1, 1))),
+            (real.first, double_square(2, "ab", "b", 1, 1)),
+            (double_square(1, "ab", "b", 1, 1), real.second),
+            (run.first, double_square(2, "abaa", "a", 1, 1)),
         ]
         failed = []
         for first, second in pairs:
@@ -199,9 +197,8 @@ class TestUnequalChecks:
 
     def test_w1_inequality_values(self):
         pair = pairs_of(W(W1))[0]
-        f, g = pair.first.factorization, pair.second.factorization
         assert pair.second.SQ_len > 2 * pair.first.SQ_len  # 30 > 14
-        assert len(g.period) > len(f.period)               # 14 > 3
+        assert pair.second.period_len > pair.first.period_len  # 14 > 3
         assert pair.second.sq_len > pair.first.SQ_len + pair.first.sq_len  # 16 > 11
 
     def test_kind_precondition(self):
@@ -330,10 +327,9 @@ class TestAgainstReference:
     ])
     def test_hand_built_pairs(self, first, second, mate):
         # the mates that no word above reaches, on records built from splits
-        records = [FsDoubleSquare(pos, Factorization(W(x1), W(x2), p1, p2))
-                   for pos, (x1, x2, p1, p2) in (first, second)]
-        roots = [(fs.position, fs.factorization.short_root.text,
-                  fs.factorization.long_root.text) for fs in records]
+        records = [double_square(pos, *split) for pos, split in (first, second)]
+        roots = [(fs.position, Word(fs.prefix(fs.sq_len)).text,
+                  Word(fs.prefix(fs.SQ_len)).text) for fs in records]
         case, checks, ref_mate = _reference_pair(*roots)
         got = classify_mate_detail(*records)
         assert (got and (got.label.value, got.delta_rule)) == ref_mate == mate
@@ -345,8 +341,9 @@ class TestAgainstReference:
         # bytes are the long root alone, give the same pairs, checks and mates
         for text in (EQUAL_17, W1, CASE_10, UNEQUAL_39, build_run(9).word.text):
             found = pairs_of(W(text))
-            hand = find_double_square_pairs([FsDoubleSquare(q.position, q.factorization)
-                                             for q in squares_of(W(text))])
+            hand = find_double_square_pairs([
+                double_square(q.position, q.x1.text, q.x2.text, q.p1, q.p2)
+                for q in squares_of(W(text))])
             assert len(found) >= 1
             assert [p.to_json_dict() for p in hand] == [p.to_json_dict() for p in found]
             assert hand == found

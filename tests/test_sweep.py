@@ -14,7 +14,7 @@ import fsdsq.sweep
 from fsdsq.census import CensusReport, runs_of_two, s_sequence
 from fsdsq.cli import main
 from fsdsq.errors import CostCeilingError, CounterexampleError
-from fsdsq.double_squares import FsDoubleSquare, find_fs_double_squares
+from fsdsq.double_squares import find_fs_double_squares
 from fsdsq.pairs import ALL_PROPERTIES, Check, PairKind, check_word, find_double_square_pairs
 from fsdsq.construct import build_run
 from fsdsq.sweep import (LengthStats, SweepReport, _block_counts, _block_line, _left_canonical,
@@ -23,7 +23,7 @@ from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
 from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
-from structure import squares_of
+from structure import double_square, squares_of
 
 # Checkpoints written before the block plan was sized to the alphabet, when
 # every alphabet was keyed by suffixes of length 7: a binary sweep to 9 and
@@ -888,7 +888,7 @@ class TestCheckWord:
         names |= emitted(EQUAL_17) | emitted(UNEQUAL_39)  # the two pair checks
         # planted squares: roots 5/8 at 1 (ends at 16), roots 3/5 at 2 (ends at 11)
         first = squares_of(Word.from_text(EQUAL_17))[0]
-        second = FsDoubleSquare(2, squares_of(Word.from_text("abaababaab"))[0].factorization)
+        second = double_square(2, "a", "b", 1, 1)  # the split of abaababaab
         monkeypatch.setattr(fsdsq.pairs, "find_fs_double_squares",
                             lambda word, roots: [first, second])
         names |= emitted(EQUAL_17)  # pair_end_order

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdsq.words import Word, are_conjugate, is_primitive, lcp, primitive_root
+from fsdsq.words import Word, are_conjugate, lcp, root_length
 
 from named_words import EQUAL_17, W
 from oracles import (all_words, canonical_words, oracle_is_primitive,
@@ -50,6 +50,12 @@ class TestWord:
         assert W(text).text == text
 
 
+def _root(text: str) -> tuple[str, int]:
+    """The primitive root of ``text`` and its exponent, from ``root_length``."""
+    d = root_length(W(text).codes)
+    return text[:d], len(text) // d
+
+
 class TestPrimitivity:
     @pytest.mark.parametrize("text,expected", [
         ("aba", True),
@@ -60,14 +66,12 @@ class TestPrimitivity:
         ("aaa", False),
     ])
     def test_examples(self, text, expected):
-        assert is_primitive(W(text)) is expected
+        assert (root_length(W(text).codes) == len(text)) is expected
         assert oracle_is_primitive(text) is expected
 
     def test_empty_word_errors(self):
         with pytest.raises(ValueError, match="empty word"):
-            is_primitive(W(""))
-        with pytest.raises(ValueError):
-            primitive_root(W(""))
+            root_length(b"")
 
     @pytest.mark.parametrize("text,root,exponent", [
         ("abab", "ab", 2),
@@ -79,24 +83,19 @@ class TestPrimitivity:
         pytest.param(("a" * 999 + "ba") * 3, "a" * 999 + "ba", 3, id="a999ba-cubed"),
     ])
     def test_primitive_root_examples(self, text, root, exponent):
-        r, e = primitive_root(W(text))
-        assert (r.text, e) == (root, exponent)
+        assert _root(text) == (root, exponent)
 
     @given(nonempty_texts)
     def test_root_reconstructs(self, text):
-        w = W(text)
-        root, exponent = primitive_root(w)
-        assert is_primitive(root)
-        assert root * exponent == w
-        assert is_primitive(w) == (exponent == 1)
+        root, exponent = _root(text)
+        assert oracle_is_primitive(root)
+        assert root * exponent == text
 
     def test_exhaustive_against_oracle(self):
         for alphabet_size, max_len in ((2, 12), (3, 8)):
             for n in range(1, max_len + 1):
                 for text in all_words(alphabet_size, n):
-                    root, exponent = primitive_root(W(text))
-                    assert (root.text, exponent) == oracle_primitive_root(text)
-                    assert is_primitive(W(text)) == oracle_is_primitive(text)
+                    assert _root(text) == oracle_primitive_root(text)
 
 
 class TestConjugacy:
