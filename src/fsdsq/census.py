@@ -5,8 +5,8 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Eight exact facts about m_i keep the
-scan cheap:
+array of Crochemore & Ilie, IPL 2008).  Ten exact facts about m_i keep the
+scan and the sweep's probes cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
   again at i+p > i, so p <= m_i; the rightmost test gives 2p > m_i.  With
@@ -24,6 +24,18 @@ scan cheap:
   < j.  Otherwise the step without an automaton probes lengths m_{i+1} + 1,
   m_{i+1}, ... from i+1, and the leftmost hit of the first probe that hits
   is the next witness, the nearest one by definition.
+* Absent letter.  If codes[i] does not occur in codes[i+1:], no later match
+  of the suffix at i has a letter, so m_i = 0 and there is no root (roots
+  lie in (m_i/2, m_i]).  Every probe misses, and the probes end at the
+  empty match at j = i+1.  The sweep's canonical words use exactly the
+  letters 0..u, u the largest, so a new letter u+1 prepended is absent.
+* No room after the witness.  Let the witness test fail at i, let j be the
+  nearest start > i+1 of x = codes[i+1:i+1+m_{i+1}], and let that copy
+  reach the end of the word: j + m_{i+1} + 1 > n.  A copy of x after j
+  would run past the end, so j is its last start.  A copy of codes[i] x at
+  some k > i puts x at k+1 >= j, so at k+1 = j, and gives codes[j-1] =
+  codes[i], which the failed test excludes.  So m_i <= m_{i+1}: the probe
+  of length m_{i+1} + 1 would miss, and the probes start one length lower.
 * Witness-period rule.  Let m = m_i, j its witness and d = j - i <= m.
   Then codes[i:i+d+m] has period d, and the period breaks at e = i+d+m
   (codes[e] != codes[e-d], or e is the end of the word), since otherwise
@@ -115,7 +127,8 @@ object per crossed position; ``CensusReport.roots`` rebuilds the map of
 every position with s_i > 0 from them on first read.  The sweep's walk
 prepends one letter at a time and backtracks, which an automaton built
 right to left cannot follow, so it runs the step with probes along the
-left extensions of a word.
+left extensions of a word, less those that the absent-letter and no-room
+facts show must miss.
 ``runs_of_two`` reads the runs of 2's off the positions with s_i >= 2, for
 the census and the sweep alike.
 
@@ -194,7 +207,12 @@ def _census_step(codes: bytes | bytearray):
     the end) it returns m_i, the nearest such start for position i, and the
     ascending rightmost root lengths at i (the empty tuple for none), by the
     facts of the module docstring.  Without ``later`` the step finds m_i by
-    probes, so the sweep's walk can take one position at a time.
+    probes, so the sweep's walk can take one position at a time.  The
+    probes start at m_{i+1} + 1, or at m_{i+1} when the match at j reaches
+    the end of ``codes`` (no room after the witness).  The walk does not
+    call the step at a letter absent from codes[i+1:]: it takes the state
+    that the probes would end at, m_i = 0 and j = i + 1, with no root
+    (absent letter).
     ``_census_scan`` passes ``later`` = m_i from its automaton; the step
     then searches a witness only within distance m_i and returns j = -1
     when there is none there, so the next step skips the witness test and
@@ -218,6 +236,8 @@ def _census_step(codes: bytes | bytearray):
                 j = find(codes[i:i + m], i + 1, i + 2 * m)
             d = j - i if j >= 0 else n  # a miss means d > m
         else:
+            if j + m > n:  # the match at j reaches the end: m_i <= m_{i+1} (no room)
+                m -= 1
             while m > 0:
                 k = find(codes[i:i + m], i + 1)
                 if k != -1:

@@ -198,7 +198,11 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     recursion's: pre-order, letters ascending.  The words of the last
     level, at index 0, skip the stack: a loop visits them right after their
     parent, and their visit results are not read, since they have no
-    children.
+    children.  A word whose first letter is new, one past the largest
+    letter of the rest, skips the census step and its probes: that letter
+    is absent from the rest, so m_i = 0 and it starts no square (the
+    absent-letter fact of ``census.py``), and the walk carries the state
+    the probes would end at.
     """
     L = max_len
     buf = bytearray(L)
@@ -206,11 +210,14 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     buf[first:] = suffix
     step = _census_step(buf)
     top = alphabet_size - 1
+    # The largest child letter of a word whose largest letter is ``used``.
+    nexts = tuple(min(used + 1, top) for used in range(alphabet_size))
     doubles: dict[int, list[int]] = {}
-    # Each entry is (i, the letter at i, the largest letter of buf[i:], and the
-    # state of buf[i+1:]: m_{i+1}, a later-match start and the distinct count).
-    # The letters of ``suffix`` are in ``buf`` and pass unvisited.
-    stack = [(L - 1, buf[L - 1], buf[L - 1], -1, L, 0)]  # from the empty word at L
+    # Each entry is (i, the letter at i, the largest letter of buf[i+1:] or
+    # -1, and the state of buf[i+1:]: m_{i+1}, a later-match start and the
+    # distinct count).  The letters of ``suffix`` are in ``buf`` and pass
+    # unvisited.
+    stack = [(L - 1, buf[L - 1], -1, -1, L, 0)]  # from the empty word at L
     while stack:
         i, c, used, m, j, distinct = stack.pop()
         # Keys go in descending along a path, so those that a finished
@@ -218,19 +225,24 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
         while doubles and next(reversed(doubles)) <= i:
             doubles.popitem()
         buf[i] = c
-        m, j, ps = step(i, m, j)
-        if len(ps) >= 2:
-            doubles[i] = ps
-        distinct += len(ps)
+        if c > used:  # absent from buf[i+1:]: the probes' end state, m_i = 0 and no root
+            used = c
+            m, j = 0, i + 1
+        else:
+            m, j, ps = step(i, m, j)
+            if ps:
+                k = len(ps)
+                if k >= 2:
+                    doubles[i] = ps
+                distinct += k
         if i > first:
-            c = buf[i - 1]
-            stack.append((i - 1, c, c if c > used else used, m, j, distinct))
+            stack.append((i - 1, buf[i - 1], used, m, j, distinct))
         elif visit(buf, i, distinct, doubles):
             if i > 1:
-                for c in range(min(used + 1, top), -1, -1):
-                    stack.append((i - 1, c, c if c > used else used, m, j, distinct))
+                for c in range(nexts[used], -1, -1):
+                    stack.append((i - 1, c, used, m, j, distinct))
             elif i:  # children at index 0 have none: visit them here, letters ascending
-                for c in range(min(used + 1, top) + 1):
+                for c in range(used + 1):
                     buf[0] = c
                     ps = step(0, m, j)[2]
                     if len(ps) < 2:
@@ -239,6 +251,9 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
                         doubles[0] = ps
                         visit(buf, 0, distinct + len(ps), doubles)
                         del doubles[0]
+                if used < top:  # a new letter: m_0 = 0, so no root
+                    buf[0] = used + 1
+                    visit(buf, 0, distinct, doubles)
 
 
 # ------------------------------------------------------------------- counts

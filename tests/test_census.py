@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fsdsq.census
+import fsdsq.sweep
 from fsdsq.census import (_census_scan, _census_step, _common_suffix, _later_matches,
                           render_census_tsv, runs_of_two, s_sequence)
 from fsdsq.construct import build_run
@@ -577,6 +578,26 @@ class TestFindCost:
         # of one candidate (the module docstring's window ends).
         assert len(self.recorded_finds(_fibonacci(2000))) == 2201
         assert len(self.recorded_finds(build_run(100).word.text)) == 792
+
+    @pytest.mark.parametrize("alphabet_size,max_len,ceiling", [
+        (2, 12, 5292), (3, 8, 1866), (4, 7, 926),
+    ])
+    def test_find_counts_of_the_walk(self, alphabet_size, max_len, ceiling, monkeypatch):
+        # The sweep's walk skips the probes of a letter absent from the
+        # suffix and, with no room after the witness, the longest one: 5,939,
+        # 2,528 and 1,579 finds without them.  A ceiling, never raised.
+        finds = 0
+
+        class RecordedBuffer(bytearray):
+            def find(self, *args):
+                nonlocal finds
+                finds += 1
+                return super().find(*args)
+
+        monkeypatch.setattr(fsdsq.sweep, "bytearray", RecordedBuffer, raising=False)
+        report = fsdsq.sweep.exhaustive_verify(alphabet_size, max_len)
+        assert report.findings == ()
+        assert finds <= ceiling
 
 
 class TestStructuredWords:

@@ -22,7 +22,8 @@ from fsdsq.sweep import (LengthStats, SweepReport, _block_counts, _block_line, _
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
-from oracles import all_words, canonical_words, oracle_longest_run, oracle_rightmost, oracle_s
+from oracles import (all_words, canonical_words, oracle_later_match, oracle_longest_run,
+                     oracle_rightmost, oracle_s)
 from structure import double_square, squares_of
 
 # Checkpoints written before the block plan was sized to the alphabet, when
@@ -636,6 +637,8 @@ class TestLeftExtensionSweep:
 
     @pytest.mark.parametrize("alphabet_size,max_len,suffix", [
         (2, 10, ""), (3, 7, ""), (2, 18, "abbababbabbababba"[-12:]),
+        # most new letters, which skip the census step
+        (4, 6, ""), (5, 6, ""),
     ])
     def test_carried_state_matches_oracle(self, alphabet_size, max_len, suffix):
         # The walk and s_sequence share the census step; this checks the
@@ -697,6 +700,58 @@ class TestLeftExtensionSweep:
                 assert [f.word for f in report.findings] == expected
                 assert {(f.property, f.detail) for f in report.findings} == {
                     ("factorization_roundtrip", "planted")}
+
+
+class TestProbeSkips:
+    """The probes that the walk skips, against the cubic oracle: a letter
+    absent from the suffix has m_i = 0, and with no room after the witness
+    m_i <= m_{i+1} (the facts of the ``census`` docstring)."""
+
+    @pytest.mark.parametrize("alphabet_size,max_len", [(2, 12), (3, 8), (4, 7), (5, 6)])
+    def test_against_oracle(self, alphabet_size, max_len, monkeypatch):
+        later = {}  # text -> oracle_later_match(text)
+
+        def oracle(text):
+            if text not in later:
+                later[text] = oracle_later_match(text)
+            return later[text]
+
+        make = fsdsq.sweep._census_step
+        fired = {"absent": 0, "room": 0}
+
+        def checked(codes):
+            step = make(codes)
+            n = len(codes)
+
+            def checked_step(i, m, j):
+                text = Word(codes[i:]).text
+                assert text[0] in text[1:]  # the walk skips an absent letter
+                # the carried state: m_{i+1} and the nearest start of its match
+                x = text[1:1 + m]
+                assert m == oracle(text[1:])[0]
+                assert j == i + 1 + next(k for k in range(1, n - i) if text[1 + k:].startswith(x))
+                if codes[j - 1] != codes[i] and j + m + 1 > n:
+                    assert oracle(text)[0] <= m
+                    fired["room"] += 1
+                return step(i, m, j)
+
+            return checked_step
+
+        def visit(buf, i, distinct, doubles):
+            text = Word(buf[i:]).text
+            if text[0] not in text[1:]:
+                assert oracle(text)[0] == 0
+                fired["absent"] += 1
+            return True
+
+        monkeypatch.setattr(fsdsq.sweep, "_census_step", checked)
+        fsdsq.sweep._walk(alphabet_size, max_len, b"", visit)
+        # "a", and each word over fewer letters than the alphabet, shorter
+        # than max_len, with a new letter prepended
+        assert fired["absent"] == 1 + sum(
+            1 for n in range(1, max_len) for t in canonical_words(alphabet_size, n)
+            if len(set(t)) < alphabet_size)
+        assert fired["room"] > 0
 
 
 def test_public_names():
