@@ -64,9 +64,9 @@ from .pairs import ALL_PROPERTIES, PairKind, check_word
 from .words import Word
 
 # A sweep of more canonical words than this is refused unless overridden.
-# It is the binary count to length 18.  A word costs 1.0 to 2.1 us of one CPU
-# on any alphabet from 2 to 26 letters, so every sweep under it takes less
-# than a second (the measured table is in CHANGES.md).
+# It is the binary count to length 18.  A word costs 0.8 to 1.5 us of one CPU
+# (reference-scaled) on any alphabet from 2 to 26 letters, so every sweep
+# under it takes less than a second (the measured table is in CHANGES.md).
 MAX_SWEEP_WORDS = 262_143
 # The longest block suffix; ``_plan_blocks`` picks the one used, which the
 # checkpoint header records as ``block_prefix_len``.

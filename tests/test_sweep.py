@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -709,13 +710,7 @@ class TestProbeSkips:
 
     @pytest.mark.parametrize("alphabet_size,max_len", [(2, 12), (3, 8), (4, 7), (5, 6)])
     def test_against_oracle(self, alphabet_size, max_len, monkeypatch):
-        later = {}  # text -> oracle_later_match(text)
-
-        def oracle(text):
-            if text not in later:
-                later[text] = oracle_later_match(text)
-            return later[text]
-
+        oracle = cache(oracle_later_match)
         make = fsdsq.sweep._census_step
         fired = {"absent": 0, "room": 0}
 
