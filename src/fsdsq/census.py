@@ -5,8 +5,8 @@ square factors whose *last* occurrence starts at i.  A square occurrence
 (i, p) is the last occurrence of its value exactly when no prefix of the
 suffix at i of length 2p reappears later, i.e. when 2p exceeds the longest
 later match length m_i (the mirror image of the Longest Previous Factor
-array of Crochemore & Ilie, IPL 2008).  Ten exact facts about m_i keep the
-scan and the sweep's probes cheap:
+array of Crochemore & Ilie, IPL 2008).  Eight exact facts about m_i keep
+the scan cheap:
 
 * Roots lie in (m_i/2, m_i].  A square of root p at i puts codes[i:i+p]
   again at i+p > i, so p <= m_i; the rightmost test gives 2p > m_i.  With
@@ -21,21 +21,7 @@ scan and the sweep's probes cheap:
   one of length m_{i+1} + 1 at j-1 > i, so the bound is met and no search
   is needed.  If j is the nearest witness of i+1, j-1 is the nearest of i:
   a match at some k in (i, j-1) would put one of the suffix at i+1 at k+1
-  < j.  Otherwise the step without an automaton probes lengths m_{i+1} + 1,
-  m_{i+1}, ... from i+1, and the leftmost hit of the first probe that hits
-  is the next witness, the nearest one by definition.
-* Absent letter.  If codes[i] does not occur in codes[i+1:], no later match
-  of the suffix at i has a letter, so m_i = 0 and there is no root (roots
-  lie in (m_i/2, m_i]).  Every probe misses, and the probes end at the
-  empty match at j = i+1.  The sweep's canonical words use exactly the
-  letters 0..u, u the largest, so a new letter u+1 prepended is absent.
-* No room after the witness.  Let the witness test fail at i, let j be the
-  nearest start > i+1 of x = codes[i+1:i+1+m_{i+1}], and let that copy
-  reach the end of the word: j + m_{i+1} + 1 > n.  A copy of x after j
-  would run past the end, so j is its last start.  A copy of codes[i] x at
-  some k > i puts x at k+1 >= j, so at k+1 = j, and gives codes[j-1] =
-  codes[i], which the failed test excludes.  So m_i <= m_{i+1}: the probe
-  of length m_{i+1} + 1 would miss, and the probes start one length lower.
+  < j.
 * Witness-period rule.  Let m = m_i, j its witness and d = j - i <= m.
   Then codes[i:i+d+m] has period d, and the period breaks at e = i+d+m
   (codes[e] != codes[e-d], or e is the end of the word), since otherwise
@@ -124,11 +110,10 @@ position on: 2 on a^n, |v| and a few periods of u on u^k v, and all of
 v u^k.  The scan keeps s, the smallest root of each position (0 for none)
 and the roots of the positions with s_i >= 2 alone, so it makes no Python
 object per crossed position; ``CensusReport.roots`` rebuilds the map of
-every position with s_i > 0 from them on first read.  The sweep's walk
-prepends one letter at a time and backtracks, which an automaton built
-right to left cannot follow, so it runs the step with probes along the
-left extensions of a word, less those that the absent-letter and no-room
-facts show must miss.
+every position with s_i > 0 from them on first read.  The sweep shares no
+code with the scan: its walk prepends one letter at a time and
+backtracks, which an automaton built right to left cannot follow, so it
+carries the Z-array of each word instead (``sweep.py``).
 ``runs_of_two`` reads the runs of 2's off the positions with s_i >= 2, for
 the census and the sweep alike.
 
@@ -198,55 +183,34 @@ class CensusReport:
         }
 
 
-def _census_step(codes: bytes | bytearray):
-    """The census step over ``codes``, right to left, as ``step(i, m, j)``
-    or ``step(i, m, j, later)``.
+def _census_step(codes: bytes):
+    """The census step over ``codes``, right to left, as ``step(i, m, j,
+    later)``.
 
     From the state of position i + 1 (m = m_{i+1}, and j, the nearest start
-    > i + 1 of a later match of that length; m = -1 and j = len(codes) past
-    the end) it returns m_i, the nearest such start for position i, and the
+    > i + 1 of a later match of that length, or -1 when there is none
+    within distance m; m = -1 and j = len(codes) past the end) and
+    ``later`` = m_i it returns m_i, the nearest start of a later match of
+    that length for position i within distance m_i (-1 for none, so the
+    next step skips the witness test and applies the witness miss), and the
     ascending rightmost root lengths at i (the empty tuple for none), by the
-    facts of the module docstring.  Without ``later`` the step finds m_i by
-    probes, so the sweep's walk can take one position at a time.  The
-    probes start at m_{i+1} + 1, or at m_{i+1} when the match at j reaches
-    the end of ``codes`` (no room after the witness).  The walk does not
-    call the step at a letter absent from codes[i+1:]: it takes the state
-    that the probes would end at, m_i = 0 and j = i + 1, with no root
-    (absent letter).
-    ``_census_scan`` passes ``later`` = m_i from its automaton; the step
-    then searches a witness only within distance m_i and returns j = -1
-    when there is none there, so the next step skips the witness test and
-    applies the witness miss.  ``codes`` may be a buffer that the caller
-    rewrites left of i between calls: the step reads only positions i and
-    right of it.
+    facts of the module docstring.
     """
     n = len(codes)
     find = codes.find
 
-    def step(i: int, m: int, j: int, later: int = -1) -> tuple[int, int, list[int] | tuple[()]]:
+    def step(i: int, m: int, j: int, later: int) -> tuple[int, int, list[int] | tuple[()]]:
         m += 1
         if j - 1 > i and codes[j - 1] == codes[i]:
             j -= 1
             d = j - i
-        elif later >= 0:
+        else:
             if j < 0 and later == m:  # i + 1 missed: only d = m is left
                 j = i + m if codes[i:i + m] == codes[i + m:i + 2 * m] else -1
             else:
                 m = later
                 j = find(codes[i:i + m], i + 1, i + 2 * m)
             d = j - i if j >= 0 else n  # a miss means d > m
-        else:
-            if j + m > n:  # the match at j reaches the end: m_i <= m_{i+1} (no room)
-                m -= 1
-            while m > 0:
-                k = find(codes[i:i + m], i + 1)
-                if k != -1:
-                    j = k
-                    break
-                m -= 1
-            else:
-                j = i + 1  # the empty match
-            d = j - i
         ps = ()  # no list for a rootless position
         q = (m >> 1) + 1
         if d <= m:
@@ -286,27 +250,38 @@ def _later_matches(codes: bytes) -> Iterator[int]:
     of the last position its reader asks for.
 
     State 0 is a bottom state of length -1 with a transition by every letter
-    to the root, state 1, so every suffix-link path meets a transition.
-    State k + 1 is the whole reversed word after its k-th letter; clones
-    follow, at most n - 1 of them.  Each letter has one transition list over
-    the states, 0 meaning none: no transition but the bottom's leads to the
-    root.
+    to the root, state 1, so every suffix-link path meets a transition.  The
+    other states are numbered as they are made, at most two per letter.
+    Each letter that arrives gets one transition list over the states, 0
+    meaning none: no transition but the bottom's leads to the root, and no
+    state made before a letter's first arrival has a transition by it.  The
+    lists start at 1024 slots and double as they fill, up to the 2n + 2
+    that the states of n letters need, so a reader that stops early, as the
+    scan does on a periodic word, pays only for the states made.
     """
-    n = len(codes)
-    size = 2 * n + 2
-    length = [0] * size  # length[k + 1] = k is set as letter k arrives
+    most = 2 * len(codes) + 2
+    size = min(1024, most)
+    length = [0] * size
     length[0] = -1
     link = [0] * size
     tables: list[list[int] | None] = [None] * 256
     every = []
-    for c in set(codes):
-        tables[c] = [1] + [0] * (size - 1)
-        every.append(tables[c])
-    clone = n + 1
-    for cur, c in enumerate(reversed(codes), 2):
-        length[cur] = cur - 1
+    last, made = 1, 2  # the state of the whole reversed word read, and the states made
+    for c in reversed(codes):
+        if made + 2 > size:  # no room for a state and its clone
+            grow = [0] * min(size, most - size)
+            for table in (length, link, *every):
+                table += grow
+            size = len(link)
         t = tables[c]
-        p = cur - 1
+        if t is None:
+            t = tables[c] = [0] * size
+            t[0] = 1
+            every.append(t)
+        cur = made
+        made += 1
+        length[cur] = length[last] + 1
+        p = last
         while not t[p]:
             t[p] = cur
             p = link[p]
@@ -315,7 +290,8 @@ def _later_matches(codes: bytes) -> Iterator[int]:
         if length[q] == m:
             link[cur] = q
         else:
-            clone += 1
+            clone = made
+            made += 1
             length[clone] = m
             link[clone] = link[q]
             for table in every:
@@ -324,6 +300,7 @@ def _later_matches(codes: bytes) -> Iterator[int]:
                 t[p] = clone
                 p = link[p]
             link[q] = link[cur] = clone
+        last = cur
         yield m
 
 

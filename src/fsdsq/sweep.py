@@ -8,15 +8,52 @@ class.  Findings and witnesses are reported in left-to-right canonical
 form (first letter 'a').
 
 Each word is built from its parent by prepending one letter.  That leaves
-every old s_i and m_i exact: both depend only on letters at i and to its
-right.  So a word costs one call of the census step of ``census.py`` for
-its new first position.  The rest is carried down the depth-first search
-in O(1) per word: the distinct-square count and the rightmost roots of
-every position with s_i >= 2, off which ``pairs.check_word`` reads the
-runs of 2's, the largest s_i and the structure without rescanning.  The
-words of the last length, half or more of a sweep over two or more
-letters, skip the walk's stack: a loop visits them right after their
-parent, and their visit results are not read.
+every old s_i exact: s_i depends only on letters at i and to its right.
+So a word costs only the census of its new first position, and the rest is
+carried down the depth-first search in O(1) per word: the distinct-square
+count and the rightmost roots of every position with s_i >= 2, off which
+``pairs.check_word`` reads the runs of 2's, the largest s_i and the
+structure without rescanning.  The words of the last length, half or more
+of a sweep over two or more letters, skip the walk's stack: a loop visits
+them right after their parent, and their visit results are not read.
+
+The census of the new first position comes from the Z-array of the word,
+which the walk carries as one Python int of bit lanes; it shares no code
+with ``census.py``.  Let the word be w = buf[i:], of length n, and let
+Z_i[p] = lcp(w, w[p:]) for 1 <= p < n.  Three facts:
+
+1. Z_i[p] = [buf[i+p] = buf[i]] (1 + Z_{i+1}[p]), with Z_{i+1}[n-1] = 0:
+   w and w[p:] agree on their first letter or share nothing, and past it
+   they are the words at i+1 and i+1+p.  With lane p - 1 holding Z_i[p],
+   ``ones`` a 1 in every lane and ``masks[c]`` all-ones lanes at the buffer
+   positions that hold c (lane k - 1 for position k), this is
+   z_i = (z_{i+1} + ones) & (masks[buf[i]] >> W·i), W the lane width.
+2. A square of root p starts at i iff Z_i[p] >= p, that is w[:p] = w[p:2p].
+3. That square is rightmost iff no lane holds 2p or more.  It is rightmost
+   iff 2p > m_i, the longest later match of w (the ``census`` docstring),
+   and m_i = max_p Z_i[p], as a later copy of w[:k] at i + p is a common
+   prefix of w and w[p:].
+
+A lane is W = (max_len - 1).bit_length() + 1 bits wide, derived, not
+chosen.  It holds at most max_len - 1 < 2**(W-1), so its top bit is free
+and the add of fact 1 carries into no other lane.  Tests 2 and 3 are one
+subtract each: (z | high) - y, with ``high`` the top bit of every lane and
+y holding p in lane p - 1 or 2p in every lane, keeps the top bit of a lane
+exactly where the lane is at least y's.  No borrow crosses a lane, since
+y's lanes are at most 2**(W-1): p < max_len, and a square of root p fits in
+w, so 2p <= n <= max_len.  Test 3 fails for every root below one that
+fails it, so when the smallest square passes, as it mostly does, every
+square is rightmost; else a bisection between the smallest and the largest
+square finds the largest p' with a lane >= 2p', and the squares above it
+are the roots: at most two, by Fraenkel & Simpson, which the sweep checks.
+
+Two kinds of word read no lane.  A new letter, one past the largest letter
+of the rest, is absent from the rest, so every lane is 0 and it starts no
+square.  A one-letter word a^k, k >= 2, has a square of every root
+p <= k/2 and m_0 = k - 1, so it starts one rightmost square, a^k itself,
+iff k is even.  No descendant of a^k reads its lanes: another a keeps the
+word one-letter, and a new letter resets them to 0.  So the walk carries
+none there, and a unary sweep makes no lane operation at all.
 
 One count measures what a sweep costs: its number of canonical words of
 each length, from ``_length_counts``.  It alone decides whether a sweep is
@@ -58,15 +95,15 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .census import _census_step
 from .errors import CostCeilingError
 from .pairs import ALL_PROPERTIES, PairKind, check_word
 from .words import Word
 
 # A sweep of more canonical words than this is refused unless overridden.
-# It is the binary count to length 18.  A word costs 0.8 to 1.5 us of one CPU
+# It is the binary count to length 18.  A word costs 0.4 to 1.0 us of one CPU
 # (reference-scaled) on any alphabet from 2 to 26 letters, so every sweep
-# under it takes less than a second (the measured table is in CHANGES.md).
+# under it takes about a quarter of a second or less (the measured table is
+# in CHANGES.md).
 MAX_SWEEP_WORDS = 262_143
 # The longest block suffix; ``_plan_blocks`` picks the one used, which the
 # checkpoint header records as ``block_prefix_len``.
@@ -74,7 +111,7 @@ BLOCK_SUFFIX_LEN = 7
 # A sweep gets at most one worker per this many words still to sweep.  On
 # fewer than twice as many, a pool's start-up and result pickling cost more
 # than a second CPU saves (the measured table is in CHANGES.md).
-WORDS_PER_WORKER = 10_000
+WORDS_PER_WORKER = 20_000
 CHECKPOINT_MAGIC = "fsdsq-sweep-checkpoint"
 CHECKPOINT_VERSION = 2
 
@@ -198,60 +235,134 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     recursion's: pre-order, letters ascending.  The words of the last
     level, at index 0, skip the stack: a loop visits them right after their
     parent, and their visit results are not read, since they have no
-    children.  A word whose first letter is new, one past the largest
-    letter of the rest, skips the census step and its probes: that letter
-    is absent from the rest, so m_i = 0 and it starts no square (the
-    absent-letter fact of ``census.py``), and the walk carries the state
-    the probes would end at.
+    children.
+
+    Each stack entry carries the lanes of its parent word, and a word's own
+    lanes are one add and one mask away (the module docstring's facts).
+    ``masks[c]`` changes only where a letter of ``buf`` does; position 0
+    has no lane, as no word reads it.
     """
     L = max_len
     buf = bytearray(L)
     first = L - len(suffix)  # an empty suffix starts at "a": buf[L - 1] is already 0
     buf[first:] = suffix
-    step = _census_step(buf)
+    W = (L - 1).bit_length() + 1  # lanes hold values below 2**(W - 1) > L - 1
+    lane = (1 << W) - 1
+    full = (1 << W * (L - 1)) - 1  # L - 1 all-ones lanes, for positions 1 .. L - 1
+    # Lane p - 1 of ``root_lengths`` holds p, and every lane of ``ones`` 1: both
+    # built by doubling the lanes, in O(L) bits.
+    root_lengths = ones = k = 1
+    while k < L - 1:
+        root_lengths |= (root_lengths + k * ones) << W * k  # the k lanes above hold k + 1 .. 2k
+        ones |= ones << W * k
+        k <<= 1
+    root_lengths &= full
+    ones &= full
+    high = ones << (W - 1)
+    twos = ones << 1
     top = alphabet_size - 1
+    masks = [0] * (min(top, L) + 1)  # letters past L - 1 never occur
+    masks[0] = full
+    for k in range(max(first, 1), L):
+        if buf[k]:
+            masks[0] ^= lane << W * (k - 1)
+            masks[buf[k]] ^= lane << W * (k - 1)
     # The largest child letter of a word whose largest letter is ``used``.
     nexts = tuple(min(used + 1, top) for used in range(alphabet_size))
     doubles: dict[int, list[int]] = {}
+
+    def rightmost(zh: int, sq: int) -> list[int] | tuple[()]:
+        """The rightmost roots, ascending, among the two or more square
+        roots flagged by the high bits ``sq`` of the lanes ``zh``, whose
+        high bits are set (the module docstring's tests 2 and 3)."""
+        low = sq & -sq
+        p = low.bit_length() // W  # the high bit of lane p - 1 is bit W·p - 1
+        if (zh - twos * p) & high:  # a lane holds 2p or more: p is not rightmost
+            last = sq.bit_length() // W
+            if (zh - twos * last) & high:
+                return ()
+            while last - p > 1:  # the largest p with a lane >= 2p stays in p
+                mid = (p + last) >> 1
+                if (zh - twos * mid) & high:
+                    p = mid
+                else:
+                    last = mid
+            sq &= -1 << W * last - 1
+            low = sq & -sq
+            p = low.bit_length() // W
+        if low == sq:
+            return [p]
+        ps = [p]
+        sq ^= low
+        while sq:
+            low = sq & -sq
+            ps.append(low.bit_length() // W)
+            sq ^= low
+        return ps
+
     # Each entry is (i, the letter at i, the largest letter of buf[i+1:] or
-    # -1, and the state of buf[i+1:]: m_{i+1}, a later-match start and the
-    # distinct count).  The letters of ``suffix`` are in ``buf`` and pass
-    # unvisited.
-    stack = [(L - 1, buf[L - 1], -1, -1, L, 0)]  # from the empty word at L
+    # -1, the lanes of buf[i+1:] and its distinct count).  The letters of
+    # ``suffix`` are in ``buf`` and pass unvisited.
+    stack = [(L - 1, buf[L - 1], -1, 0, 0)]  # from the empty word at L
     while stack:
-        i, c, used, m, j, distinct = stack.pop()
+        i, c, used, z, distinct = stack.pop()
         # Keys go in descending along a path, so those that a finished
         # subtree left, all <= i, are the last ones in.
         while doubles and next(reversed(doubles)) <= i:
             doubles.popitem()
-        buf[i] = c
-        if c > used:  # absent from buf[i+1:]: the probes' end state, m_i = 0 and no root
+        if buf[i] != c:
+            if i:
+                bit = lane << W * (i - 1)
+                masks[buf[i]] ^= bit
+                masks[c] ^= bit
+            buf[i] = c
+        if c > used:  # absent from buf[i+1:]: every lane is 0, and no root
             used = c
-            m, j = 0, i + 1
+            z = 0
+        elif not used:  # a^k starts one rightmost square, a^k, iff k is even
+            if not (L - i) & 1:
+                distinct += 1
         else:
-            m, j, ps = step(i, m, j)
-            if ps:
-                k = len(ps)
-                if k >= 2:
-                    doubles[i] = ps
-                distinct += k
+            z = (z + ones) & (masks[c] >> W * i)
+            zh = z | high
+            sq = (zh - root_lengths) & high  # lane p - 1 >= p: a square of root p
+            if sq & (sq - 1):
+                ps = rightmost(zh, sq)
+                if ps:
+                    k = len(ps)
+                    if k >= 2:
+                        doubles[i] = ps
+                    distinct += k
+            elif sq and not (zh - twos * (sq.bit_length() // W)) & high:
+                distinct += 1  # one square, and no lane holds twice its root
         if i > first:
-            stack.append((i - 1, buf[i - 1], used, m, j, distinct))
+            stack.append((i - 1, buf[i - 1], used, z, distinct))
         elif visit(buf, i, distinct, doubles):
             if i > 1:
                 for c in range(nexts[used], -1, -1):
-                    stack.append((i - 1, c, used, m, j, distinct))
+                    stack.append((i - 1, c, used, z, distinct))
             elif i:  # children at index 0 have none: visit them here, letters ascending
-                for c in range(used + 1):
-                    buf[0] = c
-                    ps = step(0, m, j)[2]
-                    if len(ps) < 2:
-                        visit(buf, 0, distinct + len(ps), doubles)
-                    else:
-                        doubles[0] = ps
-                        visit(buf, 0, distinct + len(ps), doubles)
-                        del doubles[0]
-                if used < top:  # a new letter: m_0 = 0, so no root
+                if used:
+                    z += ones
+                    for c in range(used + 1):
+                        buf[0] = c
+                        zh = z & masks[c] | high
+                        sq = (zh - root_lengths) & high
+                        if sq & (sq - 1):
+                            ps = rightmost(zh, sq)
+                            if len(ps) < 2:
+                                visit(buf, 0, distinct + len(ps), doubles)
+                            else:
+                                doubles[0] = ps
+                                visit(buf, 0, distinct + len(ps), doubles)
+                                del doubles[0]
+                        else:
+                            visit(buf, 0, distinct + (
+                                sq and not (zh - twos * (sq.bit_length() // W)) & high), doubles)
+                else:  # a^L
+                    buf[0] = 0
+                    visit(buf, 0, distinct + (not L & 1), doubles)
+                if used < top:  # a new letter: no root
                     buf[0] = used + 1
                     visit(buf, 0, distinct, doubles)
 

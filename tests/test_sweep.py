@@ -4,7 +4,6 @@ import json
 import os
 import random
 import tracemalloc
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from fsdsq.sweep import (LengthStats, SweepReport, _block_counts, _block_line, _
 from fsdsq.words import Word
 
 from named_words import CASE_10, EQUAL_17, SEEDS, UNEQUAL_39, UNEQUAL_67, W1, W2
-from oracles import (all_words, canonical_words, oracle_later_match, oracle_longest_run,
+from oracles import (all_words, canonical_words, oracle_longest_run,
                      oracle_rightmost, oracle_s)
 from structure import double_square, squares_of
 
@@ -638,12 +637,12 @@ class TestLeftExtensionSweep:
 
     @pytest.mark.parametrize("alphabet_size,max_len,suffix", [
         (2, 10, ""), (3, 7, ""), (2, 18, "abbababbabbababba"[-12:]),
-        # most new letters, which skip the census step
+        # most new letters, which read no lane
         (4, 6, ""), (5, 6, ""),
     ])
     def test_carried_state_matches_oracle(self, alphabet_size, max_len, suffix):
-        # The walk and s_sequence share the census step; this checks the
-        # carried state against the brute-force oracle instead.
+        # The carried state against the brute-force oracle, as well as
+        # against s_sequence above.
         seen = []
 
         def visit(buf, i, distinct, doubles):
@@ -703,50 +702,73 @@ class TestLeftExtensionSweep:
                     ("factorization_roundtrip", "planted")}
 
 
-class TestProbeSkips:
-    """The probes that the walk skips, against the cubic oracle: a letter
-    absent from the suffix has m_i = 0, and with no room after the witness
-    m_i <= m_{i+1} (the facts of the ``census`` docstring)."""
+class TestLaneWalk:
+    """The walk's Z lanes share no code with the census: its counts against
+    the cubic oracle and ``s_sequence``."""
 
-    @pytest.mark.parametrize("alphabet_size,max_len", [(2, 12), (3, 8), (4, 7), (5, 6)])
-    def test_against_oracle(self, alphabet_size, max_len, monkeypatch):
-        oracle = cache(oracle_later_match)
-        make = fsdsq.sweep._census_step
-        fired = {"absent": 0, "room": 0}
-
-        def checked(codes):
-            step = make(codes)
-            n = len(codes)
-
-            def checked_step(i, m, j):
-                text = Word(codes[i:]).text
-                assert text[0] in text[1:]  # the walk skips an absent letter
-                # the carried state: m_{i+1} and the nearest start of its match
-                x = text[1:1 + m]
-                assert m == oracle(text[1:])[0]
-                assert j == i + 1 + next(k for k in range(1, n - i) if text[1 + k:].startswith(x))
-                if codes[j - 1] != codes[i] and j + m + 1 > n:
-                    assert oracle(text)[0] <= m
-                    fired["room"] += 1
-                return step(i, m, j)
-
-            return checked_step
+    @pytest.mark.parametrize("alphabet_size,max_len", [(2, 12), (3, 8), (4, 7), (5, 6), (1, 60)])
+    def test_against_oracle(self, alphabet_size, max_len):
+        fired = {"new": 0, "one": 0}
 
         def visit(buf, i, distinct, doubles):
             text = Word(buf[i:]).text
+            rightmost = oracle_rightmost(text)
+            assert distinct == len(rightmost)
+            roots: dict[int, list[int]] = {}
+            for value, start in rightmost.items():
+                roots.setdefault(start, []).append(len(value) // 2)
+            assert {k - i + 1: ps for k, ps in doubles.items()} == {
+                pos: sorted(ps) for pos, ps in roots.items() if len(ps) >= 2}
+            # the two cases that read no lane: a new letter, with no root,
+            # and a one-letter word, with the one root n/2 for even n
             if text[0] not in text[1:]:
-                assert oracle(text)[0] == 0
-                fired["absent"] += 1
+                fired["new"] += 1
+                assert 1 not in {start for start in rightmost.values()}
+            elif len(set(text)) == 1:
+                fired["one"] += 1
+                assert [len(v) // 2 for v, start in rightmost.items() if start == 1] == (
+                    [len(text) // 2] if len(text) % 2 == 0 else [])
             return True
 
-        monkeypatch.setattr(fsdsq.sweep, "_census_step", checked)
         fsdsq.sweep._walk(alphabet_size, max_len, b"", visit)
         # "a", and each word over fewer letters than the alphabet, shorter
         # than max_len, with a new letter prepended
-        assert fired["absent"] == 1 + sum(
+        assert fired["new"] == 1 + sum(
             1 for n in range(1, max_len) for t in canonical_words(alphabet_size, n)
             if len(set(t)) < alphabet_size)
-        assert fired["room"] > 0
+        assert fired["one"] == max_len - 1  # aa, ..., a^max_len
+
+    @staticmethod
+    def walk_against_census(max_len: int, suffix: str) -> list[dict[int, list[int]]]:
+        """Every binary word up to ``max_len`` that ends in ``suffix``,
+        checked against ``s_sequence``; the census-2 roots of each."""
+        seen = []
+
+        def visit(buf, i, distinct, doubles):
+            report = s_sequence(Word(buf[i:]))
+            assert distinct == report.distinct_square_count
+            roots = {k - i + 1: ps for k, ps in doubles.items()}
+            assert roots == {pos: ps for pos, ps in report.roots.items() if len(ps) >= 2}
+            seen.append(roots)
+            return True
+
+        fsdsq.sweep._walk(2, max_len, Word.from_text(suffix).codes, visit)
+        assert len(seen) == 2 ** (max_len - len(suffix) + 1) - 1
+        return seen
+
+    @pytest.mark.parametrize("max_len", [16, 17, 32, 33])
+    @pytest.mark.parametrize("period", ["ba", "baa", "babaa"])
+    def test_across_lane_widths(self, max_len, period):
+        # Lanes are 5, 6, 6 and 7 bits wide at 16, 17, 32 and 33 letters:
+        # a fixed periodic suffix fills them close to their top bit.
+        self.walk_against_census(max_len, (period * max_len)[-(max_len - 6):])
+
+    def test_bisection_keeps_its_last_midpoint(self):
+        # At the first position of the suffix, m = 8 and the squares have
+        # roots 1, 5 and 8.  Root 1 is not rightmost, so the bisection runs
+        # from 1 to 8, and it keeps 5 only if it tests 5 itself after 4.
+        seen = self.walk_against_census(20, "bbabbbbabbabbbba")
+        assert seen[0][1] == [5, 8]
 
 
 def test_public_names():
