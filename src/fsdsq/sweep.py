@@ -53,7 +53,7 @@ square.  A one-letter word a^k, k >= 2, has a square of every root
 p <= k/2 and m_0 = k - 1, so it starts one rightmost square, a^k itself,
 iff k is even.  No descendant of a^k reads its lanes: another a keeps the
 word one-letter, and a new letter resets them to 0.  So the walk carries
-none there, and a unary sweep makes no lane operation at all.
+none there, and a unary sweep makes no lane operation per word.
 
 One count measures what a sweep costs: its number of canonical words of
 each length, from ``_length_counts``.  It alone decides whether a sweep is

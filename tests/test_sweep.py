@@ -766,7 +766,7 @@ class TestLaneWalk:
     def test_bisection_keeps_its_last_midpoint(self):
         # At the first position of the suffix, m = 8 and the squares have
         # roots 1, 5 and 8.  Root 1 is not rightmost, so the bisection runs
-        # from 1 to 8, and it keeps 5 only if it tests 5 itself after 4.
+        # from 1 to 8, and it keeps 5 only if it tests 5 itself, after 4 and 6.
         seen = self.walk_against_census(20, "bbabbbbabbabbbba")
         assert seen[0][1] == [5, 8]
 
