@@ -14,8 +14,9 @@ carried down the depth-first search in O(1) per word: the distinct-square
 count and the rightmost roots of every position with s_i >= 2, off which
 ``pairs.check_word`` reads the runs of 2's, the largest s_i and the
 structure without rescanning.  The words of the last length, half or more
-of a sweep over two or more letters, skip the walk's stack: a loop visits
-them right after their parent, and their visit results are not read.
+of a sweep over two or more letters, skip the walk's stack: a loop takes
+them right after their parent, and only those with a double square are
+visited; the rest are only counted, with their largest distinct count.
 
 The census of the new first position comes from the Z-array of the word,
 which the walk carries as one Python int of bit lanes; it shares no code
@@ -46,6 +47,13 @@ fails it, so when the smallest square passes, as it mostly does, every
 square is rightmost; else a bisection between the smallest and the largest
 square finds the largest p' with a lane >= 2p', and the squares above it
 are the roots: at most two, by Fraenkel & Simpson, which the sweep checks.
+
+4. The children of a word at index 1 share test 2 up to a mask.  Child c
+   has the lanes y & masks[c], y = z_1 + ones.  A lane that the mask
+   clears holds 0 and flags no root, as 2**(W-1) - p has a clear top bit
+   for p >= 1; a lane that it keeps is y's; and the subtract is lane by
+   lane.  So child c's squares are ((y | high) - root_lengths) & high &
+   masks[c]: one subtract for all the children.
 
 Two kinds of word read no lane.  A new letter, one past the largest letter
 of the rest, is absent from the rest, so every lane is 0 and it starts no
@@ -100,7 +108,7 @@ from .pairs import ALL_PROPERTIES, PairKind, check_word
 from .words import Word
 
 # A sweep of more canonical words than this is refused unless overridden.
-# It is the binary count to length 18.  A word costs 0.4 to 1.0 us of one CPU
+# It is the binary count to length 18.  A word costs 0.3 to 0.9 us of one CPU
 # (reference-scaled) on any alphabet from 2 to 26 letters, so every sweep
 # under it takes about a quarter of a second or less (the measured table is
 # in CHANGES.md).
@@ -218,24 +226,28 @@ def _left_canonical(codes: bytes | bytearray) -> bytes:
 
 # -------------------------------------------------------------- enumeration
 
-def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
+def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> tuple[int, int]:
     """Depth-first walk, by prepending letters, over the right-canonical
     words of length at most ``max_len`` that end in the right-canonical
     ``suffix``; the walk starts at ``suffix`` itself (at "a" when it is
     empty).
 
     The current word is ``buf[i:]`` of a buffer of length ``max_len``, so a
-    position keeps its index as letters are prepended.  Each word is handed
+    position keeps its index as letters are prepended.  A word is handed
     to ``visit(buf, i, distinct, doubles)``: its distinct-square count and
     ``doubles``, which maps every start with at least two rightmost roots to
     those roots (ascending lengths), and gives the runs of 2's and the
     largest s_i.  The walk descends below a word only if ``visit`` returns
     true.  The words still to visit wait on a stack of its own, children
     pushed last letter first, so at any length the visit order is a
-    recursion's: pre-order, letters ascending.  The words of the last
-    level, at index 0, skip the stack: a loop visits them right after their
-    parent, and their visit results are not read, since they have no
-    children.
+    recursion's: pre-order, letters ascending.
+
+    The children of a word at index 1 skip the stack: a loop takes them
+    right after their parent (the fourth fact) and visits only those whose
+    ``doubles`` is not empty, not reading the result.  It tallies the rest:
+    the walk returns their number and largest distinct count, all that a
+    per-length record reads of a word with no double square, which has no
+    run, pair or finding.
 
     Each stack entry carries the lanes of its parent word, and a word's own
     lanes are one add and one mask away (the module docstring's facts).
@@ -304,6 +316,7 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
     # -1, the lanes of buf[i+1:] and its distinct count).  The letters of
     # ``suffix`` are in ``buf`` and pass unvisited.
     stack = [(L - 1, buf[L - 1], -1, 0, 0)]  # from the empty word at L
+    tallied = most = 0  # the children at index 0 not visited
     while stack:
         i, c, used, z, distinct = stack.pop()
         # Keys go in descending along a path, so those that a finished
@@ -341,30 +354,36 @@ def _walk(alphabet_size: int, max_len: int, suffix: bytes, visit) -> None:
             if i > 1:
                 for c in range(nexts[used], -1, -1):
                     stack.append((i - 1, c, used, z, distinct))
-            elif i:  # children at index 0 have none: visit them here, letters ascending
+            elif i:  # the children at index 0, which have none
                 if used:
                     z += ones
-                    for c in range(used + 1):
-                        buf[0] = c
-                        zh = z & masks[c] | high
-                        sq = (zh - root_lengths) & high
-                        if sq & (sq - 1):
-                            ps = rightmost(zh, sq)
-                            if len(ps) < 2:
-                                visit(buf, 0, distinct + len(ps), doubles)
-                            else:
-                                doubles[0] = ps
-                                visit(buf, 0, distinct + len(ps), doubles)
-                                del doubles[0]
+                    squares = ((z | high) - root_lengths) & high
+                    for c in range(nexts[used] + 1):  # a new letter's mask is 0: no root
+                        d = distinct
+                        if sq := squares & masks[c]:
+                            zh = z & masks[c] | high
+                            if sq & (sq - 1):
+                                ps = rightmost(zh, sq)
+                                if len(ps) >= 2:
+                                    buf[0] = c
+                                    doubles[0] = ps
+                                    visit(buf, 0, d + len(ps), doubles)
+                                    del doubles[0]
+                                    continue
+                                d += len(ps)
+                            elif not (zh - twos * (sq.bit_length() // W)) & high:
+                                d += 1  # one square, and no lane holds twice its root
+                        if doubles:
+                            buf[0] = c
+                            visit(buf, 0, d, doubles)
                         else:
-                            visit(buf, 0, distinct + (
-                                sq and not (zh - twos * (sq.bit_length() // W)) & high), doubles)
-                else:  # a^L
-                    buf[0] = 0
-                    visit(buf, 0, distinct + (not L & 1), doubles)
-                if used < top:  # a new letter: no root
-                    buf[0] = used + 1
-                    visit(buf, 0, distinct, doubles)
+                            tallied += 1
+                            if d > most:
+                                most = d
+                else:  # a^L and a new letter, with no double square
+                    tallied += 1 + (top > 0)
+                    most = max(most, distinct + (not L & 1))
+    return tallied, most
 
 
 # ------------------------------------------------------------------- counts
@@ -406,19 +425,19 @@ def _plan_blocks(alphabet_size: int, max_len: int) -> tuple[int, list[str]]:
     length ``b``.  ``b`` is the longest length up to ``BLOCK_SUFFIX_LEN`` and
     ``max_len`` with at most ``2**(BLOCK_SUFFIX_LEN - 1)`` suffixes, which
     is the binary count at ``BLOCK_SUFFIX_LEN``.  The suffixes of length m
-    are the words of length m, so they are counted; one walk to ``b`` lists
-    those of length ``b``."""
+    are the words of length m, so they are counted; one walk to ``b + 1``
+    that stops at length ``b`` lists those of length ``b``."""
     suffixes = _length_counts(alphabet_size, min(BLOCK_SUFFIX_LEN, max_len))
     limit = 2 ** (BLOCK_SUFFIX_LEN - 1)
     b = max(m for m, count in enumerate(suffixes, 1) if count <= limit)
     blocks = [""]
 
     def visit(buf, i, distinct, doubles):
-        if i == 0:
+        if i == 1:
             blocks.append(Word(buf[i:]).text)
-        return True
+        return i > 1
 
-    _walk(alphabet_size, b, b"", visit)
+    _walk(alphabet_size, b + 1, b"", visit)
     return b, blocks
 
 
@@ -458,7 +477,10 @@ def _process_block(args: tuple) -> tuple[str, dict]:
         return True
 
     if size:  # the block "" of b = 1 has no words
-        _walk(alphabet_size, size, Word.from_text(block_id).codes, visit)
+        # and the walk's tally of the words at index 0 that it did not visit
+        tallied, tallied_most = _walk(alphabet_size, size, Word.from_text(block_id).codes, visit)
+        words[0] += tallied
+        most[0] = max(most[0], tallied_most)
     lengths: dict[int, LengthStats] = {}
     for i in range(size - 1, -1, -1):
         if words[i]:

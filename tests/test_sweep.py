@@ -7,6 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsdsq
 import fsdsq.pairs
@@ -34,6 +36,17 @@ DATA = Path(__file__).parent / "data"
 
 def _json(report):
     return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+def walk_every_word(alphabet_size, max_len, suffix, visit):
+    """``_walk`` one letter longer, stopped below index 1: ``visit`` sees
+    every word up to ``max_len`` letters that ends in ``suffix``, in the
+    walk's order, and the walk tallies none."""
+
+    def above_last_level(buf, i, distinct, doubles):
+        return visit(buf, i, distinct, doubles) and i > 1
+
+    assert fsdsq.sweep._walk(alphabet_size, max_len + 1, suffix, above_last_level) == (0, 0)
 
 
 class TestCanonicalEnumeration:
@@ -77,11 +90,12 @@ class TestCanonicalEnumeration:
                 visits.append(1)
                 return visit(*state)
 
-            walk(alphabet_size, max_len, suffix, counted_visit)
+            return walk(alphabet_size, max_len, suffix, counted_visit)
 
         monkeypatch.setattr(fsdsq.sweep, "_walk", counted)
         assert _plan_blocks(4, 12)[0] == 5
-        assert walks == [5]  # counted, b needs no walk past it
+        # counted, b needs no walk past b + 1, and the walk stops at length b
+        assert walks == [6]
         assert len(visits) == sum(1 for n in range(1, 6) for _ in canonical_words(4, n))
 
     def test_census_invariant_under_renaming(self):
@@ -565,9 +579,9 @@ def _reference_process_block(args):
         return True
 
     if block_id:
-        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
+        walk_every_word(alphabet_size, max_len, Word.from_text(block_id).codes, visit)
     elif b > 1:
-        fsdsq.sweep._walk(alphabet_size, b - 1, b"", visit)
+        walk_every_word(alphabet_size, b - 1, b"", visit)
     return block_id, {"lengths": lengths, "findings": findings}
 
 
@@ -624,7 +638,7 @@ class TestLeftExtensionSweep:
             seen.append((text, len(doubles), run))
             return True
 
-        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+        walk_every_word(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
         texts = [t for t, _, _ in seen]
         assert len(texts) == len(set(texts))
         if suffix:
@@ -661,7 +675,7 @@ class TestLeftExtensionSweep:
             seen.append(len(doubles))
             return True
 
-        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+        walk_every_word(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
         if suffix:
             assert len(seen) == 2 ** (max_len - len(suffix) + 1) - 1
             assert max(seen) >= 2
@@ -702,6 +716,155 @@ class TestLeftExtensionSweep:
                     ("factorization_roundtrip", "planted")}
 
 
+def oracle_reference(text):
+    """The distinct-square count of ``text`` and the roots of each
+    position (from 1) with two or more, from the cubic oracle."""
+    rightmost = oracle_rightmost(text)
+    roots: dict[int, list[int]] = {}
+    for value, start in rightmost.items():
+        roots.setdefault(start, []).append(len(value) // 2)
+    return len(rightmost), {pos: sorted(ps) for pos, ps in roots.items() if len(ps) >= 2}
+
+
+def census_reference(text):
+    """``oracle_reference`` from ``s_sequence``."""
+    report = s_sequence(Word.from_text(text))
+    return report.distinct_square_count, {
+        pos: ps for pos, ps in report.roots.items() if len(ps) >= 2}
+
+
+def check_last_level(alphabet_size, max_len, suffix, reference):
+    """The words of ``max_len`` letters that end in ``suffix``, at the
+    walk's index 0, against ``reference``: a word with a double square is
+    visited with its distinct count and ``doubles``, and the walk returns
+    the number of the others and their largest distinct count."""
+    visited = {}
+
+    def visit(buf, i, distinct, doubles):
+        if i == 0:
+            text = Word(buf).text
+            assert text not in visited
+            visited[text] = (distinct, {k + 1: ps for k, ps in doubles.items()})
+        return True
+
+    tally = fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+    expected, count, most = {}, 0, 0
+    for text in _reference_order(alphabet_size, max_len, suffix, lambda text: True):
+        if len(text) == max_len:
+            distinct, doubles = reference(text)
+            if doubles:
+                expected[text] = (distinct, doubles)
+            else:
+                count, most = count + 1, max(most, distinct)
+    assert visited == expected
+    assert tally == (count, most)
+    return count
+
+
+def fibonacci_prefix(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+@st.composite
+def words_to_2000(draw):
+    """Words of 2 to 2,000 letters: random over 2 to 4 letters, periodic
+    with a few point mutations, Fibonacci prefixes and a^n."""
+    n = draw(st.integers(min_value=2, max_value=2000))
+    kind = draw(st.sampled_from(["random", "periodic", "fibonacci", "unary"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if kind == "random":
+        letters = "abcd"[:rng.randint(2, 4)]
+        return "".join(rng.choice(letters) for _ in range(n))
+    if kind == "periodic":
+        base = "".join(rng.choice("abc") for _ in range(rng.randint(1, 8)))
+        letters = list((base * n)[:n])
+        for _ in range(rng.randint(0, 4)):
+            letters[rng.randrange(n)] = rng.choice("abc")
+        return "".join(letters)
+    if kind == "fibonacci":
+        return fibonacci_prefix(n)
+    return "a" * n
+
+
+def check_walk_census(text):
+    """The walk as a census of a whole word, against ``s_sequence``: from
+    the word itself, which the stack visits, and from its tail, whose
+    children (the word among them) are visited or tallied at index 0.  One
+    letter more in the alphabet, up to 26, gives the tail a new letter as a
+    child."""
+    n = len(text)
+    codes = _left_canonical(Word.from_text(text).codes[::-1])[::-1]  # right-canonical
+    alphabet_size = min(max(codes) + 2, 26)
+    seen = []
+
+    def visit(buf, i, distinct, doubles):
+        seen.append((i, distinct, {k - i + 1: ps for k, ps in doubles.items()}))
+        return True
+
+    assert fsdsq.sweep._walk(alphabet_size, n, codes, visit) == (0, 0)
+    assert seen == [(0, *census_reference(Word(codes).text))]
+    check_last_level(alphabet_size, n, Word(codes[1:]).text, census_reference)
+
+
+class TestLastLevel:
+    """The words of the walk's last length, taken per parent: visited if
+    they have a double square and tallied if not."""
+
+    @pytest.mark.parametrize("alphabet_size,max_len", [(2, 12), (3, 8), (4, 7), (5, 6), (1, 60)])
+    def test_against_oracle(self, alphabet_size, max_len):
+        tallied = 0
+        for parent in canonical_words(alphabet_size, max_len - 1):
+            parent = parent[::-1]
+            tallied += check_last_level(alphabet_size, max_len, parent, oracle_reference)
+            # a parent whose visit returns false has no child walked
+            seen = []
+            codes = Word.from_text(parent).codes
+            assert fsdsq.sweep._walk(alphabet_size, max_len, codes,
+                                     lambda *state: seen.append(state[1])) == (0, 0)
+            assert seen == [1]
+        # only binary words have a double square at these lengths
+        assert (tallied < sum(1 for _ in canonical_words(alphabet_size, max_len))) == (
+            alphabet_size == 2)
+
+    @pytest.mark.parametrize("alphabet_size,max_len,ceiling", [(3, 10, 4926), (2, 14, 8243)])
+    def test_visits_per_walk(self, alphabet_size, max_len, ceiling):
+        # A ceiling never to be raised: visiting every word made 14,767 and
+        # 16,383 calls.  The tally takes the words not visited.
+        visits = 0
+
+        def visit(buf, i, distinct, doubles):
+            nonlocal visits
+            visits += 1
+            return True
+
+        tallied, _ = fsdsq.sweep._walk(alphabet_size, max_len, b"", visit)
+        assert visits + tallied == sum(_length_counts(alphabet_size, max_len))
+        assert visits <= ceiling
+
+    @given(words_to_2000())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_census(self, text):
+        check_walk_census(text)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["random binary", "random 26-ary", "fibonacci",
+                                      "closed form"])
+    def test_walk_census_of_long_words(self, kind):
+        # 10^4 letters, and the closed form of build_run(1000), of 7,003
+        rng = random.Random(11)
+        if kind == "fibonacci":
+            text = fibonacci_prefix(10_000)
+        elif kind == "closed form":
+            text = build_run(1000).word.text
+        else:
+            letters = "ab" if kind == "random binary" else "abcdefghijklmnopqrstuvwxyz"
+            text = "".join(rng.choice(letters) for _ in range(10_000))
+        check_walk_census(text)
+
+
 class TestLaneWalk:
     """The walk's Z lanes share no code with the census: its counts against
     the cubic oracle and ``s_sequence``."""
@@ -730,7 +893,7 @@ class TestLaneWalk:
                     [len(text) // 2] if len(text) % 2 == 0 else [])
             return True
 
-        fsdsq.sweep._walk(alphabet_size, max_len, b"", visit)
+        walk_every_word(alphabet_size, max_len, b"", visit)
         # "a", and each word over fewer letters than the alphabet, shorter
         # than max_len, with a new letter prepended
         assert fired["new"] == 1 + sum(
@@ -752,16 +915,20 @@ class TestLaneWalk:
             seen.append(roots)
             return True
 
-        fsdsq.sweep._walk(2, max_len, Word.from_text(suffix).codes, visit)
+        walk_every_word(2, max_len, Word.from_text(suffix).codes, visit)
         assert len(seen) == 2 ** (max_len - len(suffix) + 1) - 1
         return seen
 
     @pytest.mark.parametrize("max_len", [16, 17, 32, 33])
     @pytest.mark.parametrize("period", ["ba", "baa", "babaa"])
     def test_across_lane_widths(self, max_len, period):
-        # Lanes are 5, 6, 6 and 7 bits wide at 16, 17, 32 and 33 letters:
-        # a fixed periodic suffix fills them close to their top bit.
-        self.walk_against_census(max_len, (period * max_len)[-(max_len - 6):])
+        # Lanes are 5, 6, 6 and 7 bits wide in a walk to 16, 17, 32 and 33
+        # letters: a fixed periodic suffix fills them close to their top bit.
+        # Every word is checked in a walk one letter longer, and the last
+        # level, visited or tallied, in a walk of the width named.
+        suffix = (period * max_len)[-(max_len - 6):]
+        self.walk_against_census(max_len, suffix)
+        check_last_level(2, max_len, suffix, census_reference)
 
     def test_bisection_keeps_its_last_midpoint(self):
         # At the first position of the suffix, m = 8 and the squares have
@@ -871,7 +1038,7 @@ class TestWalk:
     @pytest.mark.parametrize("alphabet_size,max_len,suffix,prune", [
         (2, 10, "", False), (3, 7, "", False),
         (2, 12, "abbababbabbababba"[-7:], False), (3, 7, "", True),
-        # at the next-to-last length, whose children the walk visits in a loop
+        # at the next-to-last length
         (3, 7, "", "next-to-last"), (2, 10, "", "next-to-last b"),
     ])
     def test_visit_order_matches_a_recursion(self, alphabet_size, max_len, suffix, prune):
@@ -888,7 +1055,7 @@ class TestWalk:
             seen.append(Word(buf[i:]).text)
             return keep(seen[-1])
 
-        fsdsq.sweep._walk(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
+        walk_every_word(alphabet_size, max_len, Word.from_text(suffix).codes, visit)
         assert seen == _reference_order(alphabet_size, max_len, suffix, keep)
         rejected = {t for t in seen if not keep(t)}
         assert not prune or any(len(t) < max_len for t in rejected)
